@@ -59,6 +59,8 @@ def load_embeddings(path, expected_dim: int) -> EmbeddingTable:
                 vec = np.array([float(v) for v in fields[1:]], dtype=np.float64)
             except ValueError:
                 raise ParseError(f"{path}: line {lineno}: non-numeric value") from None
+            if not np.isfinite(vec).all():
+                raise ParseError(f"{path}: line {lineno}: non-finite value")
             vocab[fields[0]] = _freeze(vec)
     if len(vocab) != count:
         raise ParseError(

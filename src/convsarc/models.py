@@ -44,7 +44,7 @@ VARIANTS = ("reply_only", "concat", "conditional",
 ATTENTION_VARIANTS = ("sent_attn", "word_attn", "hier_attn")
 LABEL_TO_INDEX = {"S": 0, "NS": 1}  # probability/logit order is (S, NS)
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2  # 2: LSTM gates stacked into W, U, b
 
 
 @dataclass
@@ -192,8 +192,8 @@ def init_params(variant: str, embed_dim: int, hidden_dim: int,
 # attention pooling
 
 
-def _attend_forward(h_list: Sequence[np.ndarray], ap: AttentionParams):
-    H = np.stack([np.asarray(h, dtype=np.float64) for h in h_list])  # n x d
+def _attend_forward(H: np.ndarray, ap: AttentionParams):
+    """Pool the rows of H (n x d); returns (pooled, weights, cache)."""
     U = np.tanh(H @ ap.W_a.T + ap.b_a)  # n x att_dim
     alpha = softmax(U @ ap.u_s)
     v = alpha @ H
@@ -213,21 +213,13 @@ def _attend_backward(ap: AttentionParams, cache, dv: np.ndarray):
     return grads, dH
 
 
-def attend(hidden: Sequence[np.ndarray], attn: AttentionParams
-           ) -> tuple[np.ndarray, np.ndarray]:
-    """Pool a hidden-state sequence into one vector; returns (pooled, weights)."""
-    if len(hidden) == 0:
-        raise DomainError("attend over an empty hidden-state sequence")
-    v, alpha, _ = _attend_forward(hidden, attn)
-    return v, alpha
-
-
 # --------------------------------------------------------------------------
 # forward / backward per variant
 
 
-def _embed(table: EmbeddingTable, tokens: Sequence[str]) -> list[np.ndarray]:
-    return [lookup(table, t) for t in tokens]
+def _embed(table: EmbeddingTable, tokens: Sequence[str]) -> np.ndarray:
+    """len(tokens) x dim matrix of the tokens' vectors."""
+    return np.array([lookup(table, t) for t in tokens]).reshape(len(tokens), table.dim)
 
 
 def _accumulate(grads: dict, prefix: str, block: dict) -> None:
@@ -317,7 +309,7 @@ def _forward(params: ModelParams, seg: SegmentedInstance, table: EmbeddingTable,
                     ("r", params.lstm_r, cache_r, params.attn_r, ar)):
                 dvs = dv[:H] if side == "c" else dv[H:]
                 ga, dH = _attend_backward(ap, acache, dvs)
-                g_l, _, _ = lstm_backward(cell, cache, dh_steps=list(dH))
+                g_l, _, _ = lstm_backward(cell, cache, dh_steps=dH)
                 _accumulate(grads, f"attn_{side}", ga)
                 _accumulate(grads, f"lstm_{side}", g_l)
 
@@ -352,7 +344,7 @@ def _forward(params: ModelParams, seg: SegmentedInstance, table: EmbeddingTable,
                 wap = params.wattn_c if side == "c" else params.wattn_r
                 dvs = dv[:H] if side == "c" else dv[H:]
                 ga, dH = _attend_backward(ap, acache, dvs)
-                g_l, dx, _ = lstm_backward(cell, cache, dh_steps=list(dH))
+                g_l, dx, _ = lstm_backward(cell, cache, dh_steps=dH)
                 _accumulate(grads, f"attn_{side}", ga)
                 _accumulate(grads, f"lstm_{side}", g_l)
                 # word embeddings are frozen: their gradient is dropped, but
@@ -386,39 +378,6 @@ def _forward(params: ModelParams, seg: SegmentedInstance, table: EmbeddingTable,
         dv = dv * mask
     back(grads, dv)
     return probs, record, loss, grads
-
-
-def _encode(params: ModelParams, seg: SegmentedInstance, table: EmbeddingTable,
-            expected_variant: str):
-    if params.variant != expected_variant:
-        raise ConfigError(
-            f"params are for variant '{params.variant}', not '{expected_variant}'")
-    probs, record, _, _ = _forward(params, seg, table)
-    return probs, record
-
-
-def encode_reply_only(seg, params, table) -> np.ndarray:
-    return _encode(params, seg, table, "reply_only")[0]
-
-
-def encode_concat(seg, params, table) -> np.ndarray:
-    return _encode(params, seg, table, "concat")[0]
-
-
-def encode_conditional(seg, params, table) -> np.ndarray:
-    return _encode(params, seg, table, "conditional")[0]
-
-
-def encode_sent_attn(seg, params, table):
-    return _encode(params, seg, table, "sent_attn")
-
-
-def encode_word_attn(seg, params, table):
-    return _encode(params, seg, table, "word_attn")
-
-
-def encode_hier_attn(seg, params, table):
-    return _encode(params, seg, table, "hier_attn")
 
 
 def predict(params: ModelParams, seg: SegmentedInstance, table: EmbeddingTable
@@ -572,8 +531,15 @@ def save_checkpoint(params: ModelParams, path) -> None:
 
 
 def load_checkpoint(path) -> ModelParams:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    """Read a save_checkpoint file; a malformed one raises ConfigError
+    naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as e:  # not UTF-8, or not JSON
+        raise ConfigError(f"{path}: not a JSON checkpoint: {e}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: checkpoint is not a JSON object")
     version = doc.get("format_version")
     if version != CHECKPOINT_VERSION:
         raise ConfigError(
@@ -581,17 +547,22 @@ def load_checkpoint(path) -> ModelParams:
             f"(expected {CHECKPOINT_VERSION})")
     if doc.get("kind") != "lstm":
         raise ConfigError(f"{path}: not an lstm checkpoint")
-    dims = doc["dims"]
-    skeleton = init_params(doc["variant"], dims["embed_dim"], dims["hidden_dim"],
-                           dims["att_dim"], rng=None,
-                           conditional_reply_head_only=doc["conditional_reply_head_only"])
-    loaded = {}
-    for name, spec in doc["tensors"].items():
-        arr = np.frombuffer(base64.b64decode(spec["data"]), dtype="<f8")
-        loaded[name] = arr.reshape(spec["shape"]).astype(np.float64)
-    expected = set(skeleton.tensors())
-    if expected != set(loaded):
-        raise ConfigError(f"{path}: tensor set does not match variant "
+    try:
+        dims = doc["dims"]
+        skeleton = init_params(doc["variant"], dims["embed_dim"], dims["hidden_dim"],
+                               dims["att_dim"], rng=None,
+                               conditional_reply_head_only=doc["conditional_reply_head_only"])
+        loaded = {}
+        for name, spec in doc["tensors"].items():
+            arr = np.frombuffer(base64.b64decode(spec["data"]), dtype="<f8")
+            loaded[name] = arr.reshape(spec["shape"]).astype(np.float64)
+    except KeyError as e:
+        raise ConfigError(f"{path}: checkpoint lacks field {e}") from None
+    except (TypeError, ValueError, AttributeError) as e:  # bad types, base64 or shapes
+        raise ConfigError(f"{path}: malformed checkpoint: {e}") from None
+    expected = {k: t.shape for k, t in skeleton.tensors().items()}
+    if expected != {k: t.shape for k, t in loaded.items()}:
+        raise ConfigError(f"{path}: tensor set or shapes do not match variant "
                           f"'{doc['variant']}'")
     return skeleton.replace_tensors(loaded)
 

@@ -1,13 +1,14 @@
-"""Numerical core: LSTM cell, one-layer tanh MLP, softmax cross-entropy,
-SGD with L2, inverted dropout, and a central-difference gradient oracle.
+"""Numerical core: LSTM cell, softmax cross-entropy, SGD with L2, inverted
+dropout, and a central-difference gradient oracle.
 
 Everything runs at float64. Parameters travel as flat ``{name: ndarray}``
 dicts so the optimizer and the finite-difference checker stay agnostic of
 which architecture produced them. Gate equations follow the standard
-formulation: i, f, o sigmoid gates, tanh candidate, no peepholes:
+formulation: i, f, o sigmoid gates, tanh candidate, no peepholes. The four
+gates are stacked in one pre-activation, split in i, f, o, g order:
 
-    i = sigmoid(W_i x + U_i h + b_i)      f = sigmoid(W_f x + U_f h + b_f)
-    o = sigmoid(W_o x + U_o h + b_o)      g = tanh(W_g x + U_g h + b_g)
+    a = W x + U h + b                     [a_i, a_f, a_o, a_g] = a
+    i, f, o = sigmoid(a_i, a_f, a_o)      g = tanh(a_g)
     c' = f * c + i * g                    h' = o * tanh(c')
 """
 from __future__ import annotations
@@ -46,65 +47,41 @@ def _as_vector(name: str, v, dim: int | None = None) -> Array:
 
 @dataclass
 class LSTMCellParams:
-    """Weights for one LSTM cell: gate matrices W_* (hidden x input),
-    recurrent matrices U_* (hidden x hidden), biases b_* (hidden)."""
+    """Weights for one LSTM cell with the four gates stacked in i, f, o, g
+    order: W (4*hidden x input), U (4*hidden x hidden), b (4*hidden)."""
 
-    W_i: Array
-    W_f: Array
-    W_o: Array
-    W_g: Array
-    U_i: Array
-    U_f: Array
-    U_o: Array
-    U_g: Array
-    b_i: Array
-    b_f: Array
-    b_o: Array
-    b_g: Array
+    W: Array
+    U: Array
+    b: Array
 
     @property
     def input_dim(self) -> int:
-        return self.W_i.shape[1]
+        return self.W.shape[1]
 
     @property
     def hidden_dim(self) -> int:
-        return self.W_i.shape[0]
+        return self.U.shape[1]
 
     def tensors(self) -> dict[str, Array]:
-        return {
-            "W_i": self.W_i, "W_f": self.W_f, "W_o": self.W_o, "W_g": self.W_g,
-            "U_i": self.U_i, "U_f": self.U_f, "U_o": self.U_o, "U_g": self.U_g,
-            "b_i": self.b_i, "b_f": self.b_f, "b_o": self.b_o, "b_g": self.b_g,
-        }
+        return {"W": self.W, "U": self.U, "b": self.b}
 
     @classmethod
     def from_tensors(cls, t: dict[str, Array]) -> "LSTMCellParams":
-        return cls(**{k: np.asarray(t[k], dtype=np.float64) for k in
-                      ("W_i", "W_f", "W_o", "W_g", "U_i", "U_f", "U_o", "U_g",
-                       "b_i", "b_f", "b_o", "b_g")})
+        return cls(*(np.asarray(t[k], dtype=np.float64) for k in ("W", "U", "b")))
 
     @classmethod
     def zeros(cls, input_dim: int, hidden_dim: int) -> "LSTMCellParams":
-        w = lambda: np.zeros((hidden_dim, input_dim))
-        u = lambda: np.zeros((hidden_dim, hidden_dim))
-        b = lambda: np.zeros(hidden_dim)
-        return cls(w(), w(), w(), w(), u(), u(), u(), u(), b(), b(), b(), b())
+        n = 4 * hidden_dim
+        return cls(np.zeros((n, input_dim)), np.zeros((n, hidden_dim)), np.zeros(n))
 
     @classmethod
     def init(cls, input_dim: int, hidden_dim: int,
              rng: np.random.Generator) -> "LSTMCellParams":
         """Uniform(-0.05, 0.05) weights; forget-gate bias starts at 1.0."""
-        def w(shape):
-            return rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape)
-
-        p = cls(
-            w((hidden_dim, input_dim)), w((hidden_dim, input_dim)),
-            w((hidden_dim, input_dim)), w((hidden_dim, input_dim)),
-            w((hidden_dim, hidden_dim)), w((hidden_dim, hidden_dim)),
-            w((hidden_dim, hidden_dim)), w((hidden_dim, hidden_dim)),
-            w(hidden_dim), w(hidden_dim), w(hidden_dim), w(hidden_dim),
-        )
-        p.b_f = p.b_f * 0.0 + FORGET_BIAS
+        n = 4 * hidden_dim
+        p = cls(*(rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape)
+                  for shape in ((n, input_dim), (n, hidden_dim), n)))
+        p.b[hidden_dim:2 * hidden_dim] = FORGET_BIAS
         return p
 
 
@@ -119,136 +96,98 @@ class LSTMState:
 
 
 @dataclass
-class _StepCache:
-    x: Array
-    h_prev: Array
-    c_prev: Array
-    i: Array
-    f: Array
-    o: Array
-    g: Array
-    c: Array
-    tanh_c: Array
+class LSTMCache:
+    """What lstm_backward needs from a forward pass over T steps. Row t of h
+    and c is the state before step t; its length is T."""
+
+    x: Array  # T x input
+    h: Array  # (T+1) x hidden
+    c: Array  # (T+1) x hidden
+    gates: Array  # T x 4*hidden, activated i, f, o, g
+    tanh_c: Array  # T x hidden
+
+    def __len__(self) -> int:
+        return self.x.shape[0]
 
 
-def _step(params: LSTMCellParams, x: Array, prev: LSTMState) -> _StepCache:
-    x = _as_vector("x", x, params.input_dim)
-    h_prev = _as_vector("prev.h", prev.h, params.hidden_dim)
-    c_prev = _as_vector("prev.c", prev.c, params.hidden_dim)
-    i = sigmoid(params.W_i @ x + params.U_i @ h_prev + params.b_i)
-    f = sigmoid(params.W_f @ x + params.U_f @ h_prev + params.b_f)
-    o = sigmoid(params.W_o @ x + params.U_o @ h_prev + params.b_o)
-    g = np.tanh(params.W_g @ x + params.U_g @ h_prev + params.b_g)
-    c = f * c_prev + i * g
-    tanh_c = np.tanh(c)
-    return _StepCache(x, h_prev, c_prev, i, f, o, g, c, tanh_c)
-
-
-def lstm_step(params: LSTMCellParams, x, prev: LSTMState) -> LSTMState:
-    """One recurrence step; returns the new (h, c) state."""
-    s = _step(params, x, prev)
-    return LSTMState(s.o * s.tanh_c, s.c)
-
-
-def lstm_run(params: LSTMCellParams, inputs: Sequence,
-             init: LSTMState | None = None) -> tuple[list[Array], LSTMState]:
-    """Run the cell over a sequence; returns (all hidden states, final state).
-
-    An empty sequence returns ([], init) untouched.
-    """
-    state = init if init is not None else LSTMState.zeros(params.hidden_dim)
-    hs: list[Array] = []
+def _stack_steps(inputs: Sequence, dim: int) -> Array:
+    X = np.empty((len(inputs), dim))
     for t, x in enumerate(inputs):
         try:
-            state = lstm_step(params, x, state)
+            X[t] = _as_vector("x", x, dim)
         except ShapeError as e:
             raise ShapeError(f"step {t}: {e}") from None
-        hs.append(state.h)
-    return hs, state
+    return X
 
 
 def lstm_forward(params: LSTMCellParams, inputs: Sequence,
                  init: LSTMState | None = None
-                 ) -> tuple[list[Array], LSTMState, list[_StepCache]]:
-    """Like lstm_run but keeps per-step caches for the backward pass."""
-    state = init if init is not None else LSTMState.zeros(params.hidden_dim)
-    hs: list[Array] = []
-    caches: list[_StepCache] = []
-    for t, x in enumerate(inputs):
-        try:
-            s = _step(params, x, state)
-        except ShapeError as e:
-            raise ShapeError(f"step {t}: {e}") from None
-        state = LSTMState(s.o * s.tanh_c, s.c)
-        hs.append(state.h)
-        caches.append(s)
-    return hs, state, caches
+                 ) -> tuple[Array, LSTMState, LSTMCache]:
+    """Run the cell over a sequence of input vectors (or a T x input matrix).
 
-
-def lstm_grads_zeros(params: LSTMCellParams) -> dict[str, Array]:
-    return {k: np.zeros_like(v) for k, v in params.tensors().items()}
-
-
-def lstm_backward(params: LSTMCellParams, caches: list[_StepCache],
-                  dh_steps: Sequence | None = None,
-                  dh_final: Array | None = None,
-                  dc_final: Array | None = None
-                  ) -> tuple[dict[str, Array], list[Array], tuple[Array, Array]]:
-    """Backprop through time over cached steps.
-
-    dh_steps[t] is the gradient flowing into h_t from outside the recurrence
-    (e.g. attention over all states); dh_final / dc_final flow into the last
-    step's h and c (e.g. classifier input, or a downstream encoder seeded
-    from this cell's memory). Returns (parameter grads, per-step input grads,
-    gradient w.r.t. the initial state).
+    Returns (T x hidden matrix of hidden states, final state, cache for
+    lstm_backward). An empty sequence returns init untouched as the final
+    state.
     """
     H = params.hidden_dim
-    g = lstm_grads_zeros(params)
-    dh_next = np.zeros(H) if dh_final is None else np.asarray(dh_final, dtype=np.float64).copy()
-    dc_next = np.zeros(H) if dc_final is None else np.asarray(dc_final, dtype=np.float64).copy()
-    dx: list[Array] = [None] * len(caches)  # type: ignore[list-item]
-    for t in range(len(caches) - 1, -1, -1):
-        s = caches[t]
-        dh = dh_next
-        if dh_steps is not None and dh_steps[t] is not None:
-            dh = dh + dh_steps[t]
-        do = dh * s.tanh_c
-        dc = dc_next + dh * s.o * (1.0 - s.tanh_c ** 2)
-        di = dc * s.g
-        df = dc * s.c_prev
-        dg = dc * s.i
-        da_i = di * s.i * (1.0 - s.i)
-        da_f = df * s.f * (1.0 - s.f)
-        da_o = do * s.o * (1.0 - s.o)
-        da_g = dg * (1.0 - s.g ** 2)
-        g["W_i"] += np.outer(da_i, s.x)
-        g["W_f"] += np.outer(da_f, s.x)
-        g["W_o"] += np.outer(da_o, s.x)
-        g["W_g"] += np.outer(da_g, s.x)
-        g["U_i"] += np.outer(da_i, s.h_prev)
-        g["U_f"] += np.outer(da_f, s.h_prev)
-        g["U_o"] += np.outer(da_o, s.h_prev)
-        g["U_g"] += np.outer(da_g, s.h_prev)
-        g["b_i"] += da_i
-        g["b_f"] += da_f
-        g["b_o"] += da_o
-        g["b_g"] += da_g
-        dx[t] = (params.W_i.T @ da_i + params.W_f.T @ da_f
-                 + params.W_o.T @ da_o + params.W_g.T @ da_g)
-        dh_next = (params.U_i.T @ da_i + params.U_f.T @ da_f
-                   + params.U_o.T @ da_o + params.U_g.T @ da_g)
-        dc_next = dc * s.f
-    return g, dx, (dh_next, dc_next)
+    X = _stack_steps(inputs, params.input_dim)
+    if init is None:
+        init = LSTMState.zeros(H)
+    T = X.shape[0]
+    hs = np.empty((T + 1, H))
+    cs = np.empty((T + 1, H))
+    tanh_c = np.empty((T, H))
+    hs[0] = _as_vector("init.h", init.h, H)
+    cs[0] = _as_vector("init.c", init.c, H)
+    gates = X @ params.W.T + params.b  # input projection for every step at once
+    for t in range(T):
+        a = gates[t]
+        a += params.U @ hs[t]
+        a[:3 * H] = sigmoid(a[:3 * H])
+        a[3 * H:] = np.tanh(a[3 * H:])
+        i, f, o, g = a[:H], a[H:2 * H], a[2 * H:3 * H], a[3 * H:]
+        cs[t + 1] = f * cs[t] + i * g
+        tanh_c[t] = np.tanh(cs[t + 1])
+        hs[t + 1] = o * tanh_c[t]
+    final = LSTMState(hs[T], cs[T]) if T else init
+    return hs[1:], final, LSTMCache(X, hs, cs, gates, tanh_c)
 
 
-def mlp_tanh(W: Array, b: Array, h) -> Array:
-    """tanh(W h + b); output entries lie strictly inside (-1, 1)."""
-    W = np.asarray(W, dtype=np.float64)
-    if W.ndim != 2:
-        raise ShapeError(f"W must be a matrix, got shape {W.shape}")
-    b = _as_vector("b", b, W.shape[0])
-    h = _as_vector("h", h, W.shape[1])
-    return np.tanh(W @ h + b)
+def lstm_backward(params: LSTMCellParams, cache: LSTMCache,
+                  dh_steps: Array | None = None,
+                  dh_final: Array | None = None,
+                  dc_final: Array | None = None
+                  ) -> tuple[dict[str, Array], Array, tuple[Array, Array]]:
+    """Backprop through time over a cached forward pass.
+
+    dh_steps (T x hidden) is the gradient flowing into each h_t from outside
+    the recurrence (e.g. attention over all states); dh_final / dc_final
+    flow into the last step's h and c (e.g. classifier input, or a
+    downstream encoder seeded from this cell's memory). Returns (parameter
+    grads, T x input gradient of the inputs, gradient w.r.t. the initial
+    state).
+    """
+    H = params.hidden_dim
+    T = len(cache)
+    i, f, o, g = np.split(cache.gates, 4, axis=1)
+    tanh_c = cache.tanh_c
+    # each gate pre-activation's derivative times the factor it multiplies:
+    # da_i = dc * g i (1-i), da_f = dc * c_prev f (1-f), da_o = dh * tanh(c) o (1-o),
+    # da_g = dc * i (1-g^2)
+    local = np.hstack([g * i * (1.0 - i), cache.c[:-1] * f * (1.0 - f),
+                       tanh_c * o * (1.0 - o), i * (1.0 - g ** 2)])
+    dc_dh = o * (1.0 - tanh_c ** 2)
+    dh_next = np.zeros(H) if dh_final is None else np.asarray(dh_final, dtype=np.float64)
+    dc_next = np.zeros(H) if dc_final is None else np.asarray(dc_final, dtype=np.float64)
+    dA = np.empty((T, 4 * H))
+    for t in range(T - 1, -1, -1):
+        dh = dh_next if dh_steps is None else dh_next + dh_steps[t]
+        dc = dc_next + dh * dc_dh[t]
+        dA[t] = np.concatenate((dc, dc, dh, dc)) * local[t]
+        dh_next = dA[t] @ params.U
+        dc_next = dc * f[t]
+    grads = {"W": dA.T @ cache.x, "U": dA.T @ cache.h[:-1], "b": dA.sum(axis=0)}
+    return grads, dA @ params.W, (dh_next, dc_next)
 
 
 def softmax(scores) -> Array:

@@ -17,7 +17,6 @@ from convsarc.embeddings import EmbeddingTable, load_embeddings
 from convsarc.evaluate import attention_overlap, f1_score, prf1
 from convsarc.features import SvmConfig, class_weight_map, svm_predict, svm_train
 from convsarc.models import (VARIANTS, LSTMCellParams, TrainSettings, _forward,
-                             encode_conditional, encode_reply_only,
                              gradient_check_variant, init_params, predict,
                              train_model, training_accuracy)
 from convsarc.nn import new_rng
@@ -97,13 +96,13 @@ def test_c3_conditional_reduction_to_reply_pathway():
         context_sentences=[["some", "ctx", "words"], ["more", "ctx"]],
         reply_sentences=[["the", "actual", "reply"], ["tokens", "here"]],
         label="S")
-    got = encode_conditional(seg, cond, table)
+    got = predict(cond, seg, table)[1]
 
     reply = init_params("reply_only", 10, 7)
     reply.lstm_r = cond.lstm_r
     reply.W_out = cond.W_out[:, 7:]
     reply.b_out = cond.b_out
-    expected = encode_reply_only(seg, reply, table)
+    expected = predict(reply, seg, table)[1]
     diff = float(np.max(np.abs(got - expected)))
     assert diff <= 1e-12
     report("C3", f"zero context state reduces conditional to the reply "

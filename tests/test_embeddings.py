@@ -26,6 +26,13 @@ def test_load_row_arity_error_reports_line(tmp_path):
         load_embeddings(write(tmp_path, "2 3\na 1 2 3\nb 0 1\n"), 3)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-Infinity", "1e999"])
+def test_load_non_finite_value_reports_path_and_line(tmp_path, value):
+    path = write(tmp_path, f"2 3\na 1 2 3\nfoo {value} 0 0\n")
+    with pytest.raises(ParseError, match=r"vecs\.txt: line 3: non-finite"):
+        load_embeddings(path, 3)
+
+
 def test_load_empty_vocabulary(tmp_path):
     table = load_embeddings(write(tmp_path, "0 3\n"), 3)
     assert table.vocab == {}

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,16 +7,13 @@ import pytest
 from convsarc.data import SegmentedInstance
 from convsarc.embeddings import EmbeddingTable, lookup, sentence_avg
 from convsarc.errors import ConfigError, DomainError, NumericError
-from convsarc.nn import (LSTMCellParams, finite_diff_grad, lstm_run,
+from convsarc.nn import (LSTMCellParams, finite_diff_grad, lstm_forward,
                          max_relative_error, new_rng, sigmoid, softmax)
 from convsarc.models import (AttentionParams, AttentionRecord,
-                             VARIANTS, attend, encode_concat,
-                             encode_conditional, encode_hier_attn,
-                             encode_reply_only, encode_sent_attn,
-                             encode_word_attn, gradient_check_variant,
+                             VARIANTS, gradient_check_variant,
                              init_params, load_checkpoint, loss_and_grads,
                              predict, save_checkpoint, train_model,
-                             TrainSettings, _forward)
+                             TrainSettings, _attend_forward, _forward)
 from convsarc.synthetic import make_separable_corpus
 
 EMBED = 6
@@ -35,6 +33,21 @@ def seg(context, reply, label="S"):
                              reply_sentences=reply, label=label)
 
 
+def probs_of(params, s, table):
+    return predict(params, s, table)[1]
+
+
+def probs_and_record(params, s, table):
+    _, probs, record = predict(params, s, table)
+    return probs, record
+
+
+def attend(hidden, ap):
+    """(pooled, weights) of attention over the rows of a hidden-state matrix."""
+    pooled, weights, _ = _attend_forward(hidden, ap)
+    return pooled, weights
+
+
 BASIC = seg([["alpha", "beta"], ["gamma", "delta", "eps"]],
             [["zeta", "eta"], ["theta"]])
 
@@ -44,7 +57,7 @@ BASIC = seg([["alpha", "beta"], ["gamma", "delta", "eps"]],
 def test_attend_single_vector_gets_full_weight():
     ap = AttentionParams.init(3, 3, new_rng(1))
     h = np.array([0.3, -0.2, 0.5])
-    pooled, weights = attend([h], ap)
+    pooled, weights = attend(h[None, :], ap)
     assert np.array_equal(weights, [1.0])
     assert np.allclose(pooled, h, atol=1e-12)
 
@@ -52,7 +65,7 @@ def test_attend_single_vector_gets_full_weight():
 def test_attend_identical_vectors_split_evenly():
     ap = AttentionParams.init(2, 2, new_rng(1))
     h = np.array([0.4, 0.1])
-    pooled, weights = attend([h, h], ap)
+    pooled, weights = attend(np.stack([h, h]), ap)
     assert np.allclose(weights, [0.5, 0.5], atol=1e-12)
     assert np.allclose(pooled, h, atol=1e-12)
 
@@ -61,7 +74,7 @@ def test_attend_hand_set_scores_match_softmax_oracle():
     # tanh inverts exactly: u_1 = 0.1, u_2 = 0.2, u_s = 10 -> scores [1, 2]
     ap = AttentionParams(W_a=np.array([[math.atanh(0.1), math.atanh(0.2)]]),
                          b_a=np.zeros(1), u_s=np.array([10.0]))
-    pooled, weights = attend([np.array([1.0, 0.0]), np.array([0.0, 1.0])], ap)
+    pooled, weights = attend(np.eye(2), ap)
     assert weights[0] == pytest.approx(0.26894, abs=1e-5)
     assert weights[1] == pytest.approx(0.73106, abs=1e-5)
     assert np.allclose(pooled, weights, atol=1e-12)
@@ -70,22 +83,22 @@ def test_attend_hand_set_scores_match_softmax_oracle():
 def test_attend_empty_sequence_is_domain_error():
     ap = AttentionParams.init(2, 2, new_rng(0))
     with pytest.raises(DomainError):
-        attend([], ap)
+        attend(np.zeros((0, 2)), ap)
 
 
 # ------------------------------------------------------------- reply_only
 
 def test_reply_only_zero_params_gives_even_scores():
     params = init_params("reply_only", EMBED, HIDDEN)  # all zeros
-    probs = encode_reply_only(BASIC, params, oov_table())
+    probs = probs_of(params, BASIC, oov_table())
     assert np.allclose(probs, [0.5, 0.5], atol=1e-12)
 
 
 def test_reply_only_deterministic():
     params = seeded_params("reply_only")
     table = oov_table()
-    a = encode_reply_only(BASIC, params, table)
-    b = encode_reply_only(BASIC, params, table)
+    a = probs_of(params, BASIC, table)
+    b = probs_of(params, BASIC, table)
     assert np.array_equal(a, b)
 
 
@@ -94,31 +107,36 @@ def test_reply_only_matches_manual_unroll():
     table = oov_table(dim=4, seed=5)
     s = seg([], [["one", "two"]])
     cell = params.lstm_r
+    # per-gate slices of the stacked tensors, in i, f, o, g order
+    W_i, W_f, W_o, W_g = np.split(cell.W, 4)
+    U_i, U_f, U_o, U_g = np.split(cell.U, 4)
+    b_i, b_f, b_o, b_g = np.split(cell.b, 4)
     h = np.zeros(2)
     c = np.zeros(2)
     for tok in ("one", "two"):
         x = lookup(table, tok)
-        i = sigmoid(cell.W_i @ x + cell.U_i @ h + cell.b_i)
-        f = sigmoid(cell.W_f @ x + cell.U_f @ h + cell.b_f)
-        o = sigmoid(cell.W_o @ x + cell.U_o @ h + cell.b_o)
-        g = np.tanh(cell.W_g @ x + cell.U_g @ h + cell.b_g)
+        i = sigmoid(W_i @ x + U_i @ h + b_i)
+        f = sigmoid(W_f @ x + U_f @ h + b_f)
+        o = sigmoid(W_o @ x + U_o @ h + b_o)
+        g = np.tanh(W_g @ x + U_g @ h + b_g)
         c = f * c + i * g
         h = o * np.tanh(c)
     expected = softmax(params.W_out @ h + params.b_out)
-    got = encode_reply_only(s, params, table)
+    got = probs_of(params, s, table)
     assert np.allclose(got, expected, atol=1e-12)
 
 
 def test_reply_only_rejects_empty_reply():
     params = seeded_params("reply_only")
     with pytest.raises(DomainError):
-        encode_reply_only(seg([], []), params, oov_table())
+        probs_of(params, seg([], []), oov_table())
 
 
 def test_encode_checks_variant_tag():
     params = seeded_params("concat")
+    params.variant = "reply-only"  # not a known variant tag
     with pytest.raises(ConfigError):
-        encode_reply_only(BASIC, params, oov_table())
+        probs_of(params, BASIC, oov_table())
 
 
 # ------------------------------------------------------------------ concat
@@ -131,8 +149,8 @@ def test_concat_classifier_width_is_sum_of_hiddens():
 def test_concat_untied_parameters_are_order_sensitive():
     params = seeded_params("concat", seed=9)
     table = oov_table()
-    a = encode_concat(seg([["one", "two"]], [["three"]]), params, table)
-    b = encode_concat(seg([["three"]], [["one", "two"]]), params, table)
+    a = probs_of(params, seg([["one", "two"]], [["three"]]), table)
+    b = probs_of(params, seg([["three"]], [["one", "two"]]), table)
     assert np.abs(a - b).max() > 1e-12
 
 
@@ -140,10 +158,10 @@ def test_concat_zero_context_cell_reduces_to_reply_block():
     params = seeded_params("concat", seed=2)
     params.lstm_c = LSTMCellParams.zeros(EMBED, HIDDEN)
     table = oov_table()
-    probs = encode_concat(BASIC, params, table)
+    probs = probs_of(params, BASIC, table)
     # context block contributes exactly zero, so only the reply block matters
-    _, fin = lstm_run(params.lstm_r,
-                      [lookup(table, t) for s in BASIC.reply_sentences for t in s])
+    _, fin, _ = lstm_forward(params.lstm_r,
+                             [lookup(table, t) for s in BASIC.reply_sentences for t in s])
     expected = softmax(params.W_out[:, HIDDEN:] @ fin.h + params.b_out)
     assert np.allclose(probs, expected, atol=1e-12)
 
@@ -151,7 +169,7 @@ def test_concat_zero_context_cell_reduces_to_reply_block():
 def test_concat_rejects_empty_context():
     params = seeded_params("concat")
     with pytest.raises(DomainError, match="reply_only"):
-        encode_concat(seg([], [["a"]]), params, oov_table())
+        probs_of(params, seg([], [["a"]]), oov_table())
 
 
 # ------------------------------------------------------------- conditional
@@ -160,21 +178,21 @@ def test_conditional_zero_context_state_matches_reply_pathway():
     cond = seeded_params("conditional", seed=4)
     cond.lstm_c = LSTMCellParams.zeros(EMBED, HIDDEN)  # final state (0, 0)
     table = oov_table()
-    probs = encode_conditional(BASIC, cond, table)
+    probs = probs_of(cond, BASIC, table)
 
     reply_only = init_params("reply_only", EMBED, HIDDEN)
     reply_only.lstm_r = cond.lstm_r
     reply_only.W_out = cond.W_out[:, HIDDEN:]
     reply_only.b_out = cond.b_out
-    expected = encode_reply_only(BASIC, reply_only, table)
+    expected = probs_of(reply_only, BASIC, table)
     assert np.allclose(probs, expected, atol=1e-12)
 
 
 def test_conditional_contexts_change_output():
     params = seeded_params("conditional", seed=6)
     table = oov_table()
-    a = encode_conditional(seg([["sunny", "day"]], [["reply", "here"]]), params, table)
-    b = encode_conditional(seg([["gloomy", "night"]], [["reply", "here"]]), params, table)
+    a = probs_of(params, seg([["sunny", "day"]], [["reply", "here"]]), table)
+    b = probs_of(params, seg([["gloomy", "night"]], [["reply", "here"]]), table)
     assert np.abs(a - b).max() > 1e-12
 
 
@@ -207,14 +225,14 @@ def test_conditional_dim_mismatch_is_config_error():
     params = seeded_params("conditional", seed=4)
     params.lstm_c = LSTMCellParams.zeros(EMBED, HIDDEN + 1)
     with pytest.raises(ConfigError):
-        encode_conditional(BASIC, params, oov_table())
+        probs_of(params, BASIC, oov_table())
 
 
 # --------------------------------------------------------------- sent_attn
 
 def test_sent_attn_single_sentences_get_unit_weights():
     params = seeded_params("sent_attn")
-    probs, record = encode_sent_attn(seg([["a", "b"]], [["c"]]), params, oov_table())
+    probs, record = probs_and_record(params, seg([["a", "b"]], [["c"]]), oov_table())
     assert np.array_equal(record.context_weights, [1.0])
     assert np.array_equal(record.reply_weights, [1.0])
     assert probs.shape == (2,)
@@ -222,7 +240,7 @@ def test_sent_attn_single_sentences_get_unit_weights():
 
 def test_sent_attn_weights_sum_to_one():
     params = seeded_params("sent_attn", seed=3)
-    probs, record = encode_sent_attn(BASIC, params, oov_table())
+    probs, record = probs_and_record(params, BASIC, oov_table())
     assert record.context_weights.sum() == pytest.approx(1.0, abs=1e-12)
     assert record.reply_weights.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.all(record.context_weights >= 0)
@@ -232,12 +250,12 @@ def test_sent_attn_matches_attend_oracle_composition():
     params = seeded_params("sent_attn", seed=7)
     table = oov_table(seed=2)
     s = seg([["a", "b"], ["c"], ["d", "e"]], [["f"], ["g", "h"]])
-    probs, record = encode_sent_attn(s, params, table)
+    probs, record = probs_and_record(params, s, table)
 
     sc = [sentence_avg(table, x) for x in s.context_sentences]
     sr = [sentence_avg(table, x) for x in s.reply_sentences]
-    hs_c, _ = lstm_run(params.lstm_c, sc)
-    hs_r, _ = lstm_run(params.lstm_r, sr)
+    hs_c, _, _ = lstm_forward(params.lstm_c, sc)
+    hs_r, _, _ = lstm_forward(params.lstm_r, sr)
     v_c, w_c = attend(hs_c, params.attn_c)
     v_r, w_r = attend(hs_r, params.attn_r)
     expected = softmax(params.W_out @ np.concatenate([v_c, v_r]) + params.b_out)
@@ -249,16 +267,16 @@ def test_sent_attn_matches_attend_oracle_composition():
 def test_sent_attn_invariant_to_token_order_within_sentence():
     params = seeded_params("sent_attn", seed=5)
     table = oov_table(seed=1)
-    a = encode_sent_attn(seg([["x", "y", "z"]], [["r", "s"]]), params, table)[0]
-    b = encode_sent_attn(seg([["z", "x", "y"]], [["s", "r"]]), params, table)[0]
+    a = probs_of(params, seg([["x", "y", "z"]], [["r", "s"]]), table)
+    b = probs_of(params, seg([["z", "x", "y"]], [["s", "r"]]), table)
     assert np.allclose(a, b, atol=1e-12)
 
 
 def test_sent_attn_sensitive_to_sentence_order():
     params = seeded_params("sent_attn", seed=5)
     table = oov_table(seed=1)
-    a = encode_sent_attn(seg([["x", "y"], ["z", "w"]], [["r"]]), params, table)[0]
-    b = encode_sent_attn(seg([["z", "w"], ["x", "y"]], [["r"]]), params, table)[0]
+    a = probs_of(params, seg([["x", "y"], ["z", "w"]], [["r"]]), table)
+    b = probs_of(params, seg([["z", "w"], ["x", "y"]], [["r"]]), table)
     assert np.abs(a - b).max() > 1e-12
 
 
@@ -266,7 +284,7 @@ def test_sent_attn_sensitive_to_sentence_order():
 
 def test_word_attn_single_token_reply_weight():
     params = seeded_params("word_attn")
-    probs, record = encode_word_attn(seg([["a", "b"]], [["only"]]), params,
+    probs, record = probs_and_record(params, seg([["a", "b"]], [["only"]]),
                                      oov_table())
     assert np.array_equal(record.reply_weights, [1.0])
     assert record.context_weights.shape == (2,)  # one weight per token
@@ -283,8 +301,8 @@ def test_hier_attn_uniform_word_attention_reduces_to_sent_attn():
     sent.attn_c, sent.attn_r = hier.attn_c, hier.attn_r
     sent.W_out, sent.b_out = hier.W_out, hier.b_out
     table = oov_table(seed=4)
-    ph, rh = encode_hier_attn(BASIC, hier, table)
-    ps, rs = encode_sent_attn(BASIC, sent, table)
+    ph, rh = probs_and_record(hier, BASIC, table)
+    ps, rs = probs_and_record(sent, BASIC, table)
     assert np.allclose(ph, ps, atol=1e-12)
     assert np.allclose(rh.context_weights, rs.context_weights, atol=1e-12)
     for beta in rh.context_word_weights:
@@ -293,7 +311,7 @@ def test_hier_attn_uniform_word_attention_reduces_to_sent_attn():
 
 def test_hier_attn_all_weight_vectors_normalized():
     params = seeded_params("hier_attn", seed=13)
-    _, record = encode_hier_attn(BASIC, params, oov_table())
+    _, record = probs_and_record(params, BASIC, oov_table())
     assert record.context_weights.sum() == pytest.approx(1.0, abs=1e-12)
     assert record.reply_weights.sum() == pytest.approx(1.0, abs=1e-12)
     for beta in record.context_word_weights + record.reply_word_weights:
@@ -415,10 +433,48 @@ def test_checkpoint_version_mismatch_fails_loudly(tmp_path):
     params = seeded_params("reply_only")
     path = tmp_path / "model.json"
     save_checkpoint(params, path)
-    doc = path.read_text(encoding="utf-8").replace('"format_version": 1',
-                                                   '"format_version": 2')
+    doc = path.read_text(encoding="utf-8").replace('"format_version": 2',
+                                                   '"format_version": 1')
     path.write_text(doc, encoding="utf-8")
     with pytest.raises(ConfigError, match="format_version"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_without_dims_is_config_error_naming_path(tmp_path):
+    path = tmp_path / "model.json"
+    save_checkpoint(seeded_params("reply_only"), path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    del doc["dims"]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"model\.json: .*dims"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_corrupt_tensor_data_is_config_error_naming_path(tmp_path):
+    path = tmp_path / "model.json"
+    save_checkpoint(seeded_params("reply_only"), path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["tensors"]["lstm_r.W"]["data"] = "AAAA"  # 3 bytes, not whole float64s
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"model\.json: malformed"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_tensor_of_wrong_shape_is_config_error_naming_path(tmp_path):
+    path = tmp_path / "model.json"
+    save_checkpoint(seeded_params("reply_only"), path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["tensors"]["lstm_r.b"]["shape"] = [2, 2 * HIDDEN]  # same 4H values
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"model\.json: .*shapes"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("content", ["not json at all", "[1, 2]"])
+def test_checkpoint_not_a_json_object_is_config_error_naming_path(tmp_path, content):
+    path = tmp_path / "model.json"
+    path.write_text(content, encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"model\.json: "):
         load_checkpoint(path)
 
 

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from convsarc.errors import DomainError, NumericError, ShapeError
+from convsarc.models import AttentionParams, _attend_forward
 from convsarc.nn import (LSTMCellParams, LSTMState, cross_entropy,
-                         dropout_mask, finite_diff_grad, lstm_run, lstm_step,
-                         mlp_tanh, new_rng, sgd_step, sigmoid, softmax)
+                         dropout_mask, finite_diff_grad, lstm_backward,
+                         lstm_forward, new_rng, sgd_step, sigmoid, softmax)
 
 
 def rand_cell(input_dim, hidden_dim, seed=0, scale=0.5):
@@ -18,11 +19,32 @@ def rand_cell(input_dim, hidden_dim, seed=0, scale=0.5):
         {k: rng.uniform(-scale, scale, v.shape) for k, v in t.items()})
 
 
-# ---------------------------------------------------------------- lstm_step
+def one_step(p, x, prev):
+    """A single step of the cell as a one-step lstm_forward."""
+    return lstm_forward(p, [x], prev)[1]
+
+
+def gate_blocks(p):
+    """The per-gate (W, U, b) slices of the stacked tensors, in i, f, o, g order."""
+    return zip(np.split(p.W, 4), np.split(p.U, 4), np.split(p.b, 4))
+
+
+def reference_step(p, x, h_prev, c_prev):
+    """Independent re-implementation of the four gate equations."""
+    (W_i, U_i, b_i), (W_f, U_f, b_f), (W_o, U_o, b_o), (W_g, U_g, b_g) = gate_blocks(p)
+    i = 1 / (1 + np.exp(-(W_i @ x + U_i @ h_prev + b_i)))
+    f = 1 / (1 + np.exp(-(W_f @ x + U_f @ h_prev + b_f)))
+    o = 1 / (1 + np.exp(-(W_o @ x + U_o @ h_prev + b_o)))
+    g = np.tanh(W_g @ x + U_g @ h_prev + b_g)
+    c = f * c_prev + i * g
+    return o * np.tanh(c), c
+
+
+# ------------------------------------------------------- one-step lstm_forward
 
 def test_lstm_step_all_zero():
     p = LSTMCellParams.zeros(3, 2)
-    out = lstm_step(p, np.zeros(3), LSTMState.zeros(2))
+    out = one_step(p, np.zeros(3), LSTMState.zeros(2))
     # sigmoid(0)=0.5 and tanh(0)=0 force both outputs to zero
     assert np.allclose(out.h, 0.0)
     assert np.allclose(out.c, 0.0)
@@ -30,30 +52,21 @@ def test_lstm_step_all_zero():
 
 def test_lstm_step_saturated_forget_gate_wipes_memory():
     p = LSTMCellParams.zeros(1, 1)
-    p.b_i[:] = 100.0
-    p.b_o[:] = 100.0
-    p.b_f[:] = -100.0
-    out = lstm_step(p, np.zeros(1), LSTMState(np.zeros(1), np.array([5.0])))
+    p.b[:] = [100.0, -100.0, 100.0, 0.0]  # i, f, o, g
+    out = one_step(p, np.zeros(1), LSTMState(np.zeros(1), np.array([5.0])))
     assert abs(out.c[0]) < 1e-12
     assert abs(out.h[0]) < 1e-12
 
 
 def test_lstm_step_matches_independent_gate_equations():
-    # independent re-implementation of the four gate equations
     p = rand_cell(3, 2, seed=0)
     rng = new_rng(1)
     x = rng.uniform(-1, 1, 3)
     h_prev = rng.uniform(-1, 1, 2)
     c_prev = rng.uniform(-1, 1, 2)
+    h_expect, c_expect = reference_step(p, x, h_prev, c_prev)
 
-    i = 1 / (1 + np.exp(-(p.W_i @ x + p.U_i @ h_prev + p.b_i)))
-    f = 1 / (1 + np.exp(-(p.W_f @ x + p.U_f @ h_prev + p.b_f)))
-    o = 1 / (1 + np.exp(-(p.W_o @ x + p.U_o @ h_prev + p.b_o)))
-    g = np.tanh(p.W_g @ x + p.U_g @ h_prev + p.b_g)
-    c_expect = f * c_prev + i * g
-    h_expect = o * np.tanh(c_expect)
-
-    out = lstm_step(p, x, LSTMState(h_prev, c_prev))
+    out = one_step(p, x, LSTMState(h_prev, c_prev))
     assert np.allclose(out.c, c_expect, atol=1e-12, rtol=0)
     assert np.allclose(out.h, h_expect, atol=1e-12, rtol=0)
 
@@ -61,9 +74,9 @@ def test_lstm_step_matches_independent_gate_equations():
 def test_lstm_step_shape_error_names_tensor():
     p = LSTMCellParams.zeros(3, 2)
     with pytest.raises(ShapeError, match="x"):
-        lstm_step(p, np.zeros(4), LSTMState.zeros(2))
-    with pytest.raises(ShapeError, match="prev.h"):
-        lstm_step(p, np.zeros(3), LSTMState(np.zeros(5), np.zeros(2)))
+        one_step(p, np.zeros(4), LSTMState.zeros(2))
+    with pytest.raises(ShapeError, match="init.h"):
+        one_step(p, np.zeros(3), LSTMState(np.zeros(5), np.zeros(2)))
 
 
 @given(seed=st.integers(0, 10_000))
@@ -71,35 +84,49 @@ def test_lstm_step_shape_error_names_tensor():
 def test_lstm_step_hidden_state_strictly_bounded(seed):
     rng = new_rng(seed)
     p = rand_cell(4, 3, seed=seed, scale=2.0)
-    out = lstm_step(p, rng.uniform(-5, 5, 4),
-                    LSTMState(rng.uniform(-1, 1, 3), rng.uniform(-3, 3, 3)))
+    out = one_step(p, rng.uniform(-5, 5, 4),
+                   LSTMState(rng.uniform(-1, 1, 3), rng.uniform(-3, 3, 3)))
     assert np.all(np.abs(out.h) < 1.0)
     assert np.all(np.isfinite(out.c))
 
 
-# ----------------------------------------------------------------- lstm_run
+def test_lstm_init_matches_per_gate_draws():
+    # stacking the gates must not change the seeded initial weights: the
+    # stacked draws equal twelve per-gate draws in i, f, o, g order
+    p = LSTMCellParams.init(3, 2, new_rng(4))
+    rng = new_rng(4)
+    for name, shape in (("W", (2, 3)), ("U", (2, 2)), ("b", (2,))):
+        per_gate = [rng.uniform(-0.05, 0.05, shape) for _ in range(4)]
+        if name == "b":
+            per_gate[1] = np.ones(2)
+        assert np.array_equal(p.tensors()[name], np.concatenate(per_gate)), name
+
+
+# ------------------------------------------------------------- lstm_forward
 
 def test_lstm_run_empty_sequence_returns_init():
     p = rand_cell(3, 2)
     init = LSTMState(np.array([0.1, -0.2]), np.array([0.3, 0.4]))
-    hs, final = lstm_run(p, [], init)
-    assert hs == []
+    hs, final, cache = lstm_forward(p, [], init)
+    assert hs.shape == (0, 2)
     assert final is init
+    assert len(cache) == 0
 
 
 def test_lstm_run_single_input_equals_step():
     p = rand_cell(3, 2)
     x = new_rng(2).uniform(-1, 1, 3)
-    hs, final = lstm_run(p, [x])
-    step = lstm_step(p, x, LSTMState.zeros(2))
+    hs, final, _ = lstm_forward(p, [x])
+    h_ref, c_ref = reference_step(p, x, np.zeros(2), np.zeros(2))
     assert len(hs) == 1
-    assert np.array_equal(hs[0], step.h)
-    assert np.array_equal(final.c, step.c)
+    assert np.array_equal(hs[0], final.h)
+    assert np.allclose(hs[0], h_ref, atol=1e-12, rtol=0)
+    assert np.allclose(final.c, c_ref, atol=1e-12, rtol=0)
 
 
 def test_lstm_run_zero_params_all_zero_states():
     p = LSTMCellParams.zeros(3, 2)
-    hs, final = lstm_run(p, [np.ones(3)] * 3)
+    hs, final, _ = lstm_forward(p, [np.ones(3)] * 3)
     assert all(np.allclose(h, 0.0) for h in hs)
     assert np.allclose(final.h, 0.0)
 
@@ -107,30 +134,68 @@ def test_lstm_run_zero_params_all_zero_states():
 def test_lstm_run_reports_bad_step_index():
     p = LSTMCellParams.zeros(3, 2)
     with pytest.raises(ShapeError, match="step 1"):
-        lstm_run(p, [np.zeros(3), np.zeros(4)])
+        lstm_forward(p, [np.zeros(3), np.zeros(4)])
 
 
-# ----------------------------------------------------------------- mlp_tanh
+def test_lstm_forward_matches_stepwise_reference():
+    p = rand_cell(4, 3, seed=5)
+    rng = new_rng(6)
+    xs = rng.uniform(-1, 1, (5, 4))
+    init = LSTMState(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
+    hs, final, cache = lstm_forward(p, xs, init)
+    h, c = init.h, init.c
+    for t, x in enumerate(xs):
+        h, c = reference_step(p, x, h, c)
+        assert np.allclose(hs[t], h, atol=1e-12, rtol=0)
+    assert np.allclose(final.c, c, atol=1e-12, rtol=0)
+    assert len(cache) == 5
+
+
+def test_lstm_backward_matches_finite_differences():
+    p = rand_cell(3, 2, seed=7)
+    rng = new_rng(8)
+    xs = rng.uniform(-1, 1, (4, 3))
+    c0 = rng.uniform(-1, 1, 2)
+    w_steps = rng.uniform(-1, 1, (4, 2))  # loss weights on every hidden state
+    w_h, w_c = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
+
+    def loss(t):
+        cell = LSTMCellParams.from_tensors(t)
+        hs, final, _ = lstm_forward(cell, t["x"], LSTMState(np.zeros(2), t["c0"]))
+        return float(np.sum(w_steps * hs) + w_h @ final.h + w_c @ final.c)
+
+    _, _, cache = lstm_forward(p, xs, LSTMState(np.zeros(2), c0))
+    grads, dx, (_, dc0) = lstm_backward(p, cache, dh_steps=w_steps,
+                                        dh_final=w_h, dc_final=w_c)
+    numeric = finite_diff_grad(loss, {**p.tensors(), "x": xs, "c0": c0})
+    for name in ("W", "U", "b"):
+        assert np.allclose(grads[name], numeric[name], atol=1e-8, rtol=0), name
+    assert np.allclose(dx, numeric["x"], atol=1e-8, rtol=0)
+    assert np.allclose(dc0, numeric["c0"], atol=1e-8, rtol=0)
+
+
+# ------------------------------------- tanh MLP of the attention projection
+
+def attention_projection(W, b, h):
+    """tanh(W h + b), the projection attention scores are computed from."""
+    ap = AttentionParams(W_a=W, b_a=b, u_s=np.zeros(len(b)))
+    return _attend_forward(np.atleast_2d(h), ap)[2][1][0]
+
 
 def test_mlp_tanh_zero_params():
-    assert np.allclose(mlp_tanh(np.zeros((2, 3)), np.zeros(2), np.ones(3)), 0.0)
+    assert np.allclose(attention_projection(np.zeros((2, 3)), np.zeros(2), np.ones(3)), 0.0)
 
 
 def test_mlp_tanh_identity_matches_calculator():
-    out = mlp_tanh(np.eye(1), np.zeros(1), np.array([0.5]))
+    out = attention_projection(np.eye(1), np.zeros(1), np.array([0.5]))
     assert out[0] == pytest.approx(0.46211715726000974, abs=1e-12)
 
 
 def test_mlp_tanh_saturates_inside_unit_interval():
-    out = mlp_tanh(np.eye(2), np.zeros(2), np.array([0.0, 1000.0]))
+    out = attention_projection(np.eye(2), np.zeros(2), np.array([0.0, 1000.0]))
     assert out[0] == 0.0
     assert out[1] == pytest.approx(1.0, abs=1e-12)
     assert out[1] < 1.0 or out[1] == pytest.approx(1.0)
-
-
-def test_mlp_tanh_shape_error():
-    with pytest.raises(ShapeError):
-        mlp_tanh(np.zeros((2, 3)), np.zeros(2), np.zeros(4))
 
 
 # ------------------------------------------------------------------ softmax
