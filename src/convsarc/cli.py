@@ -15,8 +15,7 @@ from pathlib import Path
 from . import data, evaluate, features, models
 from .config import MODEL_CHOICES, PLATFORM_CHOICES, RunConfig, TASK_CHOICES
 from .embeddings import load_embeddings
-from .errors import (ConfigError, DataError, DomainError, NumericError,
-                     ParseError, ShapeError)
+from .errors import ConfigError, DataError, DomainError, NumericError, ShapeError
 
 GRADCHECK_TOLERANCE = 1e-4
 
@@ -83,19 +82,6 @@ def _prepare_outdir(cfg: RunConfig) -> Path:
     return out
 
 
-def _read_jsonl(path) -> list[dict]:
-    records = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError as e:
-                raise ParseError(f"{path}: line {lineno}: invalid JSON ({e.msg})") from None
-    return records
-
-
 def _load_splits(cfg: RunConfig):
     """A corpus directory must hold train/dev/test.jsonl; a single file is
     split 80/10/10 with the configured seed."""
@@ -136,9 +122,9 @@ def _checkpoint_kind(path) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:  # unreadable, not UTF-8, or not JSON
         raise ConfigError(f"checkpoint: cannot read {path}: {e}") from None
-    kind = doc.get("kind")
+    kind = doc.get("kind") if isinstance(doc, dict) else None
     if kind not in ("lstm", "svm"):
         raise ConfigError(f"checkpoint: unknown kind {kind!r} in {path}")
     return kind
@@ -154,7 +140,8 @@ def cmd_prepare(cfg: RunConfig) -> None:
         if cfg.platform != "twitter":
             raise ConfigError("platform: raw tweet input requires platform=twitter")
         _require_outdir(cfg)
-        instances = data.build_twitter_instances(_read_jsonl(cfg.raw_tweets))
+        instances = data.build_twitter_instances(
+            [rec for _, rec in data.read_jsonl(cfg.raw_tweets)])
     else:
         cfg.validate(need=("corpus",))
         _require_outdir(cfg)

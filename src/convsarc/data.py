@@ -16,7 +16,7 @@ import json
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -345,32 +345,45 @@ def _field_error(path, lineno: int, field: str, message: str) -> ParseError:
     return ParseError(f"{path}: line {lineno}: field '{field}' {message}")
 
 
-def load_corpus(path) -> list[ConversationInstance]:
-    """Read and validate a line-delimited corpus file."""
-    instances: list[ConversationInstance] = []
-    seen_ids: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
+def read_jsonl(path) -> Iterator[tuple[int, object]]:
+    """(line number, parsed value) for each nonblank line of a UTF-8
+    JSON-lines file; a line that is not UTF-8 or not JSON raises ParseError
+    naming the path and line."""
+    with open(path, "rb") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            try:
+                line = raw.decode("utf-8")
+            except UnicodeDecodeError as e:
+                raise ParseError(f"{path}: line {lineno}: not valid UTF-8 ({e.reason} "
+                                 f"at byte {e.start})") from None
             if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
             except json.JSONDecodeError as e:
                 raise ParseError(f"{path}: line {lineno}: invalid JSON ({e.msg})") from None
-            if not isinstance(obj, dict):
-                raise ParseError(f"{path}: line {lineno}: record must be an object")
-            inst = _parse_record(obj, path, lineno)
-            if inst.id in seen_ids:
-                raise ParseError(f"{path}: line {lineno}: duplicate id '{inst.id}'")
-            seen_ids.add(inst.id)
-            if inst.human_triggers is not None:
-                n_sent = len(_context_units(inst))
-                bad = [t for t in inst.human_triggers if t >= n_sent]
-                if bad:
-                    raise ValidationError(
-                        f"{path}: line {lineno}: human_triggers {bad} out of range "
-                        f"for {n_sent} context sentences (id '{inst.id}')")
-            instances.append(inst)
+            yield lineno, obj
+
+
+def load_corpus(path) -> list[ConversationInstance]:
+    """Read and validate a line-delimited corpus file."""
+    instances: list[ConversationInstance] = []
+    seen_ids: set[str] = set()
+    for lineno, obj in read_jsonl(path):
+        if not isinstance(obj, dict):
+            raise ParseError(f"{path}: line {lineno}: record must be an object")
+        inst = _parse_record(obj, path, lineno)
+        if inst.id in seen_ids:
+            raise ParseError(f"{path}: line {lineno}: duplicate id '{inst.id}'")
+        seen_ids.add(inst.id)
+        if inst.human_triggers is not None:
+            n_sent = len(_context_units(inst))
+            bad = [t for t in inst.human_triggers if t >= n_sent]
+            if bad:
+                raise ValidationError(
+                    f"{path}: line {lineno}: human_triggers {bad} out of range "
+                    f"for {n_sent} context sentences (id '{inst.id}')")
+        instances.append(inst)
     return instances
 
 

@@ -370,16 +370,38 @@ def save_svm_checkpoint(model: SvmModel, task: str, max_context: int | None,
 
 
 def load_svm_checkpoint(path) -> tuple[SvmModel, str, int | None]:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    """Read a save_svm_checkpoint file; a malformed one raises ConfigError
+    naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except ValueError as e:  # not UTF-8, or not JSON
+        raise ConfigError(f"{path}: not a JSON checkpoint: {e}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: checkpoint is not a JSON object")
     if doc.get("format_version") != SVM_CHECKPOINT_VERSION:
         raise ConfigError(
             f"{path}: checkpoint format_version {doc.get('format_version')} "
             f"not supported (expected {SVM_CHECKPOINT_VERSION})")
     if doc.get("kind") != "svm":
         raise ConfigError(f"{path}: not an svm checkpoint")
-    weights = np.frombuffer(base64.b64decode(doc["weights"]), dtype="<f8").astype(np.float64)
-    model = SvmModel(FeatureRegistry(doc["features"]), weights,
-                     float(doc["bias"]),
-                     {k: Fraction(v) for k, v in doc["class_weights"].items()})
-    return model, doc["task"], doc["max_context"]
+    try:
+        weights = np.frombuffer(base64.b64decode(doc["weights"], validate=True),
+                                dtype="<f8").astype(np.float64)
+        names = doc["features"]
+        model = SvmModel(FeatureRegistry(names), weights, float(doc["bias"]),
+                         {k: Fraction(v) for k, v in doc["class_weights"].items()})
+        task, max_context = doc["task"], doc["max_context"]
+    except KeyError as e:
+        raise ConfigError(f"{path}: checkpoint lacks field {e}") from None
+    except (TypeError, ValueError, AttributeError, OverflowError) as e:  # bad types or base64
+        raise ConfigError(f"{path}: malformed checkpoint: {e}") from None
+    if not (isinstance(names, list) and all(isinstance(n, str) for n in names)
+            and len(set(names)) == len(names) == len(weights)):
+        raise ConfigError(f"{path}: malformed checkpoint: feature names do not "
+                          f"match the {len(weights)} weights")
+    if task not in TASKS or not (max_context is None or
+                                 (type(max_context) is int and max_context >= 0)):
+        raise ConfigError(f"{path}: malformed checkpoint: task {task!r}, "
+                          f"max_context {max_context!r}")
+    return model, task, max_context

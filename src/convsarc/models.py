@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import base64
 import json
+from itertools import accumulate
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -192,29 +193,62 @@ def init_params(variant: str, embed_dim: int, hidden_dim: int,
 # attention pooling
 
 
-def _attend_forward(H: np.ndarray, ap: AttentionParams):
-    """Pool the rows of H (n x d); returns (pooled, weights, cache)."""
-    U = np.tanh(H @ ap.W_a.T + ap.b_a)  # n x att_dim
-    alpha = softmax(U @ ap.u_s)
-    v = alpha @ H
-    return v, alpha, (H, U, alpha)
+def _project(H: np.ndarray, ap: AttentionParams) -> np.ndarray:
+    """tanh(W_a h + b_a) for each row h of H: n x att_dim."""
+    U = H @ ap.W_a.T
+    U += ap.b_a
+    return np.tanh(U, out=U)
+
+
+def _attend_forward(H: np.ndarray, ap: AttentionParams, lengths=None):
+    """Pool each run of lengths[b] consecutive rows of H (n x d), or all
+    rows when lengths is None. Returns (pooled, weights of every row,
+    cache); pooled has one row per run, or is a vector without lengths."""
+    single = lengths is None
+    lengths = np.array([H.shape[0]] if single else lengths, dtype=np.intp)
+    if not (lengths > 0).all():
+        raise DomainError("attention over an empty sequence")
+    starts = lengths.cumsum() - lengths
+    scores = _project(H, ap) @ ap.u_s
+    if not np.isfinite(scores).all():
+        raise NumericError("attention scores contain non-finite entries")
+    # a softmax within each run
+    alpha = scores - np.maximum.reduceat(scores, starts).repeat(lengths)
+    np.exp(alpha, out=alpha)
+    alpha /= np.add.reduceat(alpha, starts).repeat(lengths)
+    pooled = np.add.reduceat(alpha[:, None] * H, starts, axis=0)
+    return (pooled[0] if single else pooled), alpha, (H, alpha, starts, lengths)
 
 
 def _attend_backward(ap: AttentionParams, cache, dv: np.ndarray):
-    H, U, alpha = cache
-    dalpha = H @ dv
-    dH = np.outer(alpha, dv)
-    ds = alpha * (dalpha - float(alpha @ dalpha))  # softmax jacobian
-    du_s = U.T @ ds
-    dU = np.outer(ds, ap.u_s)
-    da = dU * (1.0 - U ** 2)
+    """Grads of the attention parameters (summed over runs) and dH, from dv
+    shaped like the pooled output. The cache is used once: its hidden
+    states are released before dH is built."""
+    H, alpha, starts, lengths = cache
+    del cache
+    dv = np.atleast_2d(dv)
+    run = np.repeat(np.arange(len(lengths)), lengths)
+    dalpha = (H @ dv.T)[np.arange(H.shape[0]), run]  # h_i . dv of its run
+    # softmax jacobian within each run
+    ds = alpha * (dalpha - np.repeat(np.add.reduceat(alpha * dalpha, starts), lengths))
+    da = _project(H, ap)  # U, recomputed rather than cached
+    du_s = da.T @ ds
+    da *= da  # da = (ds u_s^T) * (1 - U^2), built over U
+    np.subtract(1.0, da, out=da)
+    da *= ds[:, None]
+    da *= ap.u_s
     grads = {"W_a": da.T @ H, "b_a": da.sum(axis=0), "u_s": du_s}
-    dH += da @ ap.W_a
+    del H
+    dH = da @ ap.W_a
+    del da
+    pooled_part = np.repeat(dv, lengths, axis=0)
+    pooled_part *= alpha[:, None]
+    dH += pooled_part
     return grads, dH
 
 
 # --------------------------------------------------------------------------
-# forward / backward per variant
+# forward / backward over a batch
 
 
 def _embed(table: EmbeddingTable, tokens: Sequence[str]) -> np.ndarray:
@@ -222,180 +256,145 @@ def _embed(table: EmbeddingTable, tokens: Sequence[str]) -> np.ndarray:
     return np.array([lookup(table, t) for t in tokens]).reshape(len(tokens), table.dim)
 
 
-def _accumulate(grads: dict, prefix: str, block: dict) -> None:
-    for k, v in block.items():
-        grads[f"{prefix}.{k}"] += v
+def _prefixed(prefix: str, block: dict) -> dict:
+    return {f"{prefix}.{k}": v for k, v in block.items()}
 
 
-def _forward(params: ModelParams, seg: SegmentedInstance, table: EmbeddingTable,
-             label: int | None = None, dropout_rate: float = 0.0,
-             rng: np.random.Generator | None = None):
-    """Forward pass for any variant; when label is given, also runs the
-    hand-derived backward pass. Returns (probs, record, loss, grads)."""
+def _runs(values, lengths) -> list:
+    """values (an array or a list) cut into consecutive runs of the given
+    lengths."""
+    return [values[e - n:e] for e, n in zip(accumulate(lengths), lengths)]
+
+
+def _forward(params: ModelParams, segs: Sequence[SegmentedInstance],
+             table: EmbeddingTable, labels: Sequence[int] | None = None,
+             dropout_rate: float = 0.0, rng: np.random.Generator | None = None):
+    """Forward pass of any variant over a batch of instances; when labels
+    are given, also runs the hand-derived backward pass. Each LSTM and
+    attention block runs once for the batch, over the instances' rows
+    concatenated. Returns (B x 2 probabilities, per-instance attention
+    records, per-instance losses, gradients of the batch's mean loss)."""
     variant = params.variant
-    reply_tokens = [t for s in seg.reply_sentences for t in s]
-    if not reply_tokens:
+    if variant not in VARIANTS:
+        raise ConfigError(f"unknown variant '{variant}'")
+    B, H = len(segs), params.hidden_dim
+    sides = {"r": [seg.reply_sentences for seg in segs]}
+    if not all(any(sents) for sents in sides["r"]):
         raise DomainError("reply has no tokens")
-    record = None
-    back = None  # closure finishing the backward pass from dv
-
-    if variant == "reply_only":
-        er = _embed(table, reply_tokens)
-        _, fin_r, cache_r = lstm_forward(params.lstm_r, er)
-        v = fin_r.h
-
-        def back(grads, dv):
-            g_r, _, _ = lstm_backward(params.lstm_r, cache_r, dh_final=dv)
-            _accumulate(grads, "lstm_r", g_r)
-
-    elif variant in ("concat", "conditional"):
-        context_tokens = [t for s in seg.context_sentences for t in s]
-        if not context_tokens:
+    if variant != "reply_only":
+        sides = {"c": [seg.context_sentences for seg in segs], **sides}
+        if not all(any(sents) for sents in sides["c"]):
             raise DomainError(
                 f"variant '{variant}' needs a nonempty context; "
                 "use reply_only for context-free instances")
-        ec = _embed(table, context_tokens)
-        er = _embed(table, reply_tokens)
-        _, fin_c, cache_c = lstm_forward(params.lstm_c, ec)
-        if variant == "concat":
-            _, fin_r, cache_r = lstm_forward(params.lstm_r, er)
-            v = np.concatenate([fin_c.h, fin_r.h])
+    if variant == "conditional" and params.lstm_c.hidden_dim != params.lstm_r.hidden_dim:
+        raise ConfigError("conditional encoding needs equal hidden dims")
+    attention = variant in ATTENTION_VARIANTS
 
-            def back(grads, dv):
-                H = params.hidden_dim
-                g_c, _, _ = lstm_backward(params.lstm_c, cache_c, dh_final=dv[:H])
-                g_r, _, _ = lstm_backward(params.lstm_r, cache_r, dh_final=dv[H:])
-                _accumulate(grads, "lstm_c", g_c)
-                _accumulate(grads, "lstm_r", g_r)
-        else:
-            if params.lstm_c.hidden_dim != params.lstm_r.hidden_dim:
-                raise ConfigError("conditional encoding needs equal hidden dims")
-            # the reply cell starts from the context cell's final memory state
-            init_r = LSTMState(np.zeros(params.lstm_r.hidden_dim), fin_c.c)
-            _, fin_r, cache_r = lstm_forward(params.lstm_r, er, init_r)
-            head_only = params.conditional_reply_head_only
-            v = fin_r.h if head_only else np.concatenate([fin_c.h, fin_r.h])
+    # each side's LSTM inputs: one row per step, the instances' rows in turn
+    inputs, lengths, word = {}, {}, {}
+    for side, per_inst in sides.items():
+        sentences = [s for sents in per_inst for s in sents]
+        if variant == "sent_attn":  # a sentence is its words' average
+            inputs[side] = np.array([sentence_avg(table, s) for s in sentences])
+            lengths[side] = [len(sents) for sents in per_inst]
+        elif variant == "hier_attn":  # a sentence is its words' attention pooling
+            n_words = [len(s) for s in sentences]
+            inputs[side], beta, wcache = _attend_forward(
+                _embed(table, [t for s in sentences for t in s]),
+                getattr(params, f"wattn_{side}"), n_words)
+            word[side] = (wcache, _runs(beta, n_words))
+            lengths[side] = [len(sents) for sents in per_inst]
+        else:  # a step per token
+            inputs[side] = _embed(table, [t for s in sentences for t in s])
+            lengths[side] = [sum(map(len, sents)) for sents in per_inst]
 
-            def back(grads, dv):
-                H = params.hidden_dim
-                dv_c, dv_r = (None, dv) if head_only else (dv[:H], dv[H:])
-                g_r, _, (_, dc0) = lstm_backward(params.lstm_r, cache_r, dh_final=dv_r)
-                g_c, _, _ = lstm_backward(params.lstm_c, cache_c,
-                                          dh_final=dv_c, dc_final=dc0)
-                _accumulate(grads, "lstm_c", g_c)
-                _accumulate(grads, "lstm_r", g_r)
+    finals, caches, attn = {}, {}, {}
+    for side in sides:  # context first: conditional's reply cell starts from its memory
+        init = None
+        if variant == "conditional" and side == "r":
+            init = LSTMState(np.zeros((B, H)), finals["c"].c)
+        hs, finals[side], caches[side] = lstm_forward(
+            getattr(params, f"lstm_{side}"), inputs.pop(side), init, lengths[side])
+        if attention:
+            attn[side] = _attend_forward(hs, getattr(params, f"attn_{side}"), lengths[side])
+        del hs  # attention's cache keeps what it needs
 
-    elif variant in ("sent_attn", "word_attn"):
-        if not seg.context_sentences:
-            raise DomainError(f"{variant} needs a nonempty context")
-        if variant == "sent_attn":
-            # each sentence becomes the average of its word embeddings
-            inputs_c = [sentence_avg(table, s) for s in seg.context_sentences]
-            inputs_r = [sentence_avg(table, s) for s in seg.reply_sentences]
-        else:
-            inputs_c = _embed(table, [t for s in seg.context_sentences for t in s])
-            inputs_r = _embed(table, reply_tokens)
-        hs_c, _, cache_c = lstm_forward(params.lstm_c, inputs_c)
-        hs_r, _, cache_r = lstm_forward(params.lstm_r, inputs_r)
-        v_c, alpha_c, ac = _attend_forward(hs_c, params.attn_c)
-        v_r, alpha_r, ar = _attend_forward(hs_r, params.attn_r)
-        v = np.concatenate([v_c, v_r])
-        record = AttentionRecord(alpha_c, alpha_r)
-
-        def back(grads, dv):
-            H = params.hidden_dim
-            for side, cell, cache, ap, acache in (
-                    ("c", params.lstm_c, cache_c, params.attn_c, ac),
-                    ("r", params.lstm_r, cache_r, params.attn_r, ar)):
-                dvs = dv[:H] if side == "c" else dv[H:]
-                ga, dH = _attend_backward(ap, acache, dvs)
-                g_l, _, _ = lstm_backward(cell, cache, dh_steps=dH)
-                _accumulate(grads, f"attn_{side}", ga)
-                _accumulate(grads, f"lstm_{side}", g_l)
-
-    elif variant == "hier_attn":
-        if not seg.context_sentences:
-            raise DomainError("hier_attn needs at least one context sentence")
-        sides = {}
-        for side, sentences, wap in (("c", seg.context_sentences, params.wattn_c),
-                                     ("r", seg.reply_sentences, params.wattn_r)):
-            svecs, wws, wcaches = [], [], []
-            for sent in sentences:
-                sv, beta, wc = _attend_forward(_embed(table, sent), wap)
-                svecs.append(sv)
-                wws.append(beta)
-                wcaches.append(wc)
-            cell = params.lstm_c if side == "c" else params.lstm_r
-            ap = params.attn_c if side == "c" else params.attn_r
-            hs, _, cache = lstm_forward(cell, svecs)
-            vs, alpha, acache = _attend_forward(hs, ap)
-            sides[side] = (vs, alpha, wws, cache, acache, wcaches)
-        v = np.concatenate([sides["c"][0], sides["r"][0]])
-        record = AttentionRecord(sides["c"][1], sides["r"][1],
-                                 context_word_weights=sides["c"][2],
-                                 reply_word_weights=sides["r"][2])
-
-        def back(grads, dv):
-            H = params.hidden_dim
-            for side in ("c", "r"):
-                _, _, _, cache, acache, wcaches = sides[side]
-                cell = params.lstm_c if side == "c" else params.lstm_r
-                ap = params.attn_c if side == "c" else params.attn_r
-                wap = params.wattn_c if side == "c" else params.wattn_r
-                dvs = dv[:H] if side == "c" else dv[H:]
-                ga, dH = _attend_backward(ap, acache, dvs)
-                g_l, dx, _ = lstm_backward(cell, cache, dh_steps=dH)
-                _accumulate(grads, f"attn_{side}", ga)
-                _accumulate(grads, f"lstm_{side}", g_l)
-                # word embeddings are frozen: their gradient is dropped, but
-                # the word-attention parameters still learn
-                for j, wc in enumerate(wcaches):
-                    gw, _ = _attend_backward(wap, wc, dx[j])
-                    _accumulate(grads, f"wattn_{side}", gw)
+    records = [None] * B
+    pooled = list(sides)  # the sides whose vectors the classifier reads, in order
+    if attention:
+        v = np.hstack([attn[side][0] for side in pooled])
+        alphas = {side: _runs(attn[side][1], lengths[side]) for side in sides}
+        betas = {side: _runs(word[side][1], lengths[side]) if word else [None] * B
+                 for side in sides}
+        records = [AttentionRecord(alphas["c"][b], alphas["r"][b],
+                                   betas["c"][b], betas["r"][b]) for b in range(B)]
     else:
-        raise ConfigError(f"unknown variant '{variant}'")
+        if variant == "conditional" and params.conditional_reply_head_only:
+            pooled = ["r"]
+        v = np.hstack([finals[side].h for side in pooled])
 
     mask = None
     v_used = v
     if dropout_rate > 0.0:
         if rng is None:
             raise ConfigError("dropout requires an rng")
-        mask = dropout_mask(len(v), dropout_rate, rng)
+        # one B x out_dim draw takes the stream of B out_dim draws in turn
+        mask = dropout_mask(v.shape, dropout_rate, rng)
         v_used = v * mask
-    logits = params.W_out @ v_used + params.b_out
-    probs = softmax(logits)
-    if label is None:
-        return probs, record, None, None
+    probs = softmax(v_used @ params.W_out.T + params.b_out)
+    if labels is None:
+        return probs, records, None, None
 
-    loss = cross_entropy(probs, label)
-    grads = {k: np.zeros_like(t) for k, t in params.tensors().items()}
+    losses = np.array([cross_entropy(p, y) for p, y in zip(probs, labels)])
     dz = probs.copy()
-    dz[label] -= 1.0
-    grads["W_out"] += np.outer(dz, v_used)
-    grads["b_out"] += dz
-    dv = params.W_out.T @ dz
+    dz[np.arange(B), labels] -= 1.0
+    dz /= B
+    grads = {"W_out": dz.T @ v_used, "b_out": dz.sum(axis=0)}
+    dv = dz @ params.W_out
     if mask is not None:
-        dv = dv * mask
-    back(grads, dv)
-    return probs, record, loss, grads
+        dv *= mask
+    dvs = dict(zip(pooled, np.hsplit(dv, len(pooled))))
+    dh_steps = {}  # popped into lstm_backward, which frees it when done
+    dc_final = None
+    for side in reversed(sides):  # reply first: its initial memory feeds the context cell
+        if attention:
+            ga, dh_steps[side] = _attend_backward(getattr(params, f"attn_{side}"),
+                                                  attn.pop(side)[2], dvs[side])
+            grads.update(_prefixed(f"attn_{side}", ga))
+        g_l, dx, (_, dc_final) = lstm_backward(
+            getattr(params, f"lstm_{side}"), caches.pop(side), dh_steps.pop(side, None),
+            None if attention else dvs.get(side),
+            dc_final if variant == "conditional" else None)
+        grads.update(_prefixed(f"lstm_{side}", g_l))
+        if variant == "hier_attn":
+            # word embeddings are frozen: their gradient is dropped, but the
+            # word-attention parameters still learn
+            gw, _ = _attend_backward(getattr(params, f"wattn_{side}"), word.pop(side)[0], dx)
+            grads.update(_prefixed(f"wattn_{side}", gw))
+    return probs, records, losses, grads
+
+
+def _label(probs: np.ndarray) -> str:
+    """A tie at exactly 0.5 resolves to NS."""
+    return "S" if probs[0] > 0.5 else "NS"
 
 
 def predict(params: ModelParams, seg: SegmentedInstance, table: EmbeddingTable
             ) -> tuple[str, np.ndarray, AttentionRecord | None]:
     """Label, class probabilities (S, NS), and the attention record when the
     variant has attention. A tie at exactly 0.5 resolves to NS."""
-    probs, record, _, _ = _forward(params, seg, table)
-    label = "S" if probs[0] > 0.5 else "NS"
-    return label, probs, record
+    probs, records, _, _ = _forward(params, [seg], table)
+    return _label(probs[0]), probs[0], records[0]
 
 
 def loss_and_grads(params, seg, table, label: str,
                    dropout_rate: float = 0.0,
                    rng: np.random.Generator | None = None):
-    _, _, loss, grads = _forward(params, seg, table,
-                                 label=LABEL_TO_INDEX[label],
-                                 dropout_rate=dropout_rate, rng=rng)
-    return loss, grads
+    _, _, losses, grads = _forward(params, [seg], table,
+                                   labels=[LABEL_TO_INDEX[label]],
+                                   dropout_rate=dropout_rate, rng=rng)
+    return float(losses[0]), grads
 
 
 # --------------------------------------------------------------------------
@@ -425,9 +424,54 @@ class TrainResult:
     best_epoch: int
 
 
+# Cap on the tokens one forward/backward pass holds, chosen from measured
+# peak memory: a batch of T tokens (a training batch, or a scoring pass)
+# runs as ceil(T / MAX_PASS_TOKENS) consecutive sub-batches of about equal
+# size, which bounds the cached activations whatever the batch size.
+MAX_PASS_TOKENS = 500
+
+
+def _tokens(seg: SegmentedInstance) -> int:
+    return sum(map(len, seg.context_sentences)) + sum(map(len, seg.reply_sentences))
+
+
+def _sub_batches(indices, segs: Sequence[SegmentedInstance]) -> list[list[int]]:
+    """indices cut into the fewest runs of about equal size that keep each
+    run near MAX_PASS_TOKENS on average."""
+    indices = list(indices)
+    tokens = sum(_tokens(segs[i]) for i in indices)
+    passes = min(len(indices), -(-tokens // MAX_PASS_TOKENS))
+    return [run.tolist() for run in np.array_split(indices, max(passes, 1))]
+
+
+def _predict_labels(params, segs, table) -> list[str]:
+    labels = []
+    for run in _sub_batches(range(len(segs)), segs):
+        probs = _forward(params, [segs[i] for i in run], table)[0]
+        labels.extend(_label(p) for p in probs)
+    return labels
+
+
+def _batch_grads(params, segs, labels, table, dropout_rate, rng):
+    """Per-instance losses and the gradients of the batch's mean loss, run
+    as sub-batches under MAX_PASS_TOKENS whose gradients are summed."""
+    losses, grads = [], None
+    for run in _sub_batches(range(len(segs)), segs):
+        _, _, run_losses, run_grads = _forward(
+            params, [segs[i] for i in run], table, labels=[labels[i] for i in run],
+            dropout_rate=dropout_rate, rng=rng)
+        losses.append(run_losses)
+        share = len(run) / len(segs)  # run_grads are the run's mean
+        if grads is None:
+            grads = {name: share * g for name, g in run_grads.items()}
+        else:
+            for name, g in run_grads.items():
+                grads[name] += share * g
+    return np.concatenate(losses), grads
+
+
 def _dev_macro_f1(params, segs, gold, table) -> float:
-    preds = [predict(params, seg, table)[0] for seg in segs]
-    metrics = evaluate.prf1(gold, preds)
+    metrics = evaluate.prf1(gold, _predict_labels(params, segs, table))
     return (metrics.per_class["S"].f1 + metrics.per_class["NS"].f1) / 2.0
 
 
@@ -437,7 +481,11 @@ def train_model(train_insts: Sequence[ConversationInstance],
                 settings: TrainSettings) -> TrainResult:
     """Mini-batch cross-entropy training with dropout and L2. After each
     epoch the dev macro-F1 is evaluated and the best epoch's parameters are
-    retained. Fully deterministic for a fixed seed, config, and corpus."""
+    retained. Fully deterministic for a fixed seed, config, and corpus.
+
+    A mini-batch runs as one batched pass (or a few, under MAX_PASS_TOKENS,
+    whose gradients are summed); the dropout draws come in the instances'
+    order within the batch, as they would one instance at a time."""
     if settings.variant not in VARIANTS:
         raise ConfigError(f"unknown variant '{settings.variant}'")
     if not train_insts:
@@ -460,25 +508,21 @@ def train_model(train_insts: Sequence[ConversationInstance],
     for epoch in range(1, settings.epochs + 1):
         order = rng.permutation(n)
         epoch_loss = 0.0
-        for b_start in range(0, n, settings.batch_size):
+        for k, b_start in enumerate(range(0, n, settings.batch_size)):
             batch = order[b_start:b_start + settings.batch_size]
-            acc = {k: np.zeros_like(t) for k, t in params.tensors().items()}
-            for idx in batch:
-                where = (f"epoch {epoch}, batch {b_start // settings.batch_size}, "
-                         f"instance {idx}")
-                try:
-                    _, _, loss, grads = _forward(
-                        params, train_segs[idx], table, label=train_labels[idx],
-                        dropout_rate=settings.dropout, rng=rng)
-                except NumericError as e:
-                    raise NumericError(f"{where}: {e}") from None
-                if not np.isfinite(loss):
-                    raise NumericError(f"non-finite loss at {where}")
-                epoch_loss += loss
-                for k in acc:
-                    acc[k] += grads[k] / len(batch)
+            try:
+                losses, grads = _batch_grads(
+                    params, [train_segs[i] for i in batch], [train_labels[i] for i in batch],
+                    table, settings.dropout, rng)
+            except NumericError as e:
+                raise NumericError(f"epoch {epoch}, batch {k}: {e}") from None
+            bad = np.flatnonzero(~np.isfinite(losses))
+            if bad.size:
+                raise NumericError(
+                    f"non-finite loss at epoch {epoch}, batch {k}, instance {batch[bad[0]]}")
+            epoch_loss += float(losses.sum())
             params = params.replace_tensors(
-                sgd_step(params.tensors(), acc, settings.lr, settings.l2))
+                sgd_step(params.tensors(), grads, settings.lr, settings.l2))
         dev_f1 = _dev_macro_f1(params, dev_segs, dev_gold, table)
         log.append({"epoch": epoch, "train_loss": epoch_loss / n,
                     "dev_macro_f1": dev_f1})
@@ -494,9 +538,8 @@ def train_model(train_insts: Sequence[ConversationInstance],
 
 def training_accuracy(params, insts, table, max_context=None) -> float:
     segs = [segment_instance(i, max_context) for i in insts]
-    hits = sum(1 for seg, inst in zip(segs, insts)
-               if predict(params, seg, table)[0] == inst.label)
-    return hits / len(insts)
+    preds = _predict_labels(params, segs, table)
+    return sum(p == inst.label for p, inst in zip(preds, insts)) / len(insts)
 
 
 # --------------------------------------------------------------------------
@@ -596,10 +639,10 @@ def gradient_check_variant(variant: str, embed_dim: int = 10,
     params = init_params(variant, embed_dim, hidden_dim, att_dim, rng)
     params = params.replace_tensors(
         {k: rng.uniform(-0.5, 0.5, v.shape) for k, v in params.tensors().items()})
-    _, _, _, analytic = _forward(params, seg, table, label=0)
+    _, _, _, analytic = _forward(params, [seg], table, labels=[0])
 
     def loss_fn(tensors):
-        return _forward(params.replace_tensors(tensors), seg, table, label=0)[2]
+        return _forward(params.replace_tensors(tensors), [seg], table, labels=[0])[2][0]
 
     numeric = finite_diff_grad(loss_fn, params.tensors(), epsilon)
     return max_relative_error(analytic, numeric)

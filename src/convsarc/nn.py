@@ -97,20 +97,28 @@ class LSTMState:
 
 @dataclass
 class LSTMCache:
-    """What lstm_backward needs from a forward pass over T steps. Row t of h
-    and c is the state before step t; its length is T."""
+    """What lstm_backward needs from a forward pass over a batch of
+    sequences. The sequences are sorted by length, longest first, and their
+    steps stored as time-major packed rows: step t holds one row for each of
+    the n_t sequences still running, with no padding. Its length is the
+    total number of steps."""
 
-    x: Array  # T x input
-    h: Array  # (T+1) x hidden
-    c: Array  # (T+1) x hidden
-    gates: Array  # T x 4*hidden, activated i, f, o, g
-    tanh_c: Array  # T x hidden
+    x: Array  # packed inputs, steps x input
+    gates: Array  # packed activated gates i, f, o, g: steps x 4*hidden
+    h0: Array  # each sequence's initial hidden state, sorted
+    c: Array  # each sequence's initial cell state (sorted), then the packed steps
+    sizes: list[int]  # n_t; step t's previous states are the first n_t rows of step t-1's
+    order: Array  # order[j] is the caller's index of the j-th sorted sequence
+    perm: Array | None  # packed row r came from the caller's row perm[r]; None: same order
+    single: bool  # the caller passed one sequence without lengths
 
     def __len__(self) -> int:
         return self.x.shape[0]
 
 
-def _stack_steps(inputs: Sequence, dim: int) -> Array:
+def _stack_steps(inputs, dim: int) -> Array:
+    if isinstance(inputs, np.ndarray) and inputs.ndim == 2 and inputs.shape[1] == dim:
+        return np.asarray(inputs, dtype=np.float64)
     X = np.empty((len(inputs), dim))
     for t, x in enumerate(inputs):
         try:
@@ -120,37 +128,111 @@ def _stack_steps(inputs: Sequence, dim: int) -> Array:
     return X
 
 
-def lstm_forward(params: LSTMCellParams, inputs: Sequence,
-                 init: LSTMState | None = None
-                 ) -> tuple[Array, LSTMState, LSTMCache]:
-    """Run the cell over a sequence of input vectors (or a T x input matrix).
+def _sorted_rows(name: str, v, order: Array, dim: int) -> Array:
+    """A fresh (B x dim) copy of per-sequence rows in sorted order; v is
+    None (zeros), one vector for every sequence, or one row per sequence in
+    the caller's order."""
+    if v is None:
+        return np.zeros((len(order), dim))
+    v = np.asarray(v, dtype=np.float64)
+    if v.ndim == 1:
+        return np.tile(_as_vector(name, v, dim), (len(order), 1))
+    if v.shape != (len(order), dim):
+        raise ShapeError(f"{name} has shape {v.shape}, expected ({len(order)}, {dim})")
+    return v[order]
 
-    Returns (T x hidden matrix of hidden states, final state, cache for
-    lstm_backward). An empty sequence returns init untouched as the final
-    state.
+
+def _pack(lengths: list[int]):
+    """Sorted order, step sizes n_t, packed-to-caller row permutation (None
+    when they agree), and each sequence's final-state row in the state
+    buffers (initial states first, then the packed steps), caller's order."""
+    B = len(lengths)
+    if B == 1:  # the same layout, without the index arithmetic
+        T = lengths[0]
+        return np.zeros(1, dtype=np.intp), [1] * T, None, np.array([T])
+    lengths = np.array(lengths, dtype=np.intp)
+    order = np.argsort(-lengths, kind="stable")
+    ls = lengths[order]
+    T = int(ls[0]) if B else 0
+    sizes = np.searchsorted(-ls, -np.arange(T), side="left")  # n_t = #{b: ls[b] > t}
+    starts = np.cumsum(sizes) - sizes
+    step = np.repeat(np.arange(T), sizes)
+    rank = np.arange(step.shape[0]) - starts[step]
+    perm = (np.cumsum(lengths) - lengths)[order][rank] + step
+    last = np.arange(B)  # a sequence of no steps ends in its initial state
+    ran = np.flatnonzero(ls)
+    last[ran] += B + starts[ls[ran] - 1]
+    final_rows = np.empty(B, dtype=np.intp)
+    final_rows[order] = last
+    return order, sizes.tolist(), perm, final_rows
+
+
+def lstm_forward(params: LSTMCellParams, inputs: Sequence,
+                 init: LSTMState | None = None, lengths: Sequence[int] | None = None
+                 ) -> tuple[Array, LSTMState, LSTMCache]:
+    """Run the cell over a batch of sequences whose input vectors are the
+    consecutive rows of inputs (a sequence of vectors or a steps x input
+    matrix), lengths[b] rows for sequence b. Without lengths, inputs is one
+    sequence.
+
+    Returns (steps x hidden matrix of hidden states in the rows' order,
+    final state, cache for lstm_backward). init and the final state hold
+    one row per sequence (B x hidden); a vector init is every sequence's.
+    Without lengths they are vectors, and an empty sequence returns init
+    untouched as the final state.
     """
     H = params.hidden_dim
     X = _stack_steps(inputs, params.input_dim)
+    single = lengths is None
+    lengths = [X.shape[0]] if single else [int(n) for n in lengths]
+    if min(lengths, default=0) < 0 or sum(lengths) != X.shape[0]:
+        raise ShapeError(f"lengths {lengths} do not add up to the {X.shape[0]} input rows")
+    B, N = len(lengths), X.shape[0]
+    order, sizes, perm, final_rows = _pack(lengths)
+    hs = np.empty((B + N, H))
+    cs = np.empty((B + N, H))
     if init is None:
-        init = LSTMState.zeros(H)
-    T = X.shape[0]
-    hs = np.empty((T + 1, H))
-    cs = np.empty((T + 1, H))
-    tanh_c = np.empty((T, H))
-    hs[0] = _as_vector("init.h", init.h, H)
-    cs[0] = _as_vector("init.c", init.c, H)
-    gates = X @ params.W.T + params.b  # input projection for every step at once
-    for t in range(T):
-        a = gates[t]
-        a += params.U @ hs[t]
-        a[:3 * H] = sigmoid(a[:3 * H])
-        a[3 * H:] = np.tanh(a[3 * H:])
-        i, f, o, g = a[:H], a[H:2 * H], a[2 * H:3 * H], a[3 * H:]
-        cs[t + 1] = f * cs[t] + i * g
-        tanh_c[t] = np.tanh(cs[t + 1])
-        hs[t + 1] = o * tanh_c[t]
-    final = LSTMState(hs[T], cs[T]) if T else init
-    return hs[1:], final, LSTMCache(X, hs, cs, gates, tanh_c)
+        hs[:B] = cs[:B] = 0.0
+    else:
+        hs[:B] = _sorted_rows("init.h", init.h, order, H)
+        cs[:B] = _sorted_rows("init.c", init.c, order, H)
+    Xp = X if perm is None else X[perm]
+    del X, inputs  # the packed copy replaces the caller's rows
+    gates = Xp @ params.W.T  # input projection for every step at once
+    gates += params.b
+    UT = params.U.T
+    p = r = 0  # first row of the previous step's states; first packed row of this step
+    for n in sizes:
+        a = gates[r:r + n]
+        a += hs[p:p + n] @ UT
+        ifo = a[:, :3 * H]
+        np.negative(ifo, out=ifo)
+        np.exp(ifo, out=ifo)
+        ifo += 1.0
+        np.reciprocal(ifo, out=ifo)
+        g = a[:, 3 * H:]
+        np.tanh(g, out=g)
+        c = cs[B + r:B + r + n]
+        np.multiply(a[:, H:2 * H], cs[p:p + n], out=c)
+        c += a[:, :H] * g
+        h = hs[B + r:B + r + n]
+        np.tanh(c, out=h)
+        h *= a[:, 2 * H:3 * H]
+        p, r = B + r, r + n
+    # hidden states are not cached: lstm_backward recomputes them from c and o
+    cache = LSTMCache(Xp, gates, hs[:B].copy(), cs, sizes, order, perm, single)
+    if perm is None:
+        out = hs[B:]
+    else:
+        out = np.empty((N, H))
+        out[perm] = hs[B:]
+    if single:
+        final = LSTMState(hs[final_rows[0]], cs[final_rows[0]])
+        if not N and init is not None:
+            final = init
+    else:
+        final = LSTMState(hs[final_rows], cs[final_rows])
+    return out, final, cache
 
 
 def lstm_backward(params: LSTMCellParams, cache: LSTMCache,
@@ -158,47 +240,90 @@ def lstm_backward(params: LSTMCellParams, cache: LSTMCache,
                   dh_final: Array | None = None,
                   dc_final: Array | None = None
                   ) -> tuple[dict[str, Array], Array, tuple[Array, Array]]:
-    """Backprop through time over a cached forward pass.
+    """Backprop through time over a cached forward pass; it overwrites the
+    cache's gate buffer, so each cache is used once.
 
-    dh_steps (T x hidden) is the gradient flowing into each h_t from outside
-    the recurrence (e.g. attention over all states); dh_final / dc_final
-    flow into the last step's h and c (e.g. classifier input, or a
-    downstream encoder seeded from this cell's memory). Returns (parameter
-    grads, T x input gradient of the inputs, gradient w.r.t. the initial
-    state).
+    dh_steps (steps x hidden, in the forward inputs' row order) is the
+    gradient flowing into each h_t from outside the recurrence (e.g.
+    attention over all states); dh_final / dc_final flow into each
+    sequence's last h and c (e.g. classifier input, or a downstream encoder
+    seeded from this cell's memory), shaped like the final state. Returns
+    (parameter grads summed over the batch, steps x input gradient of the
+    inputs, gradient w.r.t. the initial state shaped like the final state).
     """
     H = params.hidden_dim
-    T = len(cache)
-    i, f, o, g = np.split(cache.gates, 4, axis=1)
-    tanh_c = cache.tanh_c
-    # each gate pre-activation's derivative times the factor it multiplies:
-    # da_i = dc * g i (1-i), da_f = dc * c_prev f (1-f), da_o = dh * tanh(c) o (1-o),
-    # da_g = dc * i (1-g^2)
-    local = np.hstack([g * i * (1.0 - i), cache.c[:-1] * f * (1.0 - f),
-                       tanh_c * o * (1.0 - o), i * (1.0 - g ** 2)])
-    dc_dh = o * (1.0 - tanh_c ** 2)
-    dh_next = np.zeros(H) if dh_final is None else np.asarray(dh_final, dtype=np.float64)
-    dc_next = np.zeros(H) if dc_final is None else np.asarray(dc_final, dtype=np.float64)
-    dA = np.empty((T, 4 * H))
-    for t in range(T - 1, -1, -1):
-        dh = dh_next if dh_steps is None else dh_next + dh_steps[t]
-        dc = dc_next + dh * dc_dh[t]
-        dA[t] = np.concatenate((dc, dc, dh, dc)) * local[t]
-        dh_next = dA[t] @ params.U
-        dc_next = dc * f[t]
-    grads = {"W": dA.T @ cache.x, "U": dA.T @ cache.h[:-1], "b": dA.sum(axis=0)}
-    return grads, dA @ params.W, (dh_next, dc_next)
+    B = len(cache.order)
+    c, perm, sizes = cache.c, cache.perm, cache.sizes
+    dA = cache.gates  # activated gates, turned into dA (steps x 4*hidden) in place
+    h_prev = np.empty((len(cache), H))  # each row's previous hidden state, for dU
+    dh_next = _sorted_rows("dh_final", dh_final, cache.order, H)
+    dc_next = _sorted_rows("dc_final", dc_final, cache.order, H)
+    starts = (np.cumsum(sizes) - sizes).tolist()
+    if sizes:
+        tanh_c = np.tanh(c[B + starts[-1]:])  # of the last step; then carried back
+    for t in range(len(sizes) - 1, -1, -1):
+        n, r = sizes[t], starts[t]
+        p = B + starts[t - 1] if t else 0  # the previous step's rows of c
+        a = dA[r:r + n]
+        i, f, o, g = (a[:, k * H:(k + 1) * H] for k in range(4))
+        dh = dh_next[:n]
+        if dh_steps is not None:
+            dh = dh + (dh_steps[r:r + n] if perm is None else dh_steps[perm[r:r + n]])
+        dc = np.square(tanh_c)
+        np.subtract(1.0, dc, out=dc)
+        dc *= o
+        dc *= dh
+        dc += dc_next[:n]
+        np.multiply(dc, f, out=dc_next[:n])
+        # each gate pre-activation's derivative times the factor it multiplies,
+        # written over the gates: da_i = dc g i (1-i), da_f = dc c_prev f (1-f),
+        # da_o = dh tanh(c) o (1-o), da_g = dc i (1-g^2)
+        da_g = np.square(g)
+        np.subtract(1.0, da_g, out=da_g)
+        da_g *= i
+        ifo = a[:, :3 * H]
+        ifo *= 1.0 - ifo
+        i *= g
+        f *= c[p:p + n]
+        o *= tanh_c
+        o *= dh
+        a.reshape(n, 4, H)[:, :2] *= dc[:, None]
+        np.multiply(da_g, dc, out=g)
+        # o * tanh(c) of the previous step, as the forward pass computed it
+        if t:
+            tanh_c = np.tanh(c[p:p + sizes[t - 1]])
+            np.multiply(tanh_c[:n], dA[p - B:p - B + n, 2 * H:3 * H], out=h_prev[r:r + n])
+        else:
+            h_prev[:n] = cache.h0[:n]
+        np.matmul(a, params.U, out=dh_next[:n])
+    del dh_steps
+    grads = {"W": dA.T @ cache.x, "U": dA.T @ h_prev, "b": dA.sum(axis=0)}
+    del h_prev
+    dX = dA @ params.W
+    if perm is not None:
+        packed, dX = dX, np.empty_like(dX)
+        dX[perm] = packed
+    dh0 = np.empty_like(dh_next)
+    dc0 = np.empty_like(dc_next)
+    dh0[cache.order] = dh_next
+    dc0[cache.order] = dc_next
+    if cache.single:
+        dh0, dc0 = dh0[0], dc0[0]
+    return grads, dX, (dh0, dc0)
 
 
 def softmax(scores) -> Array:
-    """Max-subtraction stabilized softmax; output sums to 1 within 1e-12."""
-    scores = _as_vector("scores", scores)
-    if scores.shape[0] == 0:
+    """Max-subtraction stabilized softmax of a vector, or of each row of a
+    matrix; each output sums to 1 within 1e-12."""
+    scores = np.asarray(scores, dtype=np.float64)
+    if scores.ndim not in (1, 2):
+        raise ShapeError(f"scores must be a vector or a matrix, got shape {scores.shape}")
+    if scores.shape[-1] == 0:
         raise DomainError("softmax of an empty score vector")
     if not np.all(np.isfinite(scores)):
         raise NumericError("softmax scores contain non-finite entries")
-    e = np.exp(scores - np.max(scores))
-    return e / e.sum()
+    e = np.exp(scores - np.max(scores, axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def cross_entropy(predicted, true_class: int) -> float:
@@ -229,13 +354,14 @@ def sgd_step(params: dict[str, Array], grads: dict[str, Array],
     return out
 
 
-def dropout_mask(length: int, rate: float, rng: np.random.Generator) -> Array:
-    """Inverted-dropout mask: 0 with probability rate, else 1/(1-rate)."""
+def dropout_mask(shape, rate: float, rng: np.random.Generator) -> Array:
+    """Inverted-dropout mask of the given shape (a length, or a tuple): 0
+    with probability rate, else 1/(1-rate)."""
     if not 0.0 <= rate < 1.0:
         raise DomainError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
-        return np.ones(length)
-    keep = rng.random(length) >= rate
+        return np.ones(shape)
+    keep = rng.random(shape) >= rate
     return keep.astype(np.float64) / (1.0 - rate)
 
 

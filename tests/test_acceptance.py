@@ -72,7 +72,7 @@ def test_c2_attention_normalization_thousand_instances():
             reply_sentences=[[tokens[int(t)] for t in rng.integers(0, 30, int(rng.integers(1, 6)))]
                              for _ in range(n_rep)],
             label="S")
-        _, record, _, _ = _forward(params[variant], seg, table)
+        _, (record,), _, _ = _forward(params[variant], [seg], table)
         weight_vectors = [record.context_weights, record.reply_weights]
         if record.context_word_weights:
             weight_vectors.extend(record.context_word_weights)

@@ -199,6 +199,18 @@ def test_bad_corpus_is_data_error(tmp_path, workdir, capsys):
     assert "platform" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--corpus", "--raw-tweets"])
+def test_non_utf8_input_is_data_error_without_traceback(tmp_path, capsys, flag):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b"\xff\xfe{\x00\"\x00i\x00d\x00\"\x00}\x00\n\x00")
+    code = run("prepare", flag, bad, "--outdir", tmp_path / "o",
+               "--platform", "twitter")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "bad.jsonl: line 1: not valid UTF-8" in err
+    assert "Traceback" not in err
+
+
 def test_usage_error_exit_code():
     assert run("no-such-command") == 1
 

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -283,6 +284,57 @@ def test_svm_checkpoint_version_mismatch(tmp_path):
                                                    '"format_version": 99')
     path.write_text(doc, encoding="utf-8")
     with pytest.raises(ConfigError, match="format_version"):
+        load_svm_checkpoint(path)
+
+
+def saved_svm_doc(tmp_path):
+    path = tmp_path / "svm.json"
+    model = svm_train(slow_toy(), SvmConfig(epochs=2, l2=0.0, seed=0))
+    save_svm_checkpoint(model, "reply_only", None, path)
+    return path, json.loads(path.read_text(encoding="utf-8"))
+
+
+def test_svm_checkpoint_without_weights_is_config_error_naming_path(tmp_path):
+    path = tmp_path / "svm.json"
+    path.write_text(json.dumps({"format_version": 1, "kind": "svm"}), encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"svm\.json: .*weights"):
+        load_svm_checkpoint(path)
+
+
+def test_svm_checkpoint_corrupt_weights_is_config_error_naming_path(tmp_path):
+    path, doc = saved_svm_doc(tmp_path)
+    doc["weights"] = "AAAA"  # 3 bytes, not whole float64s
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"svm\.json: malformed"):
+        load_svm_checkpoint(path)
+
+
+def test_svm_checkpoint_bad_base64_is_config_error_naming_path(tmp_path):
+    path, doc = saved_svm_doc(tmp_path)
+    doc["weights"] = "not base64!"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"svm\.json: malformed"):
+        load_svm_checkpoint(path)
+
+
+@pytest.mark.parametrize("field, value", [("bias", [1.0]), ("class_weights", 3),
+                                          ("class_weights", {"S": float("inf")}),
+                                          ("features", ["a"]), ("task", 7),
+                                          ("max_context", "5")])
+def test_svm_checkpoint_field_of_wrong_type_is_config_error_naming_path(
+        tmp_path, field, value):
+    path, doc = saved_svm_doc(tmp_path)
+    doc[field] = value
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"svm\.json: malformed"):
+        load_svm_checkpoint(path)
+
+
+@pytest.mark.parametrize("content", ["not json at all", "[1, 2]"])
+def test_svm_checkpoint_not_a_json_object_is_config_error_naming_path(tmp_path, content):
+    path = tmp_path / "svm.json"
+    path.write_text(content, encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"svm\.json: "):
         load_svm_checkpoint(path)
 
 

@@ -9,11 +9,12 @@ from convsarc.embeddings import EmbeddingTable, lookup, sentence_avg
 from convsarc.errors import ConfigError, DomainError, NumericError
 from convsarc.nn import (LSTMCellParams, finite_diff_grad, lstm_forward,
                          max_relative_error, new_rng, sigmoid, softmax)
-from convsarc.models import (AttentionParams, AttentionRecord,
+from convsarc.models import (AttentionParams, AttentionRecord, LABEL_TO_INDEX,
                              VARIANTS, gradient_check_variant,
                              init_params, load_checkpoint, loss_and_grads,
                              predict, save_checkpoint, train_model,
-                             TrainSettings, _attend_forward, _forward)
+                             TrainSettings, _attend_forward, _batch_grads,
+                             _forward, _predict_labels, _sub_batches)
 from convsarc.synthetic import make_separable_corpus
 
 EMBED = 6
@@ -209,12 +210,12 @@ def test_conditional_gradient_reaches_context_cell_through_memory_handoff():
     table = EmbeddingTable(dim=EMBED,
                            vocab={t: rng.uniform(-1, 1, EMBED) for t in tokens},
                            seed=0)
-    _, _, _, analytic = _forward(params, BASIC, table, label=0)
+    _, _, _, analytic = _forward(params, [BASIC], table, labels=[0])
     context_grads = {k: v for k, v in analytic.items() if k.startswith("lstm_c.")}
     assert any(np.abs(v).max() > 1e-8 for v in context_grads.values())
 
     def loss_fn(tensors):
-        return _forward(params.replace_tensors(tensors), BASIC, table, label=0)[2]
+        return _forward(params.replace_tensors(tensors), [BASIC], table, labels=[0])[2][0]
 
     numeric = finite_diff_grad(loss_fn, params.tensors(), 1e-5)
     errs = max_relative_error(analytic, numeric)
@@ -397,8 +398,8 @@ def test_train_rejects_empty_splits():
 def test_train_nonfinite_loss_reports_coordinates(monkeypatch):
     corpus, table = corpus_and_table()
 
-    def bad_forward(*args, **kwargs):
-        return None, None, float("nan"), {}
+    def bad_forward(params, segs, *args, **kwargs):
+        return None, None, np.full(len(segs), float("nan")), {}
 
     monkeypatch.setattr("convsarc.models._forward", bad_forward)
     settings = TrainSettings(variant="reply_only", hidden_dim=4, epochs=1,
@@ -412,6 +413,115 @@ def test_loss_and_grads_covers_all_tensors():
     loss, grads = loss_and_grads(params, BASIC, oov_table(), "S")
     assert math.isfinite(loss)
     assert set(grads) == set(params.tensors())
+
+
+# ------------------------------------------------------------------ batching
+
+# unsorted lengths on both sides; the second reply is a single token
+BATCH = [seg([["a", "b", "c"], ["d"]], [["e", "f"], ["g"]], "S"),
+         seg([["h"]], [["i"]], "NS"),
+         seg([["j", "k"], ["l", "m", "n", "o"], ["p"]], [["q", "r", "s"]], "S"),
+         seg([["t", "u"]], [["v", "w"], ["x", "y", "z"]], "NS")]
+
+
+def batch_setup(variant, seed=0):
+    """Healthy magnitudes (as in gradient_check_variant), so agreement
+    within 1e-10 is a real check rather than a comparison of tiny numbers."""
+    rng = new_rng(seed)
+    tokens = sorted({t for s in BATCH for sent in s.context_sentences + s.reply_sentences
+                     for t in sent})
+    table = EmbeddingTable(dim=EMBED, vocab={t: rng.uniform(-1, 1, EMBED) for t in tokens},
+                           seed=seed)
+    params = seeded_params(variant, seed=seed)
+    params = params.replace_tensors(
+        {k: rng.uniform(-0.5, 0.5, v.shape) for k, v in params.tensors().items()})
+    return params, table
+
+
+def per_instance_mean(params, segs, table, rng=None, dropout=0.0):
+    losses, total = [], None
+    for s in segs:
+        loss, grads = loss_and_grads(params, s, table, s.label, dropout, rng)
+        losses.append(loss)
+        total = grads if total is None else {k: total[k] + grads[k] for k in grads}
+    return np.array(losses), {k: v / len(segs) for k, v in total.items()}
+
+
+def assert_grads_close(got, want, atol=1e-10):
+    assert set(got) == set(want)
+    for name in want:
+        assert np.allclose(got[name], want[name], atol=atol, rtol=0), name
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_batched_loss_and_grads_equal_per_instance_mean(variant):
+    params, table = batch_setup(variant)
+    labels = [LABEL_TO_INDEX[s.label] for s in BATCH]
+    probs, records, losses, grads = _forward(params, BATCH, table, labels=labels)
+    want_losses, want_grads = per_instance_mean(params, BATCH, table)
+    assert np.allclose(losses, want_losses, atol=1e-10, rtol=0)
+    assert_grads_close(grads, want_grads)
+    for s, p, record in zip(BATCH, probs, records):
+        _, p_one, record_one = predict(params, s, table)
+        assert np.allclose(p, p_one, atol=1e-12, rtol=0)
+        if record_one is None:
+            assert record is None
+            continue
+        pairs = [(record.context_weights, record_one.context_weights),
+                 (record.reply_weights, record_one.reply_weights)]
+        if variant == "hier_attn":
+            pairs += zip(record.context_word_weights + record.reply_word_weights,
+                         record_one.context_word_weights + record_one.reply_word_weights)
+        for got, want in pairs:
+            assert np.allclose(got, want, atol=1e-12, rtol=0)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_batched_dropout_draws_the_per_instance_stream(variant):
+    params, table = batch_setup(variant, seed=3)
+    labels = [LABEL_TO_INDEX[s.label] for s in BATCH]
+    _, _, losses, grads = _forward(params, BATCH, table, labels=labels,
+                                   dropout_rate=0.5, rng=new_rng(11))
+    want_losses, want_grads = per_instance_mean(params, BATCH, table,
+                                                rng=new_rng(11), dropout=0.5)
+    assert np.allclose(losses, want_losses, atol=1e-10, rtol=0)
+    assert_grads_close(grads, want_grads)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_batch_larger_than_pass_cap_sums_sub_batches(variant, monkeypatch):
+    monkeypatch.setattr("convsarc.models.MAX_PASS_TOKENS", 9)
+    params, table = batch_setup(variant, seed=4)
+    segs = BATCH * 2
+    assert len(list(_sub_batches(range(len(segs)), segs))) > 2
+    labels = [LABEL_TO_INDEX[s.label] for s in segs]
+    losses, grads = _batch_grads(params, segs, labels, table, 0.0, None)
+    want_losses, want_grads = per_instance_mean(params, segs, table)
+    assert np.allclose(losses, want_losses, atol=1e-10, rtol=0)
+    assert_grads_close(grads, want_grads)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_batched_gradients_match_finite_differences(variant):
+    params, table = batch_setup(variant, seed=5)
+    segs = BATCH[:3]
+    labels = [LABEL_TO_INDEX[s.label] for s in segs]
+    _, _, _, analytic = _forward(params, segs, table, labels=labels)
+
+    def loss_fn(tensors):
+        return float(np.mean(_forward(params.replace_tensors(tensors), segs, table,
+                                      labels=labels)[2]))
+
+    numeric = finite_diff_grad(loss_fn, params.tensors(), 1e-5)
+    assert max(max_relative_error(analytic, numeric).values()) < 1e-4
+
+
+def test_scoring_runs_in_sub_batches_with_the_same_labels(monkeypatch):
+    params, table = batch_setup("word_attn", seed=6)
+    segs = BATCH * 3
+    want = [predict(params, s, table)[0] for s in segs]
+    monkeypatch.setattr("convsarc.models.MAX_PASS_TOKENS", 20)
+    assert _predict_labels(params, segs, table) == want
 
 
 # --------------------------------------------------------------- checkpoints

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from convsarc.errors import DomainError, NumericError, ShapeError
-from convsarc.models import AttentionParams, _attend_forward
+from convsarc.models import AttentionParams, _project
 from convsarc.nn import (LSTMCellParams, LSTMState, cross_entropy,
                          dropout_mask, finite_diff_grad, lstm_backward,
                          lstm_forward, new_rng, sgd_step, sigmoid, softmax)
@@ -174,12 +174,51 @@ def test_lstm_backward_matches_finite_differences():
     assert np.allclose(dc0, numeric["c0"], atol=1e-8, rtol=0)
 
 
+def test_packed_batch_equals_single_sequence_calls():
+    # unsorted lengths, one of them empty, and a per-row initial state (the
+    # conditional variant hands each reply its own context memory)
+    p = rand_cell(3, 2, seed=9)
+    rng = new_rng(10)
+    lengths = [3, 1, 0, 5, 3, 2]
+    B, N = len(lengths), sum(lengths)
+    xs = rng.uniform(-1, 1, (N, 3))
+    init = LSTMState(rng.uniform(-1, 1, (B, 2)), rng.uniform(-1, 1, (B, 2)))
+    dh_steps = rng.uniform(-1, 1, (N, 2))
+    dh_final, dc_final = rng.uniform(-1, 1, (B, 2)), rng.uniform(-1, 1, (B, 2))
+    hs, final, cache = lstm_forward(p, xs, init, lengths)
+    assert len(cache) == N
+    grads, dx, (dh0, dc0) = lstm_backward(p, cache, dh_steps, dh_final, dc_final)
+    total = {k: np.zeros_like(v) for k, v in grads.items()}
+    start = 0
+    for b, n in enumerate(lengths):
+        rows = slice(start, start + n)
+        start += n
+        hs_b, final_b, cache_b = lstm_forward(p, xs[rows], LSTMState(init.h[b], init.c[b]))
+        g_b, dx_b, (dh0_b, dc0_b) = lstm_backward(p, cache_b, dh_steps[rows],
+                                                  dh_final[b], dc_final[b])
+        for got, want in ((hs[rows], hs_b), (final.h[b], final_b.h), (final.c[b], final_b.c),
+                          (dx[rows], dx_b), (dh0[b], dh0_b), (dc0[b], dc0_b)):
+            assert np.allclose(got, want, atol=1e-12, rtol=0)
+        for k in total:
+            total[k] += g_b[k]
+    for k in total:
+        assert np.allclose(grads[k], total[k], atol=1e-12, rtol=0), k
+
+
+def test_lstm_forward_rejects_lengths_that_do_not_cover_the_inputs():
+    p = LSTMCellParams.zeros(3, 2)
+    with pytest.raises(ShapeError, match="lengths"):
+        lstm_forward(p, np.zeros((4, 3)), None, [2, 1])
+    with pytest.raises(ShapeError, match="lengths"):
+        lstm_forward(p, np.zeros((1, 3)), None, [2, -1])
+
+
 # ------------------------------------- tanh MLP of the attention projection
 
 def attention_projection(W, b, h):
     """tanh(W h + b), the projection attention scores are computed from."""
     ap = AttentionParams(W_a=W, b_a=b, u_s=np.zeros(len(b)))
-    return _attend_forward(np.atleast_2d(h), ap)[2][1][0]
+    return _project(np.atleast_2d(h), ap)[0]
 
 
 def test_mlp_tanh_zero_params():
