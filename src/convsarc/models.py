@@ -365,7 +365,8 @@ def _forward(params: ModelParams, segs: Sequence[SegmentedInstance],
         g_l, dx, (_, dc_final) = lstm_backward(
             getattr(params, f"lstm_{side}"), caches.pop(side), dh_steps.pop(side, None),
             None if attention else dvs.get(side),
-            dc_final if variant == "conditional" else None)
+            dc_final if variant == "conditional" else None,
+            need_dx=variant == "hier_attn")
         grads.update(_prefixed(f"lstm_{side}", g_l))
         if variant == "hier_attn":
             # word embeddings are frozen: their gradient is dropped, but the

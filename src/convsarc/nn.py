@@ -238,8 +238,9 @@ def lstm_forward(params: LSTMCellParams, inputs: Sequence,
 def lstm_backward(params: LSTMCellParams, cache: LSTMCache,
                   dh_steps: Array | None = None,
                   dh_final: Array | None = None,
-                  dc_final: Array | None = None
-                  ) -> tuple[dict[str, Array], Array, tuple[Array, Array]]:
+                  dc_final: Array | None = None,
+                  need_dx: bool = True
+                  ) -> tuple[dict[str, Array], Array | None, tuple[Array, Array]]:
     """Backprop through time over a cached forward pass; it overwrites the
     cache's gate buffer, so each cache is used once.
 
@@ -249,7 +250,8 @@ def lstm_backward(params: LSTMCellParams, cache: LSTMCache,
     sequence's last h and c (e.g. classifier input, or a downstream encoder
     seeded from this cell's memory), shaped like the final state. Returns
     (parameter grads summed over the batch, steps x input gradient of the
-    inputs, gradient w.r.t. the initial state shaped like the final state).
+    inputs, or None unless need_dx, gradient w.r.t. the initial state shaped
+    like the final state).
     """
     H = params.hidden_dim
     B = len(cache.order)
@@ -299,10 +301,12 @@ def lstm_backward(params: LSTMCellParams, cache: LSTMCache,
     del dh_steps
     grads = {"W": dA.T @ cache.x, "U": dA.T @ h_prev, "b": dA.sum(axis=0)}
     del h_prev
-    dX = dA @ params.W
-    if perm is not None:
-        packed, dX = dX, np.empty_like(dX)
-        dX[perm] = packed
+    dX = None
+    if need_dx:
+        dX = dA @ params.W
+        if perm is not None:
+            packed, dX = dX, np.empty_like(dX)
+            dX[perm] = packed
     dh0 = np.empty_like(dh_next)
     dc0 = np.empty_like(dc_next)
     dh0[cache.order] = dh_next

@@ -211,6 +211,21 @@ def test_non_utf8_input_is_data_error_without_traceback(tmp_path, capsys, flag):
     assert "Traceback" not in err
 
 
+def test_non_utf8_embeddings_is_data_error_without_traceback(workdir, capsys):
+    emb = workdir / "emb.txt"
+    lines = emb.read_bytes().split(b"\n")
+    lines[2] = b"\xff\xfe" + lines[2]
+    emb.write_bytes(b"\n".join(lines))
+    code = run("train", "--corpus", workdir / "corpus.jsonl", "--embeddings", emb,
+               "--variant", "reply_only", "--platform", "twitter",
+               "--embed-dim", EMBED_DIM, "--hidden-dim", 6, "--epochs", 1,
+               "--outdir", workdir / "run")
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "emb.txt: line 3: not valid UTF-8" in err
+    assert "Traceback" not in err
+
+
 def test_usage_error_exit_code():
     assert run("no-such-command") == 1
 

@@ -205,6 +205,21 @@ def test_packed_batch_equals_single_sequence_calls():
         assert np.allclose(grads[k], total[k], atol=1e-12, rtol=0), k
 
 
+def test_lstm_backward_without_dx_gives_the_same_other_gradients():
+    p = rand_cell(3, 2, seed=11)
+    rng = new_rng(12)
+    lengths = [2, 4, 1]
+    xs = rng.uniform(-1, 1, (sum(lengths), 3))
+    dh_final = rng.uniform(-1, 1, (len(lengths), 2))
+    full = lstm_backward(p, lstm_forward(p, xs, None, lengths)[2], dh_final=dh_final)
+    grads, dx, (dh0, dc0) = lstm_backward(p, lstm_forward(p, xs, None, lengths)[2],
+                                          dh_final=dh_final, need_dx=False)
+    assert dx is None and full[1].shape == xs.shape
+    for k, v in full[0].items():
+        assert np.array_equal(grads[k], v), k
+    assert np.array_equal(dh0, full[2][0]) and np.array_equal(dc0, full[2][1])
+
+
 def test_lstm_forward_rejects_lengths_that_do_not_cover_the_inputs():
     p = LSTMCellParams.zeros(3, 2)
     with pytest.raises(ShapeError, match="lengths"):
