@@ -90,7 +90,10 @@ def tokenize(text: str, platform: str = "twitter") -> list[str]:
     """
     tokens: list[str] = []
     for chunk in text.split():
-        tokens.extend(_split_chunk(chunk))
+        if chunk[-1] in _TERMINAL_PUNCT:
+            tokens.extend(_split_chunk(chunk))
+        else:  # nothing to split off: the chunk is one token
+            tokens.append(chunk)
     return tokens
 
 
@@ -155,6 +158,9 @@ def casefold_selective(tokens: Sequence[str]) -> list[str]:
     all uppercase; tokens with no alphabetic characters pass through."""
     out = []
     for t in tokens:
+        if t == t.lower():  # every rule below gives t back unchanged
+            out.append(t)
+            continue
         alpha = [c for c in t if c.isalpha()]
         if not alpha:
             out.append(t)
@@ -268,23 +274,18 @@ def build_twitter_instances(records: Sequence[dict]) -> list[ConversationInstanc
     return instances
 
 
-def _sentence_units(text: str, platform: str) -> list[tuple[str, list[str]]]:
-    """(raw sentence, casefolded tokens) pairs; token-less units are dropped.
-    Each tweet is a single sentence; forum text is split by rule."""
+def _sentence_texts(text: str, platform: str) -> list[str]:
+    """Raw sentence units that hold a token. Each tweet is a single
+    sentence; forum text is split by rule. tokenize gives every
+    whitespace-separated chunk a token, so a unit has tokens exactly when it
+    is not all whitespace."""
     units = [text] if platform == "twitter" else split_sentences(text)
-    out = []
-    for u in units:
-        toks = casefold_selective(tokenize(u, platform))
-        if toks:
-            out.append((u, toks))
-    return out
+    return [u for u in units if u and not u.isspace()]
 
 
-def _context_units(inst: ConversationInstance) -> list[tuple[str, list[str]]]:
-    units: list[tuple[str, list[str]]] = []
-    for utterance in inst.context:
-        units.extend(_sentence_units(utterance, inst.platform))
-    return units
+def _context_texts(inst: ConversationInstance) -> list[str]:
+    return [u for utterance in inst.context
+            for u in _sentence_texts(utterance, inst.platform)]
 
 
 def context_cutoff(platform: str, max_context: int | None = None) -> int:
@@ -293,35 +294,26 @@ def context_cutoff(platform: str, max_context: int | None = None) -> int:
     return FORUM_CONTEXT_CUTOFF if platform == "forum" else TWITTER_CONTEXT_CUTOFF
 
 
-def truncate_context(seg: SegmentedInstance, platform: str,
-                     max_context: int | None = None) -> SegmentedInstance:
-    """Keep only the most recent context sentences (10 forum / 5 twitter by
-    default); the reply is never truncated."""
-    cutoff = context_cutoff(platform, max_context)
-    return SegmentedInstance(
-        context_sentences=seg.context_sentences[-cutoff:] if cutoff else [],
-        reply_sentences=seg.reply_sentences,
-        label=seg.label)
-
-
 def segment_instance(inst: ConversationInstance,
                      max_context: int | None = None,
                      truncate: bool = True) -> SegmentedInstance:
-    """Tokenized, casefolded, (optionally) truncated view of an instance."""
-    seg = SegmentedInstance(
-        context_sentences=[toks for _, toks in _context_units(inst)],
-        reply_sentences=[toks for _, toks in _sentence_units(inst.reply, inst.platform)],
+    """Tokenized, casefolded view of an instance. Truncation keeps only the
+    most recent context sentences (10 forum / 5 twitter by default, or
+    max_context), and only those are tokenized; the reply is never
+    truncated."""
+    return SegmentedInstance(
+        context_sentences=[casefold_selective(tokenize(u, inst.platform))
+                           for u in context_sentence_texts(inst, max_context, truncate)],
+        reply_sentences=[casefold_selective(tokenize(u, inst.platform))
+                         for u in _sentence_texts(inst.reply, inst.platform)],
         label=inst.label)
-    if truncate:
-        seg = truncate_context(seg, inst.platform, max_context)
-    return seg
 
 
 def context_sentence_texts(inst: ConversationInstance,
                            max_context: int | None = None,
                            truncate: bool = True) -> list[str]:
     """Raw context sentences aligned 1:1 with the segmented token lists."""
-    texts = [raw for raw, _ in _context_units(inst)]
+    texts = _context_texts(inst)
     if truncate:
         cutoff = context_cutoff(inst.platform, max_context)
         texts = texts[-cutoff:] if cutoff else []
@@ -334,7 +326,7 @@ def effective_triggers(inst: ConversationInstance,
     the instance has no annotation or no trigger survives truncation."""
     if inst.human_triggers is None:
         return None
-    total = len(_context_units(inst))
+    total = len(_context_texts(inst))
     kept = min(total, context_cutoff(inst.platform, max_context))
     dropped = total - kept
     shifted = [t - dropped for t in inst.human_triggers if t >= dropped]
@@ -377,7 +369,7 @@ def load_corpus(path) -> list[ConversationInstance]:
             raise ParseError(f"{path}: line {lineno}: duplicate id '{inst.id}'")
         seen_ids.add(inst.id)
         if inst.human_triggers is not None:
-            n_sent = len(_context_units(inst))
+            n_sent = len(_context_texts(inst))
             bad = [t for t in inst.human_triggers if t >= n_sent]
             if bad:
                 raise ValidationError(

@@ -27,9 +27,11 @@ class EmbeddingTable:
     oov_cache: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def _freeze(vec: np.ndarray) -> np.ndarray:
-    vec.setflags(write=False)
-    return vec
+def _freeze(arr: np.ndarray) -> np.ndarray:
+    """arr made read-only and handed out as a view: the owner of the data
+    could be made writeable again, a view of a read-only base cannot."""
+    arr.setflags(write=False)
+    return arr.view()
 
 
 def load_embeddings(path, expected_dim: int) -> EmbeddingTable:

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from html import escape
 from typing import Sequence
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -137,7 +137,7 @@ def export_heatmap(sentences: Sequence[str], record, path,
         lines.append(
             f'<text x="{_SVG_BAR_W + 16}" y="{y + 19}">{w:.3f}</text>')
         lines.append(
-            f'<text x="{_SVG_BAR_W + 72}" y="{y + 19}">{escape(text)}</text>')
+            f'<text x="{_SVG_BAR_W + 72}" y="{y + 19}">{escape(text, quote=False)}</text>')
     lines.append("</svg>")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")

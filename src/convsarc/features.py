@@ -35,8 +35,6 @@ NGRAM_PREFIXES = ("ng1:", "ng2:", "ng3:")
 INTERJECTIONS = frozenset(load_resource_list("interjections.txt"))
 INTENSIFIERS = frozenset(load_resource_list("intensifiers.txt"))
 SUPERLATIVES = frozenset(load_resource_list("superlatives.txt"))
-TAG_QUESTION_PATTERNS = tuple(
-    tuple(p.split()) for p in load_resource_list("tag_questions.txt"))
 
 _ALPHA_WORD_RE = re.compile(r"[^\W\d_]+", re.UNICODE)
 
@@ -92,11 +90,10 @@ def load_lexicons(categories_path, positive_path, negative_path,
 
 def ngram_features(tokens: Sequence[str]) -> FeatureVector:
     """Binary presence of all unigrams, bigrams, and trigrams."""
-    fv: FeatureVector = {}
-    for n, prefix in ((1, "ng1:"), (2, "ng2:"), (3, "ng3:")):
-        for i in range(len(tokens) - n + 1):
-            fv[prefix + "_".join(tokens[i:i + n])] = 1.0
-    return fv
+    names = [f"ng1:{a}" for a in tokens]
+    names += [f"ng2:{a}_{b}" for a, b in zip(tokens, tokens[1:])]
+    names += [f"ng3:{a}_{b}_{c}" for a, b, c in zip(tokens, tokens[1:], tokens[2:])]
+    return dict.fromkeys(names, 1.0)
 
 
 def lexicon_features(tokens: Sequence[str], side: str,
@@ -106,7 +103,7 @@ def lexicon_features(tokens: Sequence[str], side: str,
     lowered = [t.lower() for t in tokens]
     fv: FeatureVector = {}
     for name, words in sorted(lex.categories.items()):
-        if any(t in words for t in lowered):
+        if not words.isdisjoint(lowered):
             fv[f"cat:{name}"] = 1.0
     pos = sum(1 for t in lowered if t in lex.positive)
     neg = sum(1 for t in lowered if t in lex.negative)
@@ -137,18 +134,30 @@ def sentiment_incongruity(context_tokens: Sequence[str],
     return c * r < 0
 
 
-def _count_tag_questions(lowered: Sequence[str]) -> int:
+def _index_patterns(patterns: Iterable[Sequence[str]]) -> dict[str, list[list[str]]]:
+    """Nonempty token patterns keyed by their first token, longest first."""
+    index: dict[str, list[list[str]]] = {}
+    for pat in sorted((list(p) for p in patterns if p), key=len, reverse=True):
+        index.setdefault(pat[0], []).append(pat)
+    return index
+
+
+TAG_QUESTION_INDEX = _index_patterns(
+    p.split() for p in load_resource_list("tag_questions.txt"))
+
+
+def _count_tag_questions(lowered: list[str]) -> int:
+    """Non-overlapping matches, left to right, each the longest pattern that
+    starts at its position."""
     count = 0
     i = 0
     n = len(lowered)
     while i < n:
-        matched = 0
-        for pat in TAG_QUESTION_PATTERNS:
-            if lowered[i:i + len(pat)] == list(pat):
-                matched = max(matched, len(pat))
-        if matched:
-            count += 1
-            i += matched
+        for pat in TAG_QUESTION_INDEX.get(lowered[i], ()):
+            if lowered[i:i + len(pat)] == pat:
+                count += 1
+                i += len(pat)
+                break
         else:
             i += 1
     return count
@@ -225,6 +234,11 @@ class FeatureRegistry:
     def id_of(self, name: str) -> int | None:
         return self._ids.get(name)
 
+    def vectorize(self, fv: FeatureVector) -> dict[int, float]:
+        """fv keyed by feature id, in fv's order, without unregistered names."""
+        ids = self._ids
+        return {ids[name]: value for name, value in fv.items() if name in ids}
+
     @property
     def names(self) -> list[str]:
         return list(self._names)
@@ -245,24 +259,15 @@ class FeatureRegistry:
         reg = cls()
         for fv in vectors:
             for name in fv:
-                if _is_ngram(name) and counts[name] < min_ngram_count:
-                    continue
-                reg.add(name)
+                if name not in reg._ids and (counts[name] >= min_ngram_count
+                                             or not _is_ngram(name)):
+                    reg.add(name)
         return reg
 
 
 def _is_ngram(name: str) -> bool:
     bare = name.split("|", 1)[-1]
     return bare.startswith(NGRAM_PREFIXES)
-
-
-def vectorize(fv: FeatureVector, registry: FeatureRegistry) -> dict[int, float]:
-    out: dict[int, float] = {}
-    for name, value in fv.items():
-        fid = registry.id_of(name)
-        if fid is not None:
-            out[fid] = value
-    return out
 
 
 @dataclass
@@ -283,19 +288,75 @@ class SvmModel:
     objective_history: list[float] = field(default_factory=list)
 
 
-def _sparse_dot(w: np.ndarray, x: dict[int, float]) -> float:
-    return sum(w[fid] * val for fid, val in x.items())
+def _arrays(x: dict[int, float]) -> tuple[np.ndarray, np.ndarray]:
+    """Feature ids and values of a vectorized instance, in the dict's order."""
+    return (np.fromiter(x.keys(), dtype=np.intp, count=len(x)),
+            np.fromiter(x.values(), dtype=np.float64, count=len(x)))
+
+
+# w.x is summed left to right from zero in the vector's order, so the
+# rounding of every margin, and with it the whole SGD trajectory, does not
+# depend on the numpy build: np.dot and np.sum add in pairwise or SIMD
+# order, and Python's sum() compensates float sums from 3.12 on. A cumulative
+# sum adds in order; the trailing + 0.0 turns an all -0.0 total into the
+# +0.0 that a sum starting from 0 gives.
+def _ordered_sums(products: np.ndarray) -> np.ndarray:
+    """Sums over the last axis, each added left to right from zero."""
+    if not products.shape[-1]:
+        return np.zeros(products.shape[:-1])
+    return products.cumsum(axis=-1)[..., -1] + 0.0
+
+
+def _ordered_dot(w: np.ndarray, ids: np.ndarray, vals: np.ndarray) -> float:
+    return float(_ordered_sums(w[ids] * vals))
+
+
+def _padded(arrays: Sequence[tuple[np.ndarray, np.ndarray]], n_features: int
+            ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Rows grouped by the bit length of their entry count, each group as its
+    row numbers and id and value matrices as wide as its longest row, so a
+    group holds at most twice its entries. A row's padding follows its
+    entries and points at an extra zero weight (id n_features), so it adds
+    +0.0."""
+    groups: dict[int, list[int]] = {}
+    for row, (ids, _) in enumerate(arrays):
+        groups.setdefault(len(ids).bit_length(), []).append(row)
+    out = []
+    for rows in groups.values():
+        width = max(len(arrays[row][0]) for row in rows)
+        ids_mat = np.full((len(rows), width), n_features, dtype=np.intp)
+        vals_mat = np.zeros((len(rows), width))
+        for i, row in enumerate(rows):
+            ids, vals = arrays[row]
+            ids_mat[i, :len(ids)] = ids
+            vals_mat[i, :len(vals)] = vals
+        out.append((np.array(rows, dtype=np.intp), ids_mat, vals_mat))
+    return out
+
+
+def _objective(w: np.ndarray, b: float,
+               groups: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
+               ys: np.ndarray, cws: np.ndarray, l2: float) -> float:
+    """hinge_objective of padded data: each row's _ordered_dot a group at a
+    time, and the class-weighted hinge terms summed in order."""
+    penalty = 0.5 * l2 * float(w @ w)
+    padded_w = np.append(w, 0.0)
+    dots = np.empty(len(ys))
+    for rows, ids_mat, vals_mat in groups:
+        dots[rows] = _ordered_sums(padded_w[ids_mat] * vals_mat)
+    hinge = 1.0 - ys * (dots + b)
+    terms = cws * np.where(hinge > 0.0, hinge, 0.0)
+    return penalty + float(_ordered_sums(terms)) / len(terms)
 
 
 def hinge_objective(weights: np.ndarray, bias: float,
                     data: Sequence[tuple[dict[int, float], float, float]],
                     l2: float) -> float:
     """(l2/2)||w||^2 + mean_i cw_i * max(0, 1 - y_i (w.x_i + b))."""
-    penalty = 0.5 * l2 * float(weights @ weights)
-    loss = 0.0
-    for x, y, cw in data:
-        loss += cw * max(0.0, 1.0 - y * (_sparse_dot(weights, x) + bias))
-    return penalty + loss / len(data)
+    groups = _padded([_arrays(x) for x, _, _ in data], len(weights))
+    return _objective(weights, bias, groups,
+                      np.array([y for _, y, _ in data], dtype=np.float64),
+                      np.array([cw for _, _, cw in data], dtype=np.float64), l2)
 
 
 def class_weight_map(labels: Iterable[str]) -> dict[str, Fraction]:
@@ -313,38 +374,45 @@ def class_weight_map(labels: Iterable[str]) -> dict[str, Fraction]:
 def svm_train(train: Sequence[tuple[FeatureVector, str]],
               config: SvmConfig | None = None) -> SvmModel:
     """Class-weighted primal hinge-loss SVM via seeded epoch-wise
-    subgradient descent. The bias is not regularized."""
+    subgradient descent. The bias is not regularized. Each instance is held
+    as arrays of feature ids and values, and each step updates only its
+    features' weights after the decay."""
     config = config or SvmConfig()
     if not train:
         raise ConfigError("empty training set")
     registry = FeatureRegistry.build((fv for fv, _ in train),
                                      config.min_ngram_count)
     class_weights = class_weight_map(label for _, label in train)
-    data = [(vectorize(fv, registry), 1.0 if label == "S" else -1.0,
-             float(class_weights[label])) for fv, label in train]
-    max_norm2 = max((sum(v * v for v in x.values()) for x, _, _ in data),
-                    default=0.0)
+    xs = [registry.vectorize(fv) for fv, _ in train]
+    max_norm2 = max((sum(v * v for v in x.values()) for x in xs), default=0.0)
     lr = config.lr if config.lr is not None else 1.0 / (config.l2 + max(max_norm2, 1e-12))
+    arrays = [_arrays(x) for x in xs]
+    ys = [1.0 if label == "S" else -1.0 for _, label in train]
+    cws = [float(class_weights[label]) for _, label in train]
+    # (lr * cw) * y, grouped as the per-feature update always grouped it
+    steps = [lr * cw * y for cw, y in zip(cws, ys)]
+    decay = 1.0 - lr * config.l2
+    groups = _padded(arrays, len(registry))
+    y_arr, cw_arr = np.array(ys), np.array(cws)
     w = np.zeros(len(registry))
     b = 0.0
     rng = new_rng(config.seed)
     history = []
     for _ in range(config.epochs):
-        for idx in rng.permutation(len(data)):
-            x, y, cw = data[idx]
-            margin = y * (_sparse_dot(w, x) + b)
-            w *= 1.0 - lr * config.l2
+        for idx in rng.permutation(len(arrays)).tolist():
+            ids, vals = arrays[idx]
+            margin = ys[idx] * (_ordered_dot(w, ids, vals) + b)
+            w *= decay
             if margin < 1.0:
-                for fid, val in x.items():
-                    w[fid] += lr * cw * y * val
-                b += lr * cw * y
-        history.append(hinge_objective(w, b, data, config.l2))
+                w[ids] += steps[idx] * vals
+                b += steps[idx]
+        history.append(_objective(w, b, groups, y_arr, cw_arr, config.l2))
     return SvmModel(registry, w, b, class_weights, history)
 
 
 def svm_predict(model: SvmModel, fv: FeatureVector) -> tuple[str, float]:
     """Sign of w.x + b; a score of exactly 0 resolves to NS."""
-    score = _sparse_dot(model.weights, vectorize(fv, model.registry)) + model.bias
+    score = _ordered_dot(model.weights, *_arrays(model.registry.vectorize(fv))) + model.bias
     return ("S" if score > 0.0 else "NS"), score
 
 

@@ -1,6 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import convsarc
 
 from convsarc.cli import main
 from convsarc.data import load_corpus, save_corpus
@@ -235,3 +241,14 @@ def test_gradcheck_command_passes_all_variants(capsys):
     out = capsys.readouterr().out
     assert out.count("PASS") == 6
     assert "FAIL" not in out
+
+
+def test_cli_import_leaves_out_xml_and_network_modules():
+    # xml.sax.saxutils pulls in urllib.request, http.client and ssl, tens of
+    # milliseconds at the start of every command
+    src = str(Path(convsarc.__file__).resolve().parents[1])
+    code = ("import sys, convsarc.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('xml', 'http', 'ssl') or m == 'urllib.request'))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True).stdout
+    assert out.strip() == "[]"

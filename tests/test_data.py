@@ -4,12 +4,11 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from convsarc.data import (ConversationInstance, SegmentedInstance,
-                           build_twitter_instances, casefold_selective,
-                           context_sentence_texts, effective_triggers,
-                           largest_remainder_counts, load_corpus,
-                           save_corpus, segment_instance, split_sentences,
-                           stratified_split, tokenize, truncate_context,
+from convsarc.data import (ConversationInstance, build_twitter_instances,
+                           casefold_selective, context_sentence_texts,
+                           effective_triggers, largest_remainder_counts,
+                           load_corpus, save_corpus, segment_instance,
+                           split_sentences, stratified_split, tokenize,
                            twitter_filter)
 from convsarc.errors import ConfigError, ParseError, ValidationError
 
@@ -212,27 +211,28 @@ def test_build_twitter_instances_survives_cycles():
 # -- truncation ---------------------------------------------------------------
 
 
-def seg_with_context(n):
-    return SegmentedInstance(
-        context_sentences=[[f"tok{i}"] for i in range(n)],
-        reply_sentences=[["hi", "there"]], label="NS")
+def seg_with_context(n, platform):
+    """segment_instance of n one-token context sentences tok0..tok{n-1}."""
+    return segment_instance(ConversationInstance(
+        id="x", platform=platform, context=[f"tok{i}" for i in range(n)],
+        reply="hi there", label="NS"))
 
 
 def test_truncate_forum_keeps_last_ten():
-    out = truncate_context(seg_with_context(12), "forum")
+    out = seg_with_context(12, "forum")
     assert len(out.context_sentences) == 10
     assert out.context_sentences[0] == ["tok2"]
     assert out.reply_sentences == [["hi", "there"]]
 
 
 def test_truncate_twitter_keeps_last_five():
-    out = truncate_context(seg_with_context(7), "twitter")
+    out = seg_with_context(7, "twitter")
     assert len(out.context_sentences) == 5
     assert out.context_sentences[0] == ["tok2"]
 
 
 def test_truncate_short_context_unchanged():
-    out = truncate_context(seg_with_context(3), "forum")
+    out = seg_with_context(3, "forum")
     assert len(out.context_sentences) == 3
 
 

@@ -1,0 +1,351 @@
+"""Differential tests: the optimised feature and SVM code against plain-Python
+reference forms of the same functions.
+
+The references below are the straightforward loops these functions were
+first written as. The optimised code must give exactly their results: the
+same tokens, the same feature dicts in the same order, and SVM weights,
+bias, objective history and margins equal to the last bit.
+"""
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+import hypothesis.strategies as st
+
+from convsarc import data, features
+from convsarc.data import ConversationInstance
+from convsarc.features import FeatureRegistry, SvmConfig, SvmModel
+
+# -- references ---------------------------------------------------------------
+
+
+def ref_split_chunk(chunk):
+    if data._URL_RE.match(chunk):
+        return [chunk]
+    trail = []
+    body = chunk
+    while len(body) > 1 and body[-1] in data._TERMINAL_PUNCT and body not in data.EMOTICONS:
+        trail.append(body[-1])
+        body = body[:-1]
+    tokens = [body] if body else []
+    tokens.extend(reversed(trail))
+    return tokens
+
+
+def ref_tokenize(text):
+    tokens = []
+    for chunk in text.split():
+        tokens.extend(ref_split_chunk(chunk))
+    return tokens
+
+
+def ref_casefold_selective(tokens):
+    out = []
+    for t in tokens:
+        alpha = [c for c in t if c.isalpha()]
+        if not alpha:
+            out.append(t)
+        elif all(c.isupper() for c in alpha):
+            out.append(t)
+        else:
+            out.append(t.lower())
+    return out
+
+
+def ref_sentence_units(text, platform):
+    units = [text] if platform == "twitter" else data.split_sentences(text)
+    out = []
+    for u in units:
+        toks = ref_casefold_selective(ref_tokenize(u))
+        if toks:
+            out.append((u, toks))
+    return out
+
+
+def ref_context_units(inst):
+    units = []
+    for utterance in inst.context:
+        units.extend(ref_sentence_units(utterance, inst.platform))
+    return units
+
+
+def ref_segment(inst, max_context, truncate):
+    """(context token lists, reply token lists, context texts): tokenize
+    everything, then truncate."""
+    units = ref_context_units(inst)
+    context = [toks for _, toks in units]
+    texts = [raw for raw, _ in units]
+    if truncate:
+        cutoff = data.context_cutoff(inst.platform, max_context)
+        context = context[-cutoff:] if cutoff else []
+        texts = texts[-cutoff:] if cutoff else []
+    reply = [toks for _, toks in ref_sentence_units(inst.reply, inst.platform)]
+    return context, reply, texts
+
+
+def ref_count_tag_questions(lowered, patterns):
+    count = 0
+    i = 0
+    n = len(lowered)
+    while i < n:
+        matched = 0
+        for pat in patterns:
+            if lowered[i:i + len(pat)] == list(pat):
+                matched = max(matched, len(pat))
+        if matched:
+            count += 1
+            i += matched
+        else:
+            i += 1
+    return count
+
+
+def ref_ngram_features(tokens):
+    fv = {}
+    for n, prefix in ((1, "ng1:"), (2, "ng2:"), (3, "ng3:")):
+        for i in range(len(tokens) - n + 1):
+            fv[prefix + "_".join(tokens[i:i + n])] = 1.0
+    return fv
+
+
+def ref_registry_names(vectors, min_ngram_count):
+    counts = {}
+    for fv in vectors:
+        for name in fv:
+            counts[name] = counts.get(name, 0) + 1
+    reg = FeatureRegistry()
+    for fv in vectors:
+        for name in fv:
+            if features._is_ngram(name) and counts[name] < min_ngram_count:
+                continue
+            reg.add(name)
+    return reg.names
+
+
+def ref_vectorize(fv, registry):
+    out = {}
+    for name, value in fv.items():
+        fid = registry.id_of(name)
+        if fid is not None:
+            out[fid] = value
+    return out
+
+
+def ref_sparse_dot(w, x):
+    return sum(w[fid] * val for fid, val in x.items())
+
+
+def ref_hinge_objective(weights, bias, rows, l2):
+    penalty = 0.5 * l2 * float(weights @ weights)
+    loss = 0.0
+    for x, y, cw in rows:
+        loss += cw * max(0.0, 1.0 - y * (ref_sparse_dot(weights, x) + bias))
+    return penalty + loss / len(rows)
+
+
+def ref_svm_train(train, config):
+    """(feature names, weights, bias, objective history): one Python step
+    per feature of every instance in every epoch."""
+    registry = FeatureRegistry(ref_registry_names([fv for fv, _ in train],
+                                                  config.min_ngram_count))
+    class_weights = features.class_weight_map(label for _, label in train)
+    rows = [(ref_vectorize(fv, registry), 1.0 if label == "S" else -1.0,
+             float(class_weights[label])) for fv, label in train]
+    max_norm2 = max((sum(v * v for v in x.values()) for x, _, _ in rows), default=0.0)
+    lr = config.lr if config.lr is not None else 1.0 / (config.l2 + max(max_norm2, 1e-12))
+    w = np.zeros(len(registry))
+    b = 0.0
+    rng = np.random.default_rng(config.seed)
+    history = []
+    for _ in range(config.epochs):
+        for idx in rng.permutation(len(rows)):
+            x, y, cw = rows[idx]
+            margin = y * (ref_sparse_dot(w, x) + b)
+            w *= 1.0 - lr * config.l2
+            if margin < 1.0:
+                for fid, val in x.items():
+                    w[fid] += lr * cw * y * val
+                b += lr * cw * y
+        history.append(ref_hinge_objective(w, b, rows, config.l2))
+    return registry.names, w, b, history
+
+
+def bits(x):
+    return struct.pack("<d", x)
+
+
+# -- tokenizer ------------------------------------------------------------------
+
+# cased and uncased non-ASCII letters: titlecase, dotted capital I (whose
+# lower() is two characters), sharp s, a ligature, a Roman numeral (upper
+# and lower case but not alphabetic) and a CJK character
+PIECES = ["ǅ", "İ", "ß", "ﬁ", "Ⅻ", "ⅻ", "中", "Σ", "É", "é", "a", "B", "cD", "EF",
+          "don't", "#Sarcasm", "@User", ":)", ":p", ":-(", ":D", "!", "?", ".", ",",
+          ";", ":", "...", "?!", "http://x.example/A.b?", "www.Foo.com.", "HTTPS://Q.", "1",
+          "_", "'", '"']
+SPACES = [" ", "  ", "\t", "\n", "\u00a0", "\u3000"]
+
+words = st.lists(st.sampled_from(PIECES), min_size=1, max_size=4).map("".join)
+texts = st.lists(st.tuples(words, st.sampled_from(SPACES)), max_size=10).map(
+    lambda pairs: "".join(w + s for w, s in pairs))
+
+
+@given(texts)
+@settings(max_examples=150, deadline=None)
+def test_tokenize_and_casefold_match_reference(text):
+    tokens = data.tokenize(text)
+    assert tokens == ref_tokenize(text)
+    assert data.casefold_selective(tokens) == ref_casefold_selective(tokens)
+
+
+@given(st.lists(st.text(max_size=6)))
+@settings(max_examples=200, deadline=None)
+@example(["ǅ", "İ", "ß", "ﬁ", "Ⅻ", "中", "ǅA", "Ⅻa", "İS", "SS", ""])
+def test_casefold_matches_reference_on_any_text(tokens):
+    assert data.casefold_selective(tokens) == ref_casefold_selective(tokens)
+
+
+utterances = st.one_of(texts, st.sampled_from(["", "   ", "\t\n"]),
+                       st.lists(st.sampled_from(["Yes.", "no!", "Mr. Smith came.", "A? B",
+                                                 "e.g. this", "\"Quoted.\" Then"]),
+                                max_size=4).map(" ".join))
+
+
+@given(st.sampled_from(data.PLATFORMS), st.lists(utterances, max_size=8), texts,
+       st.sampled_from([None, 0, 1, 2, 3, 12]), st.booleans())
+@settings(max_examples=100, deadline=None)
+def test_segmentation_matches_reference(platform, context, reply, max_context, truncate):
+    inst = ConversationInstance("x", platform, context, reply or "r", "S")
+    seg = data.segment_instance(inst, max_context, truncate)
+    context_ref, reply_ref, texts_ref = ref_segment(inst, max_context, truncate)
+    assert seg.context_sentences == context_ref
+    assert seg.reply_sentences == reply_ref
+    assert data.context_sentence_texts(inst, max_context, truncate) == texts_ref
+    inst.human_triggers = [0, 3, 7]
+    total = len(ref_context_units(inst))
+    kept = min(total, data.context_cutoff(platform, max_context))
+    shifted = [t - (total - kept) for t in inst.human_triggers if t >= total - kept]
+    assert data.effective_triggers(inst, max_context) == (shifted or None)
+
+
+# -- tag questions and feature families -------------------------------------------
+
+TAG_WORDS = ["is", "it", "not", "x"]
+patterns = st.lists(st.lists(st.sampled_from(TAG_WORDS), max_size=4), max_size=6)
+
+
+@given(st.lists(st.sampled_from(TAG_WORDS), max_size=16), patterns)
+@settings(max_examples=200, deadline=None)
+@example(["is", "it", "not", "is", "not", "it", "it"],
+         [["is", "it", "not"], ["is", "not", "it"], ["is", "it"], ["is"], []])
+@example(["is", "not", "is", "it", "not"], [["is", "not"], ["is", "not", "it"], ["not", "is"]])
+@example(["is", "it", "is", "it"], [["is"], ["is", "it", "is"]])
+def test_tag_question_index_matches_linear_scan(lowered, pats):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(features, "TAG_QUESTION_INDEX", features._index_patterns(pats))
+        assert features._count_tag_questions(lowered) == ref_count_tag_questions(lowered, pats)
+
+
+BUNDLED = [p for pats in features.TAG_QUESTION_INDEX.values() for p in pats]
+
+
+@given(st.lists(st.sampled_from(sorted({t for p in BUNDLED for t in p}) + ["x"]),
+                max_size=16))
+@settings(max_examples=150, deadline=None)
+def test_bundled_tag_questions_match_linear_scan(lowered):
+    assert features._count_tag_questions(lowered) == ref_count_tag_questions(lowered, BUNDLED)
+
+
+def test_bundled_tag_questions_all_indexed():
+    lines = data.load_resource_list("tag_questions.txt")
+    assert sorted(BUNDLED) == sorted(p.split() for p in lines)
+
+
+@given(st.lists(st.sampled_from(["a", "b", "a_b", "_", "c"]), max_size=8))
+@settings(max_examples=150, deadline=None)
+def test_ngram_features_match_reference_in_order(tokens):
+    fv = features.ngram_features(tokens)
+    ref = ref_ngram_features(tokens)
+    assert list(fv.items()) == list(ref.items())
+
+
+def test_lexicon_categories_match_any_scan(tiny_lexicons):
+    for tokens in (["LOVE", "x"], ["never"], ["x", "y"], [], ["Always", "hate"]):
+        fv = features.lexicon_features(tokens, "reply", tiny_lexicons)
+        lowered = [t.lower() for t in tokens]
+        expected = [f"cat:{name}" for name, words in sorted(tiny_lexicons.categories.items())
+                    if any(t in words for t in lowered)]
+        assert [k for k in fv if k.startswith("cat:")] == expected
+
+
+# -- SVM -------------------------------------------------------------------------
+
+# n-gram names, which the min_ngram_count cutoff drops, and names it keeps;
+# enough of them that the order of a margin's additions changes its rounding
+NAMES = ([f"r|ng1:w{i}" for i in range(10)] + ["r|ng2:a_b", "c|ng1:a", "c|ng3:a_b_c", "ng1:z"]
+         + [f"r|cat:k{i}" for i in range(8)]
+         + ["r|pos_count", "c|ind:question", "incongruity", "r|ind:allcaps"])
+# non-binary values, signed zeros, and ones whose products round
+VALUES = st.one_of(st.sampled_from([1.0, 2.0, 3.0, 0.1, -0.0, 0.0, 1e-3, 7.25]),
+                   st.floats(-8.0, 8.0, allow_nan=False, allow_subnormal=False))
+vectors = st.dictionaries(st.sampled_from(NAMES), VALUES, max_size=20)
+training_sets = st.tuples(vectors, vectors, st.lists(
+    st.tuples(vectors, st.sampled_from(["S", "NS"])), max_size=10)).map(
+        lambda t: [(t[0], "S"), (t[1], "NS")] + t[2])
+configs = st.builds(SvmConfig, epochs=st.integers(1, 5),
+                    l2=st.sampled_from([0.0, 1e-4, 0.01, 0.3]),
+                    lr=st.sampled_from([None, None, 0.05, 0.5]),
+                    seed=st.integers(0, 3), min_ngram_count=st.integers(1, 3))
+
+
+@given(training_sets, configs, st.lists(vectors, max_size=3))
+@settings(max_examples=100, deadline=None)
+@example([({}, "S"), ({}, "NS")], SvmConfig(epochs=2), [{}])
+@example([({"r|cat:x": -0.0}, "S"), ({"r|cat:x": 1.0}, "NS"), ({}, "S")],
+         SvmConfig(epochs=3, l2=0.01), [{"r|cat:x": -0.0}])
+def test_svm_train_matches_reference_bit_for_bit(train, config, unseen):
+    names, w, b, history = ref_svm_train(train, config)
+    model = features.svm_train(train, config)
+    assert model.registry.names == names
+    assert model.weights.tobytes() == w.tobytes()
+    assert bits(model.bias) == bits(b)
+    assert [bits(h) for h in model.objective_history] == [bits(h) for h in history]
+    for fv in [fv for fv, _ in train] + unseen:
+        label, margin = features.svm_predict(model, fv)
+        ref_margin = ref_sparse_dot(w, ref_vectorize(fv, model.registry)) + b
+        assert bits(margin) == bits(ref_margin)
+        assert label == ("S" if ref_margin > 0.0 else "NS")
+
+
+rows = st.lists(st.tuples(st.dictionaries(st.integers(0, 19), VALUES, max_size=16),
+                          st.sampled_from([1.0, -1.0]),
+                          st.sampled_from([0.5, 1.0, 1.5, 2.75])), min_size=1, max_size=8)
+
+
+@given(rows, st.lists(VALUES, min_size=20, max_size=20), VALUES,
+       st.sampled_from([0.0, 1e-4, 0.5]))
+@settings(max_examples=60, deadline=None)
+def test_hinge_objective_matches_reference(rows, weights, bias, l2):
+    w = np.array(weights)
+    assert bits(features.hinge_objective(w, bias, rows, l2)) == \
+        bits(ref_hinge_objective(w, bias, rows, l2))
+
+
+@pytest.mark.parametrize("bias", [0.0, -0.0, 1.5])
+def test_svm_margin_of_signed_zero_products(bias):
+    # every product is -0.0: a sum that starts from 0 is +0.0
+    model = SvmModel(FeatureRegistry(["a", "b"]), np.array([-1.0, 2.0]), bias,
+                     {"S": 1, "NS": 1})
+    fv = {"a": 0.0, "b": -0.0}
+    ref = ref_sparse_dot(model.weights, ref_vectorize(fv, model.registry)) + bias
+    assert bits(features.svm_predict(model, fv)[1]) == bits(ref)
+
+
+def test_padding_stays_under_twice_the_entries():
+    # one long row among short ones widens only its own group
+    lengths = (0, 1, 3, 2, 900, 5, 0)
+    arrays = [features._arrays({i: 1.0 for i in range(n)}) for n in lengths]
+    groups = features._padded(arrays, 1000)
+    assert sorted(r for rows, _, _ in groups for r in rows.tolist()) == list(range(len(lengths)))
+    assert sum(ids.size for _, ids, _ in groups) < 2 * sum(lengths)

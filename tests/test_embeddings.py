@@ -117,6 +117,20 @@ def test_vectors_are_frozen(tmp_path, monkeypatch):
         oov[0] = 9.0
 
 
+def test_stored_vectors_cannot_be_made_writeable(tmp_path, monkeypatch):
+    # "u" is in a block that falls back to the per-line parse (the 1_0)
+    monkeypatch.setattr(embeddings, "BLOCK_CHARS", 12)
+    body = "".join(f"t{i} {i} 2\n" for i in range(6)) + "u 1_0 3\n"
+    table = load_embeddings(write(tmp_path, "7 2\n" + body), 2)
+    for token in ("t0", "u", "not-in-vocab"):
+        vec = lookup(table, token)
+        with pytest.raises(ValueError):
+            vec.setflags(write=True)
+        with pytest.raises(ValueError):
+            vec[0] = 9.0
+    assert table.vocab["u"].tolist() == [10.0, 3.0]
+
+
 def test_sentence_avg_single_token(tmp_path):
     table = load_embeddings(write(tmp_path, "1 3\na 1 2 3\n"), 3)
     assert np.array_equal(sentence_avg(table, ["a"]), [1.0, 2.0, 3.0])

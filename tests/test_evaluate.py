@@ -166,6 +166,28 @@ def test_heatmap_byte_identical(tmp_path):
     assert (tmp_path / "one.svg").read_bytes() == (tmp_path / "two.svg").read_bytes()
 
 
+def test_heatmap_bytes_for_markup_characters(tmp_path):
+    # & < > are escaped, quotes are not; these bytes predate the escaping
+    # function now used
+    record = AttentionRecord(context_weights=np.array([0.25, 0.75]),
+                             reply_weights=np.array([1.0]))
+    export_heatmap(['Tom & Jerry <3 "quoted"', "it's > 2 & < 5 'ok'"], record,
+                   tmp_path / "m.svg", human_triggers=[0])
+    assert (tmp_path / "m.svg").read_bytes() == (
+        b'<?xml version="1.0" encoding="UTF-8"?>\n'
+        b'<svg xmlns="http://www.w3.org/2000/svg" width="1200" height="84" '
+        b'font-family="monospace" font-size="13">\n'
+        b'<rect x="8" y="8" width="560" height="28" fill="#d62728" '
+        b'fill-opacity="0.250000" stroke="#000000" stroke-width="2"/>\n'
+        b'<text x="576" y="27">0.250</text>\n'
+        b'<text x="632" y="27">Tom &amp; Jerry &lt;3 "quoted"</text>\n'
+        b'<rect x="8" y="42" width="560" height="28" fill="#d62728" '
+        b'fill-opacity="0.750000" stroke="none"/>\n'
+        b'<text x="576" y="61">0.750</text>\n'
+        b"<text x=\"632\" y=\"61\">it's &gt; 2 &amp; &lt; 5 'ok'</text>\n"
+        b'</svg>\n')
+
+
 def test_heatmap_single_full_intensity_row(tmp_path):
     record = AttentionRecord(context_weights=np.array([1.0]),
                              reply_weights=np.array([1.0]))

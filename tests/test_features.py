@@ -13,8 +13,7 @@ from convsarc.features import (FeatureRegistry, SvmConfig, assemble,
                                indicator_features, lexicon_features,
                                load_lexicons, ngram_features,
                                load_svm_checkpoint, save_svm_checkpoint,
-                               sentiment_incongruity, svm_predict, svm_train,
-                               vectorize)
+                               sentiment_incongruity, svm_predict, svm_train)
 
 # -- n-grams -----------------------------------------------------------------
 
@@ -181,7 +180,7 @@ def test_registry_build_applies_ngram_cutoff():
 
 def test_vectorize_skips_unregistered():
     reg = FeatureRegistry(["a"])
-    assert vectorize({"a": 1.0, "b": 2.0}, reg) == {0: 1.0}
+    assert reg.vectorize({"a": 1.0, "b": 2.0}) == {0: 1.0}
 
 
 # -- lexicon loading ---------------------------------------------------------------
