@@ -13,7 +13,7 @@ import argparse
 from convsarc.data import load_corpus, segment_instance, stratified_split
 from convsarc.embeddings import load_embeddings
 from convsarc.evaluate import format_table, prf1
-from convsarc.models import TrainSettings, predict, train_model
+from convsarc.models import TrainSettings, score, train_model
 
 DEFAULT_VARIANTS = ("reply_only", "concat", "conditional", "sent_attn")
 
@@ -39,6 +39,7 @@ def main():
     train, dev, test = stratified_split(instances, args.seed)
     table = load_embeddings(args.embeddings, args.embed_dim)
     hidden = args.hidden_dim or args.embed_dim
+    test_segs = [segment_instance(i) for i in test]
 
     rows = []
     for variant in args.variants:
@@ -47,8 +48,7 @@ def main():
             dropout=args.dropout, batch_size=args.batch_size,
             epochs=args.epochs, patience=args.patience, seed=args.seed)
         result = train_model(train, dev, table, settings)
-        preds = [predict(result.params, segment_instance(i), table)[0]
-                 for i in test]
+        preds = score(result.params, test_segs, table)[0]
         metrics = prf1([i.label for i in test], preds)
         rows.append((variant, metrics))
         print(f"{variant}: trained {len(result.log)} epochs, "

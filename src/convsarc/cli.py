@@ -213,6 +213,10 @@ def _scoring_setup(cfg: RunConfig) -> tuple[str, list]:
     return kind, _eval_instances(cfg)
 
 
+def _segments(cfg: RunConfig, instances) -> list:
+    return [data.segment_instance(inst, cfg.resolved_max_context) for inst in instances]
+
+
 def _predictions(cfg: RunConfig, kind: str, instances) -> tuple[list[dict], str]:
     rows = []
     if kind == "svm":
@@ -226,11 +230,10 @@ def _predictions(cfg: RunConfig, kind: str, instances) -> tuple[list[dict], str]
         return rows, f"svm_{task}"
     params = models.load_checkpoint(cfg.checkpoint)
     table = load_embeddings(cfg.embeddings, params.embed_dim)
-    for inst in instances:
-        seg = data.segment_instance(inst, cfg.resolved_max_context)
-        label, probs, _ = models.predict(params, seg, table)
+    labels, probs, _ = models.score(params, _segments(cfg, instances), table)
+    for inst, label, p in zip(instances, labels, probs):
         rows.append({"id": inst.id, "gold": inst.label, "label": label,
-                     "p_s": float(probs[0]), "p_ns": float(probs[1])})
+                     "p_s": float(p[0]), "p_ns": float(p[1])})
     return rows, params.variant
 
 
@@ -267,12 +270,12 @@ def cmd_attention(cfg: RunConfig) -> None:
             f"checkpoint: variant '{params.variant}' has no attention weights")
     table = load_embeddings(cfg.embeddings, params.embed_dim)
     instances = _eval_instances(cfg)
+    segs = _segments(cfg, instances)
+    _, _, records = models.score(params, segs, table)
     out = _prepare_outdir(cfg)
     sentence_level = params.variant in ("sent_attn", "hier_attn")
     overlap_records = []
-    for inst in instances:
-        seg = data.segment_instance(inst, cfg.resolved_max_context)
-        _, _, record = models.predict(params, seg, table)
+    for inst, seg, record in zip(instances, segs, records):
         if sentence_level:
             rows = data.context_sentence_texts(inst, cfg.resolved_max_context)
             triggers = data.effective_triggers(inst, cfg.resolved_max_context)

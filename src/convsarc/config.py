@@ -8,6 +8,7 @@ import json
 import os
 from dataclasses import dataclass, asdict, fields
 
+from .data import context_cutoff
 from .errors import ConfigError
 
 MODEL_CHOICES = ("reply_only", "concat", "conditional",
@@ -16,7 +17,6 @@ TASK_CHOICES = ("reply_only", "context_and_reply")
 PLATFORM_CHOICES = ("forum", "twitter")
 
 _PLATFORM_EMBED_DIM = {"twitter": 100, "forum": 300}
-_PLATFORM_CUTOFF = {"twitter": 5, "forum": 10}
 
 _STRING_KEYS = ("variant", "task", "platform", "corpus", "raw_tweets",
                 "embeddings", "lexicons", "checkpoint", "outdir")
@@ -79,8 +79,7 @@ class RunConfig:
 
     @property
     def resolved_max_context(self) -> int:
-        return self.max_context if self.max_context is not None \
-            else _PLATFORM_CUTOFF[self.platform]
+        return context_cutoff(self.platform, self.max_context)
 
     # ---- IO ----
 

@@ -83,7 +83,7 @@ class LabeledTweet:
     reply_to: str | None
 
 
-def tokenize(text: str, platform: str = "twitter") -> list[str]:
+def tokenize(text: str) -> list[str]:
     """Whitespace splitting plus minimal rules shared by both platforms:
     terminal punctuation (.,!?;:) becomes its own token; hashtags, mentions,
     URLs, and emoticons survive whole; internal apostrophes are kept.
@@ -215,7 +215,7 @@ def twitter_filter(records: Iterable[dict]) -> list[LabeledTweet]:
         if norm in seen:
             continue
         seen.add(norm)
-        tokens = tokenize(norm, "twitter")
+        tokens = tokenize(norm)
         content = [t for t in tokens
                    if not t.startswith("#") and not _URL_RE.match(t)]
         if len(content) < 3:
@@ -295,29 +295,24 @@ def context_cutoff(platform: str, max_context: int | None = None) -> int:
 
 
 def segment_instance(inst: ConversationInstance,
-                     max_context: int | None = None,
-                     truncate: bool = True) -> SegmentedInstance:
+                     max_context: int | None = None) -> SegmentedInstance:
     """Tokenized, casefolded view of an instance. Truncation keeps only the
     most recent context sentences (10 forum / 5 twitter by default, or
     max_context), and only those are tokenized; the reply is never
     truncated."""
     return SegmentedInstance(
-        context_sentences=[casefold_selective(tokenize(u, inst.platform))
-                           for u in context_sentence_texts(inst, max_context, truncate)],
-        reply_sentences=[casefold_selective(tokenize(u, inst.platform))
+        context_sentences=[casefold_selective(tokenize(u))
+                           for u in context_sentence_texts(inst, max_context)],
+        reply_sentences=[casefold_selective(tokenize(u))
                          for u in _sentence_texts(inst.reply, inst.platform)],
         label=inst.label)
 
 
 def context_sentence_texts(inst: ConversationInstance,
-                           max_context: int | None = None,
-                           truncate: bool = True) -> list[str]:
+                           max_context: int | None = None) -> list[str]:
     """Raw context sentences aligned 1:1 with the segmented token lists."""
-    texts = _context_texts(inst)
-    if truncate:
-        cutoff = context_cutoff(inst.platform, max_context)
-        texts = texts[-cutoff:] if cutoff else []
-    return texts
+    cutoff = context_cutoff(inst.platform, max_context)
+    return _context_texts(inst)[-cutoff:] if cutoff else []
 
 
 def effective_triggers(inst: ConversationInstance,

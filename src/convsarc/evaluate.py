@@ -95,8 +95,7 @@ def attention_overlap(records: Sequence[tuple]) -> float:
         raise DomainError("attention_overlap of an empty record list")
     hits = 0
     for record, triggers in records:
-        weights = np.asarray(getattr(record, "context_weights", record),
-                             dtype=np.float64)
+        weights = np.asarray(record.context_weights, dtype=np.float64)
         if weights.size == 0:
             raise DomainError("attention record has no context weights")
         if not triggers:

@@ -200,12 +200,10 @@ def _project(H: np.ndarray, ap: AttentionParams) -> np.ndarray:
     return np.tanh(U, out=U)
 
 
-def _attend_forward(H: np.ndarray, ap: AttentionParams, lengths=None):
-    """Pool each run of lengths[b] consecutive rows of H (n x d), or all
-    rows when lengths is None. Returns (pooled, weights of every row,
-    cache); pooled has one row per run, or is a vector without lengths."""
-    single = lengths is None
-    lengths = np.array([H.shape[0]] if single else lengths, dtype=np.intp)
+def _attend_forward(H: np.ndarray, ap: AttentionParams, lengths: Sequence[int]):
+    """Pool each run of lengths[b] consecutive rows of H (n x d). Returns
+    (pooled, one row per run; weights of every row; cache)."""
+    lengths = np.array(lengths, dtype=np.intp)
     if not (lengths > 0).all():
         raise DomainError("attention over an empty sequence")
     starts = lengths.cumsum() - lengths
@@ -217,16 +215,15 @@ def _attend_forward(H: np.ndarray, ap: AttentionParams, lengths=None):
     np.exp(alpha, out=alpha)
     alpha /= np.add.reduceat(alpha, starts).repeat(lengths)
     pooled = np.add.reduceat(alpha[:, None] * H, starts, axis=0)
-    return (pooled[0] if single else pooled), alpha, (H, alpha, starts, lengths)
+    return pooled, alpha, (H, alpha, starts, lengths)
 
 
 def _attend_backward(ap: AttentionParams, cache, dv: np.ndarray):
     """Grads of the attention parameters (summed over runs) and dH, from dv
-    shaped like the pooled output. The cache is used once: its hidden
-    states are released before dH is built."""
+    (one row per run, like the pooled output). The cache is used once: its
+    hidden states are released before dH is built."""
     H, alpha, starts, lengths = cache
     del cache
-    dv = np.atleast_2d(dv)
     run = np.repeat(np.arange(len(lengths)), lengths)
     dalpha = (H @ dv.T)[np.arange(H.shape[0]), run]  # h_i . dv of its run
     # softmax jacobian within each run
@@ -315,7 +312,7 @@ def _forward(params: ModelParams, segs: Sequence[SegmentedInstance],
         if variant == "conditional" and side == "r":
             init = LSTMState(np.zeros((B, H)), finals["c"].c)
         hs, finals[side], caches[side] = lstm_forward(
-            getattr(params, f"lstm_{side}"), inputs.pop(side), init, lengths[side])
+            getattr(params, f"lstm_{side}"), inputs.pop(side), lengths[side], init)
         if attention:
             attn[side] = _attend_forward(hs, getattr(params, f"attn_{side}"), lengths[side])
         del hs  # attention's cache keeps what it needs
@@ -438,19 +435,25 @@ def _tokens(seg: SegmentedInstance) -> int:
 
 def _sub_batches(indices, segs: Sequence[SegmentedInstance]) -> list[list[int]]:
     """indices cut into the fewest runs of about equal size that keep each
-    run near MAX_PASS_TOKENS on average."""
+    run near MAX_PASS_TOKENS on average; none when there are no indices."""
     indices = list(indices)
     tokens = sum(_tokens(segs[i]) for i in indices)
     passes = min(len(indices), -(-tokens // MAX_PASS_TOKENS))
-    return [run.tolist() for run in np.array_split(indices, max(passes, 1))]
+    return [run.tolist() for run in np.array_split(indices, max(passes, 1)) if run.size]
 
 
-def _predict_labels(params, segs, table) -> list[str]:
-    labels = []
+def score(params: ModelParams, segs: Sequence[SegmentedInstance], table: EmbeddingTable
+          ) -> tuple[list[str], np.ndarray, list[AttentionRecord | None]]:
+    """predict for a batch of instances, run as sub-batches under
+    MAX_PASS_TOKENS: labels, B x 2 probabilities (S, NS), and attention
+    records (None without attention)."""
+    probs, records = [np.empty((0, 2))], []
     for run in _sub_batches(range(len(segs)), segs):
-        probs = _forward(params, [segs[i] for i in run], table)[0]
-        labels.extend(_label(p) for p in probs)
-    return labels
+        run_probs, run_records, _, _ = _forward(params, [segs[i] for i in run], table)
+        probs.append(run_probs)
+        records += run_records
+    probs = np.concatenate(probs)
+    return [_label(p) for p in probs], probs, records
 
 
 def _batch_grads(params, segs, labels, table, dropout_rate, rng):
@@ -472,7 +475,7 @@ def _batch_grads(params, segs, labels, table, dropout_rate, rng):
 
 
 def _dev_macro_f1(params, segs, gold, table) -> float:
-    metrics = evaluate.prf1(gold, _predict_labels(params, segs, table))
+    metrics = evaluate.prf1(gold, score(params, segs, table)[0])
     return (metrics.per_class["S"].f1 + metrics.per_class["NS"].f1) / 2.0
 
 
@@ -535,12 +538,6 @@ def train_model(train_insts: Sequence[ConversationInstance],
         if settings.patience is not None and epochs_since_best >= settings.patience:
             break
     return TrainResult(best_params, log, best_epoch)
-
-
-def training_accuracy(params, insts, table, max_context=None) -> float:
-    segs = [segment_instance(i, max_context) for i in insts]
-    preds = _predict_labels(params, segs, table)
-    return sum(p == inst.label for p, inst in zip(preds, insts)) / len(insts)
 
 
 # --------------------------------------------------------------------------

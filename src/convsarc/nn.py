@@ -36,12 +36,10 @@ def sigmoid(x: Array) -> Array:
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def _as_vector(name: str, v, dim: int | None = None) -> Array:
+def _as_vector(name: str, v) -> Array:
     v = np.asarray(v, dtype=np.float64)
     if v.ndim != 1:
         raise ShapeError(f"{name} must be a vector, got shape {v.shape}")
-    if dim is not None and v.shape[0] != dim:
-        raise ShapeError(f"{name} has length {v.shape[0]}, expected {dim}")
     return v
 
 
@@ -87,12 +85,8 @@ class LSTMCellParams:
 
 @dataclass
 class LSTMState:
-    h: Array
-    c: Array
-
-    @classmethod
-    def zeros(cls, hidden_dim: int) -> "LSTMState":
-        return cls(np.zeros(hidden_dim), np.zeros(hidden_dim))
+    h: Array  # one row per sequence: B x hidden
+    c: Array  # B x hidden
 
 
 @dataclass
@@ -110,33 +104,17 @@ class LSTMCache:
     sizes: list[int]  # n_t; step t's previous states are the first n_t rows of step t-1's
     order: Array  # order[j] is the caller's index of the j-th sorted sequence
     perm: Array | None  # packed row r came from the caller's row perm[r]; None: same order
-    single: bool  # the caller passed one sequence without lengths
 
     def __len__(self) -> int:
         return self.x.shape[0]
 
 
-def _stack_steps(inputs, dim: int) -> Array:
-    if isinstance(inputs, np.ndarray) and inputs.ndim == 2 and inputs.shape[1] == dim:
-        return np.asarray(inputs, dtype=np.float64)
-    X = np.empty((len(inputs), dim))
-    for t, x in enumerate(inputs):
-        try:
-            X[t] = _as_vector("x", x, dim)
-        except ShapeError as e:
-            raise ShapeError(f"step {t}: {e}") from None
-    return X
-
-
 def _sorted_rows(name: str, v, order: Array, dim: int) -> Array:
     """A fresh (B x dim) copy of per-sequence rows in sorted order; v is
-    None (zeros), one vector for every sequence, or one row per sequence in
-    the caller's order."""
+    None (zeros) or one row per sequence in the caller's order."""
     if v is None:
         return np.zeros((len(order), dim))
     v = np.asarray(v, dtype=np.float64)
-    if v.ndim == 1:
-        return np.tile(_as_vector(name, v, dim), (len(order), 1))
     if v.shape != (len(order), dim):
         raise ShapeError(f"{name} has shape {v.shape}, expected ({len(order)}, {dim})")
     return v[order]
@@ -167,24 +145,22 @@ def _pack(lengths: list[int]):
     return order, sizes.tolist(), perm, final_rows
 
 
-def lstm_forward(params: LSTMCellParams, inputs: Sequence,
-                 init: LSTMState | None = None, lengths: Sequence[int] | None = None
-                 ) -> tuple[Array, LSTMState, LSTMCache]:
+def lstm_forward(params: LSTMCellParams, inputs: Array, lengths: Sequence[int],
+                 init: LSTMState | None = None) -> tuple[Array, LSTMState, LSTMCache]:
     """Run the cell over a batch of sequences whose input vectors are the
-    consecutive rows of inputs (a sequence of vectors or a steps x input
-    matrix), lengths[b] rows for sequence b. Without lengths, inputs is one
-    sequence.
+    consecutive rows of the steps x input matrix inputs, lengths[b] rows
+    for sequence b.
 
     Returns (steps x hidden matrix of hidden states in the rows' order,
-    final state, cache for lstm_backward). init and the final state hold
-    one row per sequence (B x hidden); a vector init is every sequence's.
-    Without lengths they are vectors, and an empty sequence returns init
-    untouched as the final state.
+    final state, cache for lstm_backward). init (zeros when None) and the
+    final state hold one row per sequence (B x hidden); a sequence of no
+    steps ends in its initial state.
     """
     H = params.hidden_dim
-    X = _stack_steps(inputs, params.input_dim)
-    single = lengths is None
-    lengths = [X.shape[0]] if single else [int(n) for n in lengths]
+    X = np.asarray(inputs, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != params.input_dim:
+        raise ShapeError(f"x has shape {X.shape}, expected (steps, {params.input_dim})")
+    lengths = [int(n) for n in lengths]
     if min(lengths, default=0) < 0 or sum(lengths) != X.shape[0]:
         raise ShapeError(f"lengths {lengths} do not add up to the {X.shape[0]} input rows")
     B, N = len(lengths), X.shape[0]
@@ -220,19 +196,13 @@ def lstm_forward(params: LSTMCellParams, inputs: Sequence,
         h *= a[:, 2 * H:3 * H]
         p, r = B + r, r + n
     # hidden states are not cached: lstm_backward recomputes them from c and o
-    cache = LSTMCache(Xp, gates, hs[:B].copy(), cs, sizes, order, perm, single)
+    cache = LSTMCache(Xp, gates, hs[:B].copy(), cs, sizes, order, perm)
     if perm is None:
         out = hs[B:]
     else:
         out = np.empty((N, H))
         out[perm] = hs[B:]
-    if single:
-        final = LSTMState(hs[final_rows[0]], cs[final_rows[0]])
-        if not N and init is not None:
-            final = init
-    else:
-        final = LSTMState(hs[final_rows], cs[final_rows])
-    return out, final, cache
+    return out, LSTMState(hs[final_rows], cs[final_rows]), cache
 
 
 def lstm_backward(params: LSTMCellParams, cache: LSTMCache,
@@ -248,10 +218,10 @@ def lstm_backward(params: LSTMCellParams, cache: LSTMCache,
     gradient flowing into each h_t from outside the recurrence (e.g.
     attention over all states); dh_final / dc_final flow into each
     sequence's last h and c (e.g. classifier input, or a downstream encoder
-    seeded from this cell's memory), shaped like the final state. Returns
-    (parameter grads summed over the batch, steps x input gradient of the
-    inputs, or None unless need_dx, gradient w.r.t. the initial state shaped
-    like the final state).
+    seeded from this cell's memory), B x hidden like the final state.
+    Returns (parameter grads summed over the batch, steps x input gradient
+    of the inputs, or None unless need_dx, gradient w.r.t. the initial
+    state, B x hidden).
     """
     H = params.hidden_dim
     B = len(cache.order)
@@ -311,8 +281,6 @@ def lstm_backward(params: LSTMCellParams, cache: LSTMCache,
     dc0 = np.empty_like(dc_next)
     dh0[cache.order] = dh_next
     dc0[cache.order] = dc_next
-    if cache.single:
-        dh0, dc0 = dh0[0], dc0[0]
     return grads, dX, (dh0, dc0)
 
 

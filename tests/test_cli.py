@@ -4,12 +4,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import convsarc
 
+from convsarc import evaluate, models
 from convsarc.cli import main
-from convsarc.data import load_corpus, save_corpus
+from convsarc.data import context_cutoff, load_corpus, save_corpus, segment_instance
+from convsarc.embeddings import load_embeddings
+from convsarc.nn import new_rng
 from convsarc.synthetic import (make_planted_cue_corpus, make_separable_corpus,
                                 synthetic_vocabulary, write_embedding_file)
 
@@ -252,3 +256,77 @@ def test_cli_import_leaves_out_xml_and_network_modules():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src), check=True).stdout
     assert out.strip() == "[]"
+
+
+def scoring_inputs(tmp_path, variant):
+    """An embedding file and a checkpoint of random (untrained) parameters."""
+    emb = tmp_path / "emb.txt"
+    write_embedding_file(emb, synthetic_vocabulary(), dim=EMBED_DIM, seed=3)
+    params = models.init_params(variant, EMBED_DIM, 6, rng=new_rng(5))
+    rng = new_rng(6)
+    params = params.replace_tensors(
+        {k: rng.uniform(-0.5, 0.5, v.shape) for k, v in params.tensors().items()})
+    ckpt = tmp_path / "checkpoint.json"
+    models.save_checkpoint(params, ckpt)
+    return emb, ckpt
+
+
+@pytest.mark.parametrize("variant", models.VARIANTS)
+def test_cli_scoring_in_passes_matches_per_instance_predict(tmp_path, monkeypatch, variant):
+    emb, ckpt = scoring_inputs(tmp_path, variant)
+    instances = make_planted_cue_corpus(16, seed=11)
+    corpus = tmp_path / "cue.jsonl"
+    save_corpus(instances, corpus)
+    params, table = models.load_checkpoint(ckpt), load_embeddings(emb, EMBED_DIM)
+    segs = [segment_instance(i, context_cutoff("twitter")) for i in instances]
+    want = [models.predict(params, seg, table) for seg in segs]
+    monkeypatch.setattr("convsarc.models.MAX_PASS_TOKENS", 40)
+    assert len(models._sub_batches(range(len(segs)), segs)) > 2
+    common = ("--checkpoint", ckpt, "--corpus", corpus, "--embeddings", emb,
+              "--platform", "twitter", "--embed-dim", EMBED_DIM)
+
+    assert run("predict", *common, "--outdir", tmp_path / "pred") == 0
+    rows = [json.loads(line) for line in
+            (tmp_path / "pred" / "predictions.jsonl").read_text().splitlines()]
+    assert [r["id"] for r in rows] == [i.id for i in instances]
+    assert [r["label"] for r in rows] == [label for label, _, _ in want]
+    for r, (_, probs, _) in zip(rows, want):
+        assert abs(r["p_s"] - probs[0]) <= 1e-12 and abs(r["p_ns"] - probs[1]) <= 1e-12
+
+    if variant not in models.ATTENTION_VARIANTS:
+        return
+    exported = []
+    export = evaluate.export_heatmap
+
+    def spy(rows, record, path, **kw):
+        exported.append(record)
+        export(rows, record, path, **kw)
+
+    monkeypatch.setattr(evaluate, "export_heatmap", spy)
+    assert run("attention", *common, "--outdir", tmp_path / "att") == 0
+    assert len(exported) == len(want)
+    for got, (_, _, record) in zip(exported, want):
+        pairs = [(got.context_weights, record.context_weights),
+                 (got.reply_weights, record.reply_weights)]
+        if variant == "hier_attn":
+            pairs += list(zip(got.context_word_weights + got.reply_word_weights,
+                              record.context_word_weights + record.reply_word_weights))
+        for a, b in pairs:
+            assert a.shape == b.shape and np.allclose(a, b, atol=1e-12, rtol=0)
+
+
+def test_empty_test_split_keeps_exit_codes(tmp_path, capsys):
+    emb, ckpt = scoring_inputs(tmp_path, "sent_attn")
+    prep = tmp_path / "prep"
+    prep.mkdir()
+    for part in ("train", "dev", "test"):
+        (prep / f"{part}.jsonl").write_text("", encoding="utf-8")
+    common = ("--checkpoint", ckpt, "--corpus", prep, "--embeddings", emb,
+              "--platform", "twitter", "--embed-dim", EMBED_DIM)
+    assert run("eval", *common, "--outdir", tmp_path / "eval") == 2
+    assert "cannot score an empty label list" in capsys.readouterr().err
+    assert run("predict", *common, "--outdir", tmp_path / "pred") == 0
+    assert (tmp_path / "pred" / "predictions.jsonl").read_text() == ""
+    assert run("attention", *common, "--outdir", tmp_path / "att") == 0
+    doc = json.loads((tmp_path / "att" / "overlap.json").read_text())
+    assert doc == {"instances": 0, "annotated": 0}

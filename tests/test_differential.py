@@ -70,16 +70,15 @@ def ref_context_units(inst):
     return units
 
 
-def ref_segment(inst, max_context, truncate):
+def ref_segment(inst, max_context):
     """(context token lists, reply token lists, context texts): tokenize
     everything, then truncate."""
     units = ref_context_units(inst)
     context = [toks for _, toks in units]
     texts = [raw for raw, _ in units]
-    if truncate:
-        cutoff = data.context_cutoff(inst.platform, max_context)
-        context = context[-cutoff:] if cutoff else []
-        texts = texts[-cutoff:] if cutoff else []
+    cutoff = data.context_cutoff(inst.platform, max_context)
+    context = context[-cutoff:] if cutoff else []
+    texts = texts[-cutoff:] if cutoff else []
     reply = [toks for _, toks in ref_sentence_units(inst.reply, inst.platform)]
     return context, reply, texts
 
@@ -213,15 +212,15 @@ utterances = st.one_of(texts, st.sampled_from(["", "   ", "\t\n"]),
 
 
 @given(st.sampled_from(data.PLATFORMS), st.lists(utterances, max_size=8), texts,
-       st.sampled_from([None, 0, 1, 2, 3, 12]), st.booleans())
+       st.sampled_from([None, 0, 1, 2, 3, 12]))
 @settings(max_examples=100, deadline=None)
-def test_segmentation_matches_reference(platform, context, reply, max_context, truncate):
+def test_segmentation_matches_reference(platform, context, reply, max_context):
     inst = ConversationInstance("x", platform, context, reply or "r", "S")
-    seg = data.segment_instance(inst, max_context, truncate)
-    context_ref, reply_ref, texts_ref = ref_segment(inst, max_context, truncate)
+    seg = data.segment_instance(inst, max_context)
+    context_ref, reply_ref, texts_ref = ref_segment(inst, max_context)
     assert seg.context_sentences == context_ref
     assert seg.reply_sentences == reply_ref
-    assert data.context_sentence_texts(inst, max_context, truncate) == texts_ref
+    assert data.context_sentence_texts(inst, max_context) == texts_ref
     inst.human_triggers = [0, 3, 7]
     total = len(ref_context_units(inst))
     kept = min(total, data.context_cutoff(platform, max_context))

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from convsarc.errors import DomainError
@@ -126,17 +126,21 @@ def test_overlap_empty_inputs_rejected():
         attention_overlap([(rec([0.5, 0.5]), [])])
 
 
+# scaling by a power of two is exact in float64, so it keeps every pair of
+# weights strictly ordered; a power such as x ** 0.25 can round two weights
+# an ulp apart to one value and create a tie
 @given(st.lists(st.tuples(
     st.lists(st.floats(0.01, 1.0), min_size=2, max_size=6),
     st.integers(0, 5)), min_size=1, max_size=20),
-    st.floats(0.1, 3.0))
+    st.integers(-10, 10))
 @settings(max_examples=50, deadline=None)
-def test_overlap_invariant_under_monotone_transform(items, power):
+@example(items=[([1 - 2**-53, 1.0], 1)], k=-2)
+def test_overlap_invariant_under_monotone_transform(items, k):
     records = []
     for weights, trig in items:
         w = np.asarray(weights) / np.sum(weights)
         records.append((rec(w), [trig % len(w)]))
-    transformed = [(rec(np.asarray(r.context_weights) ** power), t)
+    transformed = [(rec(np.asarray(r.context_weights) * 2.0 ** k), t)
                    for r, t in records]
     assert attention_overlap(records) == attention_overlap(transformed)
 

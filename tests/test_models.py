@@ -12,9 +12,9 @@ from convsarc.nn import (LSTMCellParams, finite_diff_grad, lstm_forward,
 from convsarc.models import (AttentionParams, AttentionRecord, LABEL_TO_INDEX,
                              VARIANTS, gradient_check_variant,
                              init_params, load_checkpoint, loss_and_grads,
-                             predict, save_checkpoint, train_model,
+                             predict, save_checkpoint, score, train_model,
                              TrainSettings, _attend_forward, _batch_grads,
-                             _forward, _predict_labels, _sub_batches)
+                             _forward, _sub_batches)
 from convsarc.synthetic import make_separable_corpus
 
 EMBED = 6
@@ -45,8 +45,8 @@ def probs_and_record(params, s, table):
 
 def attend(hidden, ap):
     """(pooled, weights) of attention over the rows of a hidden-state matrix."""
-    pooled, weights, _ = _attend_forward(hidden, ap)
-    return pooled, weights
+    pooled, weights, _ = _attend_forward(hidden, ap, [len(hidden)])
+    return pooled[0], weights
 
 
 BASIC = seg([["alpha", "beta"], ["gamma", "delta", "eps"]],
@@ -161,9 +161,9 @@ def test_concat_zero_context_cell_reduces_to_reply_block():
     table = oov_table()
     probs = probs_of(params, BASIC, table)
     # context block contributes exactly zero, so only the reply block matters
-    _, fin, _ = lstm_forward(params.lstm_r,
-                             [lookup(table, t) for s in BASIC.reply_sentences for t in s])
-    expected = softmax(params.W_out[:, HIDDEN:] @ fin.h + params.b_out)
+    xs = np.array([lookup(table, t) for s in BASIC.reply_sentences for t in s])
+    _, fin, _ = lstm_forward(params.lstm_r, xs, [len(xs)])
+    expected = softmax(params.W_out[:, HIDDEN:] @ fin.h[0] + params.b_out)
     assert np.allclose(probs, expected, atol=1e-12)
 
 
@@ -253,10 +253,10 @@ def test_sent_attn_matches_attend_oracle_composition():
     s = seg([["a", "b"], ["c"], ["d", "e"]], [["f"], ["g", "h"]])
     probs, record = probs_and_record(params, s, table)
 
-    sc = [sentence_avg(table, x) for x in s.context_sentences]
-    sr = [sentence_avg(table, x) for x in s.reply_sentences]
-    hs_c, _, _ = lstm_forward(params.lstm_c, sc)
-    hs_r, _, _ = lstm_forward(params.lstm_r, sr)
+    sc = np.array([sentence_avg(table, x) for x in s.context_sentences])
+    sr = np.array([sentence_avg(table, x) for x in s.reply_sentences])
+    hs_c, _, _ = lstm_forward(params.lstm_c, sc, [len(sc)])
+    hs_r, _, _ = lstm_forward(params.lstm_r, sr, [len(sr)])
     v_c, w_c = attend(hs_c, params.attn_c)
     v_r, w_r = attend(hs_r, params.attn_r)
     expected = softmax(params.W_out @ np.concatenate([v_c, v_r]) + params.b_out)
@@ -521,7 +521,7 @@ def test_scoring_runs_in_sub_batches_with_the_same_labels(monkeypatch):
     segs = BATCH * 3
     want = [predict(params, s, table)[0] for s in segs]
     monkeypatch.setattr("convsarc.models.MAX_PASS_TOKENS", 20)
-    assert _predict_labels(params, segs, table) == want
+    assert score(params, segs, table)[0] == want
 
 
 # --------------------------------------------------------------- checkpoints

@@ -20,8 +20,13 @@ def rand_cell(input_dim, hidden_dim, seed=0, scale=0.5):
 
 
 def one_step(p, x, prev):
-    """A single step of the cell as a one-step lstm_forward."""
-    return lstm_forward(p, [x], prev)[1]
+    """A single step of the cell as a one-step lstm_forward; prev and the
+    result hold 1 x hidden rows."""
+    return lstm_forward(p, x[None], [1], prev)[1]
+
+
+def zero_state(hidden_dim):
+    return LSTMState(np.zeros((1, hidden_dim)), np.zeros((1, hidden_dim)))
 
 
 def gate_blocks(p):
@@ -44,7 +49,7 @@ def reference_step(p, x, h_prev, c_prev):
 
 def test_lstm_step_all_zero():
     p = LSTMCellParams.zeros(3, 2)
-    out = one_step(p, np.zeros(3), LSTMState.zeros(2))
+    out = one_step(p, np.zeros(3), zero_state(2))
     # sigmoid(0)=0.5 and tanh(0)=0 force both outputs to zero
     assert np.allclose(out.h, 0.0)
     assert np.allclose(out.c, 0.0)
@@ -53,9 +58,9 @@ def test_lstm_step_all_zero():
 def test_lstm_step_saturated_forget_gate_wipes_memory():
     p = LSTMCellParams.zeros(1, 1)
     p.b[:] = [100.0, -100.0, 100.0, 0.0]  # i, f, o, g
-    out = one_step(p, np.zeros(1), LSTMState(np.zeros(1), np.array([5.0])))
-    assert abs(out.c[0]) < 1e-12
-    assert abs(out.h[0]) < 1e-12
+    out = one_step(p, np.zeros(1), LSTMState(np.zeros((1, 1)), np.array([[5.0]])))
+    assert abs(out.c[0, 0]) < 1e-12
+    assert abs(out.h[0, 0]) < 1e-12
 
 
 def test_lstm_step_matches_independent_gate_equations():
@@ -66,7 +71,7 @@ def test_lstm_step_matches_independent_gate_equations():
     c_prev = rng.uniform(-1, 1, 2)
     h_expect, c_expect = reference_step(p, x, h_prev, c_prev)
 
-    out = one_step(p, x, LSTMState(h_prev, c_prev))
+    out = one_step(p, x, LSTMState(h_prev[None], c_prev[None]))
     assert np.allclose(out.c, c_expect, atol=1e-12, rtol=0)
     assert np.allclose(out.h, h_expect, atol=1e-12, rtol=0)
 
@@ -74,9 +79,9 @@ def test_lstm_step_matches_independent_gate_equations():
 def test_lstm_step_shape_error_names_tensor():
     p = LSTMCellParams.zeros(3, 2)
     with pytest.raises(ShapeError, match="x"):
-        one_step(p, np.zeros(4), LSTMState.zeros(2))
+        one_step(p, np.zeros(4), zero_state(2))
     with pytest.raises(ShapeError, match="init.h"):
-        one_step(p, np.zeros(3), LSTMState(np.zeros(5), np.zeros(2)))
+        one_step(p, np.zeros(3), LSTMState(np.zeros((1, 5)), np.zeros((1, 2))))
 
 
 @given(seed=st.integers(0, 10_000))
@@ -85,7 +90,7 @@ def test_lstm_step_hidden_state_strictly_bounded(seed):
     rng = new_rng(seed)
     p = rand_cell(4, 3, seed=seed, scale=2.0)
     out = one_step(p, rng.uniform(-5, 5, 4),
-                   LSTMState(rng.uniform(-1, 1, 3), rng.uniform(-3, 3, 3)))
+                   LSTMState(rng.uniform(-1, 1, (1, 3)), rng.uniform(-3, 3, (1, 3))))
     assert np.all(np.abs(out.h) < 1.0)
     assert np.all(np.isfinite(out.c))
 
@@ -106,44 +111,47 @@ def test_lstm_init_matches_per_gate_draws():
 
 def test_lstm_run_empty_sequence_returns_init():
     p = rand_cell(3, 2)
-    init = LSTMState(np.array([0.1, -0.2]), np.array([0.3, 0.4]))
-    hs, final, cache = lstm_forward(p, [], init)
+    init = LSTMState(np.array([[0.1, -0.2]]), np.array([[0.3, 0.4]]))
+    hs, final, cache = lstm_forward(p, np.zeros((0, 3)), [0], init)
     assert hs.shape == (0, 2)
-    assert final is init
+    # the final state is a copy of the initial row, equal in value
+    assert np.array_equal(final.h, init.h) and np.array_equal(final.c, init.c)
     assert len(cache) == 0
 
 
 def test_lstm_run_single_input_equals_step():
     p = rand_cell(3, 2)
     x = new_rng(2).uniform(-1, 1, 3)
-    hs, final, _ = lstm_forward(p, [x])
+    hs, final, _ = lstm_forward(p, x[None], [1])
     h_ref, c_ref = reference_step(p, x, np.zeros(2), np.zeros(2))
     assert len(hs) == 1
-    assert np.array_equal(hs[0], final.h)
+    assert np.array_equal(hs[0], final.h[0])
     assert np.allclose(hs[0], h_ref, atol=1e-12, rtol=0)
     assert np.allclose(final.c, c_ref, atol=1e-12, rtol=0)
 
 
 def test_lstm_run_zero_params_all_zero_states():
     p = LSTMCellParams.zeros(3, 2)
-    hs, final, _ = lstm_forward(p, [np.ones(3)] * 3)
+    hs, final, _ = lstm_forward(p, np.ones((3, 3)), [3])
     assert all(np.allclose(h, 0.0) for h in hs)
     assert np.allclose(final.h, 0.0)
 
 
 def test_lstm_run_reports_bad_step_index():
+    # the steps are the rows of one matrix, so a step of the wrong width is
+    # a matrix of the wrong width
     p = LSTMCellParams.zeros(3, 2)
-    with pytest.raises(ShapeError, match="step 1"):
-        lstm_forward(p, [np.zeros(3), np.zeros(4)])
+    with pytest.raises(ShapeError, match=r"x has shape \(2, 4\), expected \(steps, 3\)"):
+        lstm_forward(p, np.zeros((2, 4)), [2])
 
 
 def test_lstm_forward_matches_stepwise_reference():
     p = rand_cell(4, 3, seed=5)
     rng = new_rng(6)
     xs = rng.uniform(-1, 1, (5, 4))
-    init = LSTMState(rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3))
-    hs, final, cache = lstm_forward(p, xs, init)
-    h, c = init.h, init.c
+    init = LSTMState(rng.uniform(-1, 1, (1, 3)), rng.uniform(-1, 1, (1, 3)))
+    hs, final, cache = lstm_forward(p, xs, [5], init)
+    h, c = init.h[0], init.c[0]
     for t, x in enumerate(xs):
         h, c = reference_step(p, x, h, c)
         assert np.allclose(hs[t], h, atol=1e-12, rtol=0)
@@ -155,16 +163,16 @@ def test_lstm_backward_matches_finite_differences():
     p = rand_cell(3, 2, seed=7)
     rng = new_rng(8)
     xs = rng.uniform(-1, 1, (4, 3))
-    c0 = rng.uniform(-1, 1, 2)
+    c0 = rng.uniform(-1, 1, (1, 2))
     w_steps = rng.uniform(-1, 1, (4, 2))  # loss weights on every hidden state
-    w_h, w_c = rng.uniform(-1, 1, 2), rng.uniform(-1, 1, 2)
+    w_h, w_c = rng.uniform(-1, 1, (1, 2)), rng.uniform(-1, 1, (1, 2))
 
     def loss(t):
         cell = LSTMCellParams.from_tensors(t)
-        hs, final, _ = lstm_forward(cell, t["x"], LSTMState(np.zeros(2), t["c0"]))
-        return float(np.sum(w_steps * hs) + w_h @ final.h + w_c @ final.c)
+        hs, final, _ = lstm_forward(cell, t["x"], [4], LSTMState(np.zeros((1, 2)), t["c0"]))
+        return float(np.sum(w_steps * hs) + np.sum(w_h * final.h) + np.sum(w_c * final.c))
 
-    _, _, cache = lstm_forward(p, xs, LSTMState(np.zeros(2), c0))
+    _, _, cache = lstm_forward(p, xs, [4], LSTMState(np.zeros((1, 2)), c0))
     grads, dx, (_, dc0) = lstm_backward(p, cache, dh_steps=w_steps,
                                         dh_final=w_h, dc_final=w_c)
     numeric = finite_diff_grad(loss, {**p.tensors(), "x": xs, "c0": c0})
@@ -185,7 +193,7 @@ def test_packed_batch_equals_single_sequence_calls():
     init = LSTMState(rng.uniform(-1, 1, (B, 2)), rng.uniform(-1, 1, (B, 2)))
     dh_steps = rng.uniform(-1, 1, (N, 2))
     dh_final, dc_final = rng.uniform(-1, 1, (B, 2)), rng.uniform(-1, 1, (B, 2))
-    hs, final, cache = lstm_forward(p, xs, init, lengths)
+    hs, final, cache = lstm_forward(p, xs, lengths, init)
     assert len(cache) == N
     grads, dx, (dh0, dc0) = lstm_backward(p, cache, dh_steps, dh_final, dc_final)
     total = {k: np.zeros_like(v) for k, v in grads.items()}
@@ -193,11 +201,13 @@ def test_packed_batch_equals_single_sequence_calls():
     for b, n in enumerate(lengths):
         rows = slice(start, start + n)
         start += n
-        hs_b, final_b, cache_b = lstm_forward(p, xs[rows], LSTMState(init.h[b], init.c[b]))
+        one = slice(b, b + 1)
+        hs_b, final_b, cache_b = lstm_forward(p, xs[rows], [n],
+                                              LSTMState(init.h[one], init.c[one]))
         g_b, dx_b, (dh0_b, dc0_b) = lstm_backward(p, cache_b, dh_steps[rows],
-                                                  dh_final[b], dc_final[b])
-        for got, want in ((hs[rows], hs_b), (final.h[b], final_b.h), (final.c[b], final_b.c),
-                          (dx[rows], dx_b), (dh0[b], dh0_b), (dc0[b], dc0_b)):
+                                                  dh_final[one], dc_final[one])
+        for got, want in ((hs[rows], hs_b), (final.h[one], final_b.h), (final.c[one], final_b.c),
+                          (dx[rows], dx_b), (dh0[one], dh0_b), (dc0[one], dc0_b)):
             assert np.allclose(got, want, atol=1e-12, rtol=0)
         for k in total:
             total[k] += g_b[k]
@@ -211,8 +221,8 @@ def test_lstm_backward_without_dx_gives_the_same_other_gradients():
     lengths = [2, 4, 1]
     xs = rng.uniform(-1, 1, (sum(lengths), 3))
     dh_final = rng.uniform(-1, 1, (len(lengths), 2))
-    full = lstm_backward(p, lstm_forward(p, xs, None, lengths)[2], dh_final=dh_final)
-    grads, dx, (dh0, dc0) = lstm_backward(p, lstm_forward(p, xs, None, lengths)[2],
+    full = lstm_backward(p, lstm_forward(p, xs, lengths)[2], dh_final=dh_final)
+    grads, dx, (dh0, dc0) = lstm_backward(p, lstm_forward(p, xs, lengths)[2],
                                           dh_final=dh_final, need_dx=False)
     assert dx is None and full[1].shape == xs.shape
     for k, v in full[0].items():
@@ -223,9 +233,9 @@ def test_lstm_backward_without_dx_gives_the_same_other_gradients():
 def test_lstm_forward_rejects_lengths_that_do_not_cover_the_inputs():
     p = LSTMCellParams.zeros(3, 2)
     with pytest.raises(ShapeError, match="lengths"):
-        lstm_forward(p, np.zeros((4, 3)), None, [2, 1])
+        lstm_forward(p, np.zeros((4, 3)), [2, 1])
     with pytest.raises(ShapeError, match="lengths"):
-        lstm_forward(p, np.zeros((1, 3)), None, [2, -1])
+        lstm_forward(p, np.zeros((1, 3)), [2, -1])
 
 
 # ------------------------------------- tanh MLP of the attention projection
