@@ -104,6 +104,7 @@ class LSTMCache:
     sizes: list[int]  # n_t; step t's previous states are the first n_t rows of step t-1's
     order: Array  # order[j] is the caller's index of the j-th sorted sequence
     perm: Array | None  # packed row r came from the caller's row perm[r]; None: same order
+    used: bool = False  # lstm_backward has overwritten gates
 
     def __len__(self) -> int:
         return self.x.shape[0]
@@ -177,23 +178,36 @@ def lstm_forward(params: LSTMCellParams, inputs: Array, lengths: Sequence[int],
     gates = Xp @ params.W.T  # input projection for every step at once
     gates += params.b
     UT = params.U.T
+    # a step of several rows stages its pre-activations as one contiguous
+    # 4 x n x hidden block, so each gate is one contiguous operand; their
+    # recurrent product takes a C-contiguous copy of U.T, the faster BLAS
+    # operand for more than one row. A single row is already contiguous per
+    # gate and keeps the transposed view, so a one-sequence pass is unchanged.
+    UTc = np.ascontiguousarray(UT) if sizes and sizes[0] > 1 else UT
     p = r = 0  # first row of the previous step's states; first packed row of this step
     for n in sizes:
         a = gates[r:r + n]
-        a += hs[p:p + n] @ UT
-        ifo = a[:, :3 * H]
+        if n == 1:
+            a += hs[p:p + 1] @ UT
+            blk = a.reshape(4, 1, H)
+        else:
+            blk = np.add(a.reshape(n, 4, H).transpose(1, 0, 2),
+                         (hs[p:p + n] @ UTc).reshape(n, 4, H).transpose(1, 0, 2),
+                         out=np.empty((4, n, H)))
+        ifo = blk[:3]
         np.negative(ifo, out=ifo)
         np.exp(ifo, out=ifo)
         ifo += 1.0
         np.reciprocal(ifo, out=ifo)
-        g = a[:, 3 * H:]
-        np.tanh(g, out=g)
+        np.tanh(blk[3], out=blk[3])
         c = cs[B + r:B + r + n]
-        np.multiply(a[:, H:2 * H], cs[p:p + n], out=c)
-        c += a[:, :H] * g
+        np.multiply(blk[1], cs[p:p + n], out=c)
+        c += blk[0] * blk[3]
         h = hs[B + r:B + r + n]
         np.tanh(c, out=h)
-        h *= a[:, 2 * H:3 * H]
+        h *= blk[2]
+        if n > 1:
+            a.reshape(n, 4, H)[:] = blk.transpose(1, 0, 2)
         p, r = B + r, r + n
     # hidden states are not cached: lstm_backward recomputes them from c and o
     cache = LSTMCache(Xp, gates, hs[:B].copy(), cs, sizes, order, perm)
@@ -212,7 +226,8 @@ def lstm_backward(params: LSTMCellParams, cache: LSTMCache,
                   need_dx: bool = True
                   ) -> tuple[dict[str, Array], Array | None, tuple[Array, Array]]:
     """Backprop through time over a cached forward pass; it overwrites the
-    cache's gate buffer, so each cache is used once.
+    cache's gate buffer, so each cache is used once: a second call raises
+    DomainError.
 
     dh_steps (steps x hidden, in the forward inputs' row order) is the
     gradient flowing into each h_t from outside the recurrence (e.g.
@@ -223,51 +238,63 @@ def lstm_backward(params: LSTMCellParams, cache: LSTMCache,
     of the inputs, or None unless need_dx, gradient w.r.t. the initial
     state, B x hidden).
     """
+    if cache.used:
+        raise DomainError("lstm_backward overwrote this cache's gates already; "
+                          "run lstm_forward again")
+    cache.used = True
     H = params.hidden_dim
-    B = len(cache.order)
-    c, perm, sizes = cache.c, cache.perm, cache.sizes
+    B, N = len(cache.order), len(cache)
+    c, perm, sizes = cache.c, cache.perm, np.array(cache.sizes, dtype=np.intp)
     dA = cache.gates  # activated gates, turned into dA (steps x 4*hidden) in place
-    h_prev = np.empty((len(cache), H))  # each row's previous hidden state, for dU
+    i, f, o, g = (dA[:, k * H:(k + 1) * H] for k in range(4))
     dh_next = _sorted_rows("dh_final", dh_final, cache.order, H)
     dc_next = _sorted_rows("dc_final", dc_final, cache.order, H)
-    starts = (np.cumsum(sizes) - sizes).tolist()
-    if sizes:
-        tanh_c = np.tanh(c[B + starts[-1]:])  # of the last step; then carried back
-    for t in range(len(sizes) - 1, -1, -1):
-        n, r = sizes[t], starts[t]
-        p = B + starts[t - 1] if t else 0  # the previous step's rows of c
-        a = dA[r:r + n]
-        i, f, o, g = (a[:, k * H:(k + 1) * H] for k in range(4))
+    # Everything that does not depend on the recurrence is computed for all
+    # rows at once, before the loop. prev[r] is the state row (initial
+    # states first, then the packed steps) that packed row r continued from;
+    # the rows of step 0 come first and continue from the initial states.
+    starts = np.cumsum(sizes) - sizes
+    step = np.repeat(np.arange(len(sizes)), sizes)
+    prev = np.arange(N) - starts[step]  # each row's rank in its step
+    n0 = int(sizes[0]) if N else 0
+    prev[n0:] += B + starts[step[n0:] - 1]
+    tanh_c = np.tanh(c[B:])
+    tmp = tanh_c * o  # each row's h, as the forward pass computed it
+    h_prev = np.empty((N, H))  # each row's previous hidden state, for dU
+    h_prev[:n0] = cache.h0[:n0]
+    np.take(tmp, prev[n0:] - B, axis=0, out=h_prev[n0:])
+    k_c = np.square(tanh_c)  # dc = k_c dh + dc_next
+    np.subtract(1.0, k_c, out=k_c)
+    k_c *= o
+    f_keep = f.copy()  # dc_next = dc f
+    # each gate pre-activation's derivative over the factor dc (dh for o),
+    # written over the gates: i(1-i) g, f(1-f) c_prev, o(1-o) tanh(c), (1-g^2) i;
+    # tmp and then tanh_c serve as scratch
+    o *= np.subtract(1.0, o, out=tmp)
+    o *= tanh_c
+    k_g = np.square(g, out=tmp)
+    np.subtract(1.0, k_g, out=k_g)
+    k_g *= i
+    i *= np.subtract(1.0, i, out=tanh_c)
+    i *= g
+    g[:] = k_g
+    f *= np.subtract(1.0, f, out=tanh_c)
+    f *= np.take(c, prev, axis=0, out=tanh_c)
+    del tanh_c, tmp, k_g  # free the scratch before the loop
+    if dh_steps is not None and perm is not None:
+        dh_steps = dh_steps[perm]
+    for n, r in zip(reversed(cache.sizes), reversed(starts.tolist())):
+        a = dA[r:r + n].reshape(n, 4, H)
         dh = dh_next[:n]
         if dh_steps is not None:
-            dh = dh + (dh_steps[r:r + n] if perm is None else dh_steps[perm[r:r + n]])
-        dc = np.square(tanh_c)
-        np.subtract(1.0, dc, out=dc)
-        dc *= o
-        dc *= dh
+            dh = dh + dh_steps[r:r + n]
+        dc = k_c[r:r + n] * dh
         dc += dc_next[:n]
-        np.multiply(dc, f, out=dc_next[:n])
-        # each gate pre-activation's derivative times the factor it multiplies,
-        # written over the gates: da_i = dc g i (1-i), da_f = dc c_prev f (1-f),
-        # da_o = dh tanh(c) o (1-o), da_g = dc i (1-g^2)
-        da_g = np.square(g)
-        np.subtract(1.0, da_g, out=da_g)
-        da_g *= i
-        ifo = a[:, :3 * H]
-        ifo *= 1.0 - ifo
-        i *= g
-        f *= c[p:p + n]
-        o *= tanh_c
-        o *= dh
-        a.reshape(n, 4, H)[:, :2] *= dc[:, None]
-        np.multiply(da_g, dc, out=g)
-        # o * tanh(c) of the previous step, as the forward pass computed it
-        if t:
-            tanh_c = np.tanh(c[p:p + sizes[t - 1]])
-            np.multiply(tanh_c[:n], dA[p - B:p - B + n, 2 * H:3 * H], out=h_prev[r:r + n])
-        else:
-            h_prev[:n] = cache.h0[:n]
-        np.matmul(a, params.U, out=dh_next[:n])
+        np.multiply(dc, f_keep[r:r + n], out=dc_next[:n])
+        a[:, :2] *= dc[:, None]
+        a[:, 2] *= dh
+        a[:, 3] *= dc
+        np.matmul(dA[r:r + n], params.U, out=dh_next[:n])
     del dh_steps
     grads = {"W": dA.T @ cache.x, "U": dA.T @ h_prev, "b": dA.sum(axis=0)}
     del h_prev

@@ -7,9 +7,10 @@ import hypothesis.strategies as st
 
 from convsarc.errors import DomainError, NumericError, ShapeError
 from convsarc.models import AttentionParams, _project
-from convsarc.nn import (LSTMCellParams, LSTMState, cross_entropy,
-                         dropout_mask, finite_diff_grad, lstm_backward,
-                         lstm_forward, new_rng, sgd_step, sigmoid, softmax)
+from convsarc.nn import (LSTMCache, LSTMCellParams, LSTMState, _pack,
+                         _sorted_rows, cross_entropy, dropout_mask,
+                         finite_diff_grad, lstm_backward, lstm_forward,
+                         new_rng, sgd_step, sigmoid, softmax)
 
 
 def rand_cell(input_dim, hidden_dim, seed=0, scale=0.5):
@@ -236,6 +237,224 @@ def test_lstm_forward_rejects_lengths_that_do_not_cover_the_inputs():
         lstm_forward(p, np.zeros((4, 3)), [2, 1])
     with pytest.raises(ShapeError, match="lengths"):
         lstm_forward(p, np.zeros((1, 3)), [2, -1])
+
+
+def test_lstm_backward_refuses_a_used_cache():
+    # the first call overwrites the cache's gates; a second one would return
+    # wrong gradients, so it raises instead
+    p = rand_cell(3, 2, seed=13)
+    xs = new_rng(14).uniform(-1, 1, (5, 3))
+    _, _, cache = lstm_forward(p, xs, [2, 3])
+    lstm_backward(p, cache, dh_final=np.ones((2, 2)))
+    assert len(cache) == 5
+    with pytest.raises(DomainError, match="cache"):
+        lstm_backward(p, cache, dh_final=np.ones((2, 2)))
+
+
+# ------------------------------------ lstm_forward/lstm_backward vs reference
+#
+# ref_lstm_forward and ref_lstm_backward are the row-layout step loops the
+# optimised functions replaced: the forward works on the packed rows' column
+# slices with the transposed U, and the backward computes every gate factor,
+# tanh(c) and previous hidden state inside the time loop. The optimised
+# functions do the same multiplications in the same order, so:
+#   * a one-sequence pass gives the same bits (its steps are single rows);
+#   * lstm_backward on a reference cache gives the same bits;
+#   * a batched forward may differ in the last digit, because a step of
+#     several rows multiplies by a contiguous copy of U.T, which takes
+#     another BLAS kernel.
+
+def ref_lstm_forward(params, inputs, lengths, init=None):
+    H = params.hidden_dim
+    X = np.asarray(inputs, dtype=np.float64)
+    lengths = [int(n) for n in lengths]
+    B, N = len(lengths), X.shape[0]
+    order, sizes, perm, final_rows = _pack(lengths)
+    hs = np.empty((B + N, H))
+    cs = np.empty((B + N, H))
+    if init is None:
+        hs[:B] = cs[:B] = 0.0
+    else:
+        hs[:B] = _sorted_rows("init.h", init.h, order, H)
+        cs[:B] = _sorted_rows("init.c", init.c, order, H)
+    Xp = X if perm is None else X[perm]
+    gates = Xp @ params.W.T
+    gates += params.b
+    UT = params.U.T
+    p = r = 0
+    for n in sizes:
+        a = gates[r:r + n]
+        a += hs[p:p + n] @ UT
+        ifo = a[:, :3 * H]
+        np.negative(ifo, out=ifo)
+        np.exp(ifo, out=ifo)
+        ifo += 1.0
+        np.reciprocal(ifo, out=ifo)
+        g = a[:, 3 * H:]
+        np.tanh(g, out=g)
+        c = cs[B + r:B + r + n]
+        np.multiply(a[:, H:2 * H], cs[p:p + n], out=c)
+        c += a[:, :H] * g
+        h = hs[B + r:B + r + n]
+        np.tanh(c, out=h)
+        h *= a[:, 2 * H:3 * H]
+        p, r = B + r, r + n
+    cache = LSTMCache(Xp, gates, hs[:B].copy(), cs, sizes, order, perm)
+    if perm is None:
+        out = hs[B:]
+    else:
+        out = np.empty((N, H))
+        out[perm] = hs[B:]
+    return out, LSTMState(hs[final_rows], cs[final_rows]), cache
+
+
+def ref_lstm_backward(params, cache, dh_steps=None, dh_final=None, dc_final=None,
+                      need_dx=True):
+    H = params.hidden_dim
+    B = len(cache.order)
+    c, perm, sizes = cache.c, cache.perm, cache.sizes
+    dA = cache.gates
+    h_prev = np.empty((len(cache), H))
+    dh_next = _sorted_rows("dh_final", dh_final, cache.order, H)
+    dc_next = _sorted_rows("dc_final", dc_final, cache.order, H)
+    starts = (np.cumsum(sizes) - sizes).tolist()
+    if sizes:
+        tanh_c = np.tanh(c[B + starts[-1]:])
+    for t in range(len(sizes) - 1, -1, -1):
+        n, r = sizes[t], starts[t]
+        p = B + starts[t - 1] if t else 0
+        a = dA[r:r + n]
+        i, f, o, g = (a[:, k * H:(k + 1) * H] for k in range(4))
+        dh = dh_next[:n]
+        if dh_steps is not None:
+            dh = dh + (dh_steps[r:r + n] if perm is None else dh_steps[perm[r:r + n]])
+        dc = np.square(tanh_c)
+        np.subtract(1.0, dc, out=dc)
+        dc *= o
+        dc *= dh
+        dc += dc_next[:n]
+        np.multiply(dc, f, out=dc_next[:n])
+        da_g = np.square(g)
+        np.subtract(1.0, da_g, out=da_g)
+        da_g *= i
+        ifo = a[:, :3 * H]
+        ifo *= 1.0 - ifo
+        i *= g
+        f *= c[p:p + n]
+        o *= tanh_c
+        o *= dh
+        a.reshape(n, 4, H)[:, :2] *= dc[:, None]
+        np.multiply(da_g, dc, out=g)
+        if t:
+            tanh_c = np.tanh(c[p:p + sizes[t - 1]])
+            np.multiply(tanh_c[:n], dA[p - B:p - B + n, 2 * H:3 * H], out=h_prev[r:r + n])
+        else:
+            h_prev[:n] = cache.h0[:n]
+        np.matmul(a, params.U, out=dh_next[:n])
+    grads = {"W": dA.T @ cache.x, "U": dA.T @ h_prev, "b": dA.sum(axis=0)}
+    dX = None
+    if need_dx:
+        dX = dA @ params.W
+        if perm is not None:
+            packed, dX = dX, np.empty_like(dX)
+            dX[perm] = packed
+    dh0 = np.empty_like(dh_next)
+    dc0 = np.empty_like(dc_next)
+    dh0[cache.order] = dh_next
+    dc0[cache.order] = dc_next
+    return grads, dX, (dh0, dc0)
+
+
+@st.composite
+def lstm_cases(draw, max_batch=8):
+    """A cell at LSTMCellParams.init scale, a batch of sequences and the
+    gradients flowing into it; each optional input is sometimes absent."""
+    D, H = draw(st.integers(1, 130)), draw(st.integers(1, 130))
+    lengths = draw(st.lists(st.integers(0, 39), min_size=1, max_size=max_batch))
+    rng = new_rng(draw(st.integers(0, 2**32 - 1)))
+    B, N = len(lengths), sum(lengths)
+    maybe = st.booleans()
+    return dict(
+        params=LSTMCellParams.init(D, H, rng), lengths=lengths,
+        inputs=rng.uniform(-1, 1, (N, D)),
+        init=LSTMState(rng.uniform(-1, 1, (B, H)), rng.uniform(-1, 1, (B, H)))
+        if draw(maybe) else None,
+        dh_steps=rng.uniform(-1, 1, (N, H)) if draw(maybe) else None,
+        dh_final=rng.uniform(-1, 1, (B, H)) if draw(maybe) else None,
+        dc_final=rng.uniform(-1, 1, (B, H)) if draw(maybe) else None,
+        need_dx=draw(maybe))
+
+
+def run_both(case, forward, backward):
+    """(hidden states, final h, final c, grads W, U, b, dx, dh0, dc0) of one
+    forward and backward pass over the case."""
+    p = case["params"]
+    hs, final, cache = forward(p, case["inputs"], case["lengths"], case["init"])
+    grads, dx, (dh0, dc0) = backward(p, cache, case["dh_steps"], case["dh_final"],
+                                     case["dc_final"], case["need_dx"])
+    return [hs, final.h, final.c, grads["W"], grads["U"], grads["b"], dx, dh0, dc0]
+
+
+def assert_same_bits(got, want):
+    for k, (a, b) in enumerate(zip(got, want)):
+        assert (a is None) == (b is None), k
+        if a is not None:
+            assert a.shape == b.shape and np.array_equal(a, b), k
+
+
+@given(lstm_cases(max_batch=1))
+@settings(max_examples=40, deadline=None)
+def test_lstm_single_sequence_pass_is_bit_identical_to_reference(case):
+    assert_same_bits(run_both(case, lstm_forward, lstm_backward),
+                     run_both(case, ref_lstm_forward, ref_lstm_backward))
+
+
+@given(lstm_cases())
+@settings(max_examples=40, deadline=None)
+def test_lstm_backward_on_a_reference_cache_is_bit_identical(case):
+    assert_same_bits(run_both(case, ref_lstm_forward, lstm_backward),
+                     run_both(case, ref_lstm_forward, ref_lstm_backward))
+
+
+def assert_close(got, want, rel=1e-12):
+    """Each array within rel of the reference's largest magnitude."""
+    for k, (a, b) in enumerate(zip(got, want)):
+        assert (a is None) == (b is None), k
+        if a is not None and a.size:
+            assert a.shape == b.shape, k
+            assert np.max(np.abs(a - b)) <= rel * np.max(np.abs(b)), k
+
+
+@given(lstm_cases())
+@settings(max_examples=40, deadline=None)
+def test_lstm_batched_pass_agrees_with_reference(case):
+    assert_close(run_both(case, lstm_forward, lstm_backward),
+                 run_both(case, ref_lstm_forward, ref_lstm_backward))
+
+
+@pytest.mark.parametrize("lengths", [[0, 0, 0], [0, 3, 0, 1, 0], [1, 1, 1], [1], [4, 0]])
+def test_lstm_edge_batches_match_reference(lengths):
+    # every sequence empty, empty ones among non-empty ones, and T = 1
+    p = LSTMCellParams.init(5, 4, new_rng(15))
+    rng = new_rng(16)
+    B, N = len(lengths), sum(lengths)
+    case = dict(params=p, lengths=lengths, inputs=rng.uniform(-1, 1, (N, 5)),
+                init=LSTMState(rng.uniform(-1, 1, (B, 4)), rng.uniform(-1, 1, (B, 4))),
+                dh_steps=rng.uniform(-1, 1, (N, 4)), dh_final=rng.uniform(-1, 1, (B, 4)),
+                dc_final=rng.uniform(-1, 1, (B, 4)), need_dx=True)
+    got = run_both(case, lstm_forward, lstm_backward)
+    assert_close(got, run_both(case, ref_lstm_forward, ref_lstm_backward))
+    hs, fh, fc, gW, gU, gb, dx, dh0, dc0 = got
+    assert hs.shape == (N, 4) and dx.shape == (N, 5)
+    empty = [b for b, n in enumerate(lengths) if n == 0]
+    # an empty sequence ends in its initial state, and its final-state
+    # gradients pass straight back to that state
+    assert np.array_equal(fh[empty], case["init"].h[empty])
+    assert np.array_equal(fc[empty], case["init"].c[empty])
+    assert np.array_equal(dh0[empty], case["dh_final"][empty])
+    assert np.array_equal(dc0[empty], case["dc_final"][empty])
+    if N == 0:
+        assert not (gW.any() or gU.any() or gb.any())
 
 
 # ------------------------------------- tanh MLP of the attention projection
