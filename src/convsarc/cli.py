@@ -263,11 +263,11 @@ def cmd_attention(cfg: RunConfig) -> None:
     cfg.validate(need=("checkpoint", "corpus", "embeddings"))
     _require_outdir(cfg)
     if _checkpoint_kind(cfg.checkpoint) != "lstm":
-        raise ConfigError("checkpoint: attention export needs an lstm checkpoint")
+        raise ConfigError(f"checkpoint: {cfg.checkpoint}: attention needs an lstm checkpoint")
     params = models.load_checkpoint(cfg.checkpoint)
     if params.variant not in models.ATTENTION_VARIANTS:
         raise ConfigError(
-            f"checkpoint: variant '{params.variant}' has no attention weights")
+            f"checkpoint: {cfg.checkpoint}: variant '{params.variant}' has no attention weights")
     table = load_embeddings(cfg.embeddings, params.embed_dim)
     instances = _eval_instances(cfg)
     segs = _segments(cfg, instances)

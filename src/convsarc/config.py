@@ -5,6 +5,7 @@ and 300 for forums, context cutoffs of 5 tweets / 10 sentences)."""
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, asdict, fields
 
@@ -126,10 +127,10 @@ class RunConfig:
             raise ConfigError(f"platform: '{self.platform}' not in {PLATFORM_CHOICES}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout: {self.dropout} outside [0, 1)")
-        if self.lr <= 0:
-            raise ConfigError(f"lr: {self.lr} must be positive")
-        if self.l2 < 0:
-            raise ConfigError(f"l2: {self.l2} must be nonnegative")
+        if not 0 < self.lr < math.inf:  # NaN fails every comparison
+            raise ConfigError(f"lr: {self.lr} must be positive and finite")
+        if not 0 <= self.l2 < math.inf:
+            raise ConfigError(f"l2: {self.l2} must be nonnegative and finite")
         if self.batch_size < 1:
             raise ConfigError(f"batch_size: {self.batch_size} must be >= 1")
         if self.epochs < 1:

@@ -28,7 +28,7 @@ import base64
 import json
 from itertools import accumulate
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -48,34 +48,13 @@ LABEL_TO_INDEX = {"S": 0, "NS": 1}  # probability/logit order is (S, NS)
 CHECKPOINT_VERSION = 2  # 2: LSTM gates stacked into W, U, b
 
 
-@dataclass
-class AttentionParams:
-    """Attention MLP (W_a, b_a) plus the learned context vector u_s."""
+class AttentionParams(NamedTuple):
+    """Attention MLP (W_a, att_dim x input_dim; b_a) plus the learned
+    context vector u_s."""
 
-    W_a: np.ndarray  # att_dim x input_dim
-    b_a: np.ndarray  # att_dim
-    u_s: np.ndarray  # att_dim
-
-    @property
-    def input_dim(self) -> int:
-        return self.W_a.shape[1]
-
-    @property
-    def att_dim(self) -> int:
-        return self.W_a.shape[0]
-
-    def tensors(self) -> dict[str, np.ndarray]:
-        return {"W_a": self.W_a, "b_a": self.b_a, "u_s": self.u_s}
-
-    @classmethod
-    def init(cls, input_dim: int, att_dim: int,
-             rng: np.random.Generator | None) -> "AttentionParams":
-        if rng is None:
-            return cls(np.zeros((att_dim, input_dim)), np.zeros(att_dim),
-                       np.zeros(att_dim))
-        return cls(rng.uniform(-INIT_SCALE, INIT_SCALE, (att_dim, input_dim)),
-                   np.zeros(att_dim),
-                   rng.uniform(-INIT_SCALE, INIT_SCALE, att_dim))
+    W_a: np.ndarray
+    b_a: np.ndarray
+    u_s: np.ndarray
 
 
 @dataclass
@@ -92,61 +71,38 @@ class AttentionRecord:
 
 @dataclass
 class ModelParams:
-    """All trainable tensors for one variant. Embeddings are not here: they
-    stay frozen."""
+    """All trainable tensors for one variant, under the names gradients, SGD
+    and checkpoints use: lstm_c.W, lstm_r.U, attn_c.u_s, wattn_r.b_a, ...,
+    W_out (2 x out_dim), b_out. Embeddings are not here: they stay frozen."""
 
     variant: str
-    lstm_r: LSTMCellParams
-    W_out: np.ndarray  # 2 x out_dim
-    b_out: np.ndarray  # 2
-    lstm_c: LSTMCellParams | None = None
-    attn_c: AttentionParams | None = None
-    attn_r: AttentionParams | None = None
-    wattn_c: AttentionParams | None = None
-    wattn_r: AttentionParams | None = None
+    by_name: dict[str, np.ndarray]
     conditional_reply_head_only: bool = False
 
     def tensors(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        if self.lstm_c is not None:
-            out.update({f"lstm_c.{k}": v for k, v in self.lstm_c.tensors().items()})
-        out.update({f"lstm_r.{k}": v for k, v in self.lstm_r.tensors().items()})
-        for name in ("attn_c", "attn_r", "wattn_c", "wattn_r"):
-            block = getattr(self, name)
-            if block is not None:
-                out.update({f"{name}.{k}": v for k, v in block.tensors().items()})
-        out["W_out"] = self.W_out
-        out["b_out"] = self.b_out
-        return out
+        """The name -> tensor dict itself, not a copy."""
+        return self.by_name
 
     def replace_tensors(self, t: dict[str, np.ndarray]) -> "ModelParams":
-        def take(prefix):
-            return {k.split(".", 1)[1]: np.asarray(t[k], dtype=np.float64)
-                    for k in t if k.startswith(prefix + ".")}
+        """The same variant with the tensors of t under this one's names."""
+        t = {k: np.asarray(t[k], dtype=np.float64) for k in self.by_name}
+        return ModelParams(self.variant, t, self.conditional_reply_head_only)
 
-        def attn(prefix):
-            if getattr(self, prefix) is None:
-                return None
-            sub = take(prefix)
-            return AttentionParams(sub["W_a"], sub["b_a"], sub["u_s"])
+    def cell(self, side: str) -> LSTMCellParams:
+        """A view of side c's (context) or r's (reply) LSTM cell."""
+        return LSTMCellParams(*(self.by_name[f"lstm_{side}.{k}"] for k in "WUb"))
 
-        return ModelParams(
-            variant=self.variant,
-            lstm_r=LSTMCellParams.from_tensors(take("lstm_r")),
-            W_out=np.asarray(t["W_out"], dtype=np.float64),
-            b_out=np.asarray(t["b_out"], dtype=np.float64),
-            lstm_c=LSTMCellParams.from_tensors(take("lstm_c")) if self.lstm_c is not None else None,
-            attn_c=attn("attn_c"), attn_r=attn("attn_r"),
-            wattn_c=attn("wattn_c"), wattn_r=attn("wattn_r"),
-            conditional_reply_head_only=self.conditional_reply_head_only)
+    def attention(self, name: str) -> AttentionParams:
+        """A view of the attention block name (attn_c, wattn_r, ...)."""
+        return AttentionParams(*(self.by_name[f"{name}.{k}"] for k in AttentionParams._fields))
 
     @property
     def hidden_dim(self) -> int:
-        return self.lstm_r.hidden_dim
+        return self.by_name["lstm_r.U"].shape[1]
 
     @property
     def embed_dim(self) -> int:
-        return self.lstm_r.input_dim
+        return self.by_name["lstm_r.W"].shape[1]
 
 
 def init_params(variant: str, embed_dim: int, hidden_dim: int,
@@ -159,34 +115,27 @@ def init_params(variant: str, embed_dim: int, hidden_dim: int,
         raise ConfigError(f"unknown variant '{variant}' (choose from {VARIANTS})")
     att_dim = att_dim if att_dim is not None else hidden_dim
 
-    def cell():
-        if rng is None:
-            return LSTMCellParams.zeros(embed_dim, hidden_dim)
-        return LSTMCellParams.init(embed_dim, hidden_dim, rng)
+    def uniform(*shape):
+        return np.zeros(shape) if rng is None else rng.uniform(-INIT_SCALE, INIT_SCALE, shape)
 
-    lstm_c = cell() if variant != "reply_only" else None
-    lstm_r = cell()
-    attn_c = attn_r = wattn_c = wattn_r = None
-    if variant in ("sent_attn", "word_attn", "hier_attn"):
-        attn_c = AttentionParams.init(hidden_dim, att_dim, rng)
-        attn_r = AttentionParams.init(hidden_dim, att_dim, rng)
+    t = {}
+    for side in ("r",) if variant == "reply_only" else ("c", "r"):
+        cell = (LSTMCellParams.zeros(embed_dim, hidden_dim) if rng is None
+                else LSTMCellParams.init(embed_dim, hidden_dim, rng))
+        t.update(_prefixed(f"lstm_{side}", cell.tensors()))
+    blocks = ([("attn_c", hidden_dim), ("attn_r", hidden_dim)]
+              if variant in ATTENTION_VARIANTS else [])
     if variant == "hier_attn":
-        wattn_c = AttentionParams.init(embed_dim, att_dim, rng)
-        wattn_r = AttentionParams.init(embed_dim, att_dim, rng)
-
-    if variant == "reply_only" or (variant == "conditional" and conditional_reply_head_only):
-        out_dim = hidden_dim
-    else:
-        out_dim = 2 * hidden_dim
-    if rng is None:
-        W_out = np.zeros((2, out_dim))
-    else:
-        W_out = rng.uniform(-INIT_SCALE, INIT_SCALE, (2, out_dim))
-    return ModelParams(variant=variant, lstm_r=lstm_r, W_out=W_out,
-                       b_out=np.zeros(2), lstm_c=lstm_c,
-                       attn_c=attn_c, attn_r=attn_r,
-                       wattn_c=wattn_c, wattn_r=wattn_r,
-                       conditional_reply_head_only=conditional_reply_head_only)
+        blocks += [("wattn_c", embed_dim), ("wattn_r", embed_dim)]
+    for name, input_dim in blocks:
+        t[f"{name}.W_a"] = uniform(att_dim, input_dim)
+        t[f"{name}.b_a"] = np.zeros(att_dim)
+        t[f"{name}.u_s"] = uniform(att_dim)
+    one_side = variant == "reply_only" or (
+        variant == "conditional" and conditional_reply_head_only)
+    t["W_out"] = uniform(2, hidden_dim if one_side else 2 * hidden_dim)
+    t["b_out"] = np.zeros(2)
+    return ModelParams(variant, t, conditional_reply_head_only)
 
 
 # --------------------------------------------------------------------------
@@ -284,9 +233,14 @@ def _forward(params: ModelParams, segs: Sequence[SegmentedInstance],
             raise DomainError(
                 f"variant '{variant}' needs a nonempty context; "
                 "use reply_only for context-free instances")
-    if variant == "conditional" and params.lstm_c.hidden_dim != params.lstm_r.hidden_dim:
-        raise ConfigError("conditional encoding needs equal hidden dims")
     attention = variant in ATTENTION_VARIANTS
+    # views of the blocks each side uses, built once for the pass
+    cells = {side: params.cell(side) for side in sides}
+    attns = {side: params.attention(f"attn_{side}") for side in sides if attention}
+    wattns = {side: params.attention(f"wattn_{side}") for side in sides
+              if variant == "hier_attn"}
+    if variant == "conditional" and cells["c"].hidden_dim != cells["r"].hidden_dim:
+        raise ConfigError("conditional encoding needs equal hidden dims")
 
     # each side's LSTM inputs: one row per step, the instances' rows in turn
     inputs, lengths, word = {}, {}, {}
@@ -299,7 +253,7 @@ def _forward(params: ModelParams, segs: Sequence[SegmentedInstance],
             n_words = [len(s) for s in sentences]
             inputs[side], beta, wcache = _attend_forward(
                 _embed(table, [t for s in sentences for t in s]),
-                getattr(params, f"wattn_{side}"), n_words)
+                wattns[side], n_words)
             word[side] = (wcache, _runs(beta, n_words))
             lengths[side] = [len(sents) for sents in per_inst]
         else:  # a step per token
@@ -312,9 +266,9 @@ def _forward(params: ModelParams, segs: Sequence[SegmentedInstance],
         if variant == "conditional" and side == "r":
             init = LSTMState(np.zeros((B, H)), finals["c"].c)
         hs, finals[side], caches[side] = lstm_forward(
-            getattr(params, f"lstm_{side}"), inputs.pop(side), lengths[side], init)
+            cells[side], inputs.pop(side), lengths[side], init)
         if attention:
-            attn[side] = _attend_forward(hs, getattr(params, f"attn_{side}"), lengths[side])
+            attn[side] = _attend_forward(hs, attns[side], lengths[side])
         del hs  # attention's cache keeps what it needs
 
     records = [None] * B
@@ -339,7 +293,8 @@ def _forward(params: ModelParams, segs: Sequence[SegmentedInstance],
         # one B x out_dim draw takes the stream of B out_dim draws in turn
         mask = dropout_mask(v.shape, dropout_rate, rng)
         v_used = v * mask
-    probs = softmax(v_used @ params.W_out.T + params.b_out)
+    W_out = params.by_name["W_out"]
+    probs = softmax(v_used @ W_out.T + params.by_name["b_out"])
     if labels is None:
         return probs, records, None, None
 
@@ -348,7 +303,7 @@ def _forward(params: ModelParams, segs: Sequence[SegmentedInstance],
     dz[np.arange(B), labels] -= 1.0
     dz /= B
     grads = {"W_out": dz.T @ v_used, "b_out": dz.sum(axis=0)}
-    dv = dz @ params.W_out
+    dv = dz @ W_out
     if mask is not None:
         dv *= mask
     dvs = dict(zip(pooled, np.hsplit(dv, len(pooled))))
@@ -356,11 +311,10 @@ def _forward(params: ModelParams, segs: Sequence[SegmentedInstance],
     dc_final = None
     for side in reversed(sides):  # reply first: its initial memory feeds the context cell
         if attention:
-            ga, dh_steps[side] = _attend_backward(getattr(params, f"attn_{side}"),
-                                                  attn.pop(side)[2], dvs[side])
+            ga, dh_steps[side] = _attend_backward(attns[side], attn.pop(side)[2], dvs[side])
             grads.update(_prefixed(f"attn_{side}", ga))
         g_l, dx, (_, dc_final) = lstm_backward(
-            getattr(params, f"lstm_{side}"), caches.pop(side), dh_steps.pop(side, None),
+            cells[side], caches.pop(side), dh_steps.pop(side, None),
             None if attention else dvs.get(side),
             dc_final if variant == "conditional" else None,
             need_dx=variant == "hier_attn")
@@ -368,7 +322,7 @@ def _forward(params: ModelParams, segs: Sequence[SegmentedInstance],
         if variant == "hier_attn":
             # word embeddings are frozen: their gradient is dropped, but the
             # word-attention parameters still learn
-            gw, _ = _attend_backward(getattr(params, f"wattn_{side}"), word.pop(side)[0], dx)
+            gw, _ = _attend_backward(wattns[side], word.pop(side)[0], dx)
             grads.update(_prefixed(f"wattn_{side}", gw))
     return probs, records, losses, grads
 
@@ -547,8 +501,8 @@ def train_model(train_insts: Sequence[ConversationInstance],
 def save_checkpoint(params: ModelParams, path) -> None:
     """Self-describing deterministic checkpoint: variant, dims, and all
     tensors as little-endian float64 bytes."""
-    tensors = {}
-    for name, t in params.tensors().items():
+    named, tensors = params.tensors(), {}
+    for name, t in named.items():
         tensors[name] = {
             "shape": list(t.shape),
             "data": base64.b64encode(
@@ -562,7 +516,7 @@ def save_checkpoint(params: ModelParams, path) -> None:
         "dims": {
             "embed_dim": params.embed_dim,
             "hidden_dim": params.hidden_dim,
-            "att_dim": params.attn_r.att_dim if params.attn_r is not None else None,
+            "att_dim": named["attn_r.W_a"].shape[0] if "attn_r.W_a" in named else None,
         },
         "tensors": tensors,
     }
@@ -589,18 +543,22 @@ def load_checkpoint(path) -> ModelParams:
     if doc.get("kind") != "lstm":
         raise ConfigError(f"{path}: not an lstm checkpoint")
     try:
-        dims = doc["dims"]
+        dims, head_only = doc["dims"], doc["conditional_reply_head_only"]
+        if not isinstance(head_only, bool):
+            raise TypeError(f"conditional_reply_head_only must be a boolean, got {head_only!r}")
         skeleton = init_params(doc["variant"], dims["embed_dim"], dims["hidden_dim"],
                                dims["att_dim"], rng=None,
-                               conditional_reply_head_only=doc["conditional_reply_head_only"])
+                               conditional_reply_head_only=head_only)
         loaded = {}
         for name, spec in doc["tensors"].items():
-            arr = np.frombuffer(base64.b64decode(spec["data"]), dtype="<f8")
+            arr = np.frombuffer(base64.b64decode(spec["data"], validate=True), dtype="<f8")
             loaded[name] = arr.reshape(spec["shape"]).astype(np.float64)
     except KeyError as e:
         raise ConfigError(f"{path}: checkpoint lacks field {e}") from None
     except (TypeError, ValueError, AttributeError) as e:  # bad types, base64 or shapes
         raise ConfigError(f"{path}: malformed checkpoint: {e}") from None
+    except ConfigError as e:  # an unknown variant
+        raise ConfigError(f"{path}: {e}") from None
     expected = {k: t.shape for k, t in skeleton.tensors().items()}
     if expected != {k: t.shape for k, t in loaded.items()}:
         raise ConfigError(f"{path}: tensor set or shapes do not match variant "

@@ -64,10 +64,6 @@ class LSTMCellParams:
         return {"W": self.W, "U": self.U, "b": self.b}
 
     @classmethod
-    def from_tensors(cls, t: dict[str, Array]) -> "LSTMCellParams":
-        return cls(*(np.asarray(t[k], dtype=np.float64) for k in ("W", "U", "b")))
-
-    @classmethod
     def zeros(cls, input_dim: int, hidden_dim: int) -> "LSTMCellParams":
         n = 4 * hidden_dim
         return cls(np.zeros((n, input_dim)), np.zeros((n, hidden_dim)), np.zeros(n))
@@ -241,14 +237,16 @@ def lstm_backward(params: LSTMCellParams, cache: LSTMCache,
     if cache.used:
         raise DomainError("lstm_backward overwrote this cache's gates already; "
                           "run lstm_forward again")
-    cache.used = True
     H = params.hidden_dim
     B, N = len(cache.order), len(cache)
+    if dh_steps is not None and np.shape(dh_steps) != (N, H):
+        raise ShapeError(f"dh_steps has shape {np.shape(dh_steps)}, expected ({N}, {H})")
+    dh_next = _sorted_rows("dh_final", dh_final, cache.order, H)
+    dc_next = _sorted_rows("dc_final", dc_final, cache.order, H)
+    cache.used = True  # after every check: a refused call leaves the cache usable
     c, perm, sizes = cache.c, cache.perm, np.array(cache.sizes, dtype=np.intp)
     dA = cache.gates  # activated gates, turned into dA (steps x 4*hidden) in place
     i, f, o, g = (dA[:, k * H:(k + 1) * H] for k in range(4))
-    dh_next = _sorted_rows("dh_final", dh_final, cache.order, H)
-    dc_next = _sorted_rows("dc_final", dc_final, cache.order, H)
     # Everything that does not depend on the recurrence is computed for all
     # rows at once, before the loop. prev[r] is the state row (initial
     # states first, then the packed steps) that packed row r continued from;

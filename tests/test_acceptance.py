@@ -91,7 +91,8 @@ def test_c2_attention_normalization_thousand_instances():
 def test_c3_conditional_reduction_to_reply_pathway():
     table = EmbeddingTable(dim=10, vocab={}, seed=2)
     cond = init_params("conditional", 10, 7, rng=new_rng(6))
-    cond.lstm_c = LSTMCellParams.zeros(10, 7)  # forces final state to zero
+    cond.tensors().update(  # a zero context cell forces its final state to zero
+        {f"lstm_c.{k}": v for k, v in LSTMCellParams.zeros(10, 7).tensors().items()})
     seg = SegmentedInstance(
         context_sentences=[["some", "ctx", "words"], ["more", "ctx"]],
         reply_sentences=[["the", "actual", "reply"], ["tokens", "here"]],
@@ -99,9 +100,9 @@ def test_c3_conditional_reduction_to_reply_pathway():
     got = predict(cond, seg, table)[1]
 
     reply = init_params("reply_only", 10, 7)
-    reply.lstm_r = cond.lstm_r
-    reply.W_out = cond.W_out[:, 7:]
-    reply.b_out = cond.b_out
+    for name in ("lstm_r.W", "lstm_r.U", "lstm_r.b", "b_out"):
+        reply.tensors()[name] = cond.tensors()[name]
+    reply.tensors()["W_out"] = cond.tensors()["W_out"][:, 7:]
     expected = predict(reply, seg, table)[1]
     diff = float(np.max(np.abs(got - expected)))
     assert diff <= 1e-12

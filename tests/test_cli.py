@@ -185,6 +185,22 @@ def test_config_file_type_error_names_key(tmp_path, capsys):
     assert "epochs" in err and "integer" in err
 
 
+@pytest.mark.parametrize("key", ["lr", "l2"])
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+def test_non_finite_rate_in_config_file_is_config_error(workdir, capsys, key, value):
+    # json.load accepts NaN and Infinity; training must not start on them
+    cfg = workdir / "cfg.json"
+    cfg.write_text(f'{{"{key}": {value}}}', encoding="utf-8")
+    out = workdir / "never"
+    code = run("train", "--config", cfg, "--corpus", workdir / "corpus.jsonl",
+               "--embeddings", workdir / "emb.txt", "--variant", "reply_only",
+               "--platform", "twitter", "--embed-dim", EMBED_DIM, "--epochs", 1,
+               "--outdir", out)
+    assert code == 1
+    assert f"{key}: " in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_flag_overrides_config_file(tmp_path, workdir):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"seed": 5, "epochs": 1, "dropout": 0.0,
@@ -313,6 +329,41 @@ def test_cli_scoring_in_passes_matches_per_instance_predict(tmp_path, monkeypatc
                               record.context_word_weights + record.reply_word_weights))
         for a, b in pairs:
             assert a.shape == b.shape and np.allclose(a, b, atol=1e-12, rtol=0)
+
+
+@pytest.mark.parametrize("command", ["eval", "predict", "attention"])
+@pytest.mark.parametrize("content", ["not json at all", '{"kind": "mystery"}'])
+def test_scoring_refuses_unreadable_or_unknown_checkpoint(workdir, capsys, command, content):
+    ckpt = workdir / "odd_checkpoint.json"
+    ckpt.write_text(content, encoding="utf-8")
+    out = workdir / "never"
+    code = run(command, "--checkpoint", ckpt, "--corpus", workdir / "corpus.jsonl",
+               "--embeddings", workdir / "emb.txt", "--platform", "twitter",
+               "--embed-dim", EMBED_DIM, "--outdir", out)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "odd_checkpoint.json" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_attention_refuses_svm_and_reply_only_checkpoints(workdir, lexicon_dir, capsys):
+    svm_run = workdir / "svm_run"
+    assert run("train", "--corpus", workdir / "corpus.jsonl", "--lexicons", lexicon_dir,
+               "--variant", "svm", "--task", "reply_only", "--platform", "twitter",
+               "--epochs", 1, "--seed", 0, "--outdir", svm_run) == 0
+    (workdir / "reply").mkdir()
+    _, reply_ckpt = scoring_inputs(workdir / "reply", "reply_only")
+    capsys.readouterr()
+    for ckpt, message in ((svm_run / "checkpoint.json", "attention needs an lstm checkpoint"),
+                          (reply_ckpt, "'reply_only' has no attention weights")):
+        out = workdir / "never"
+        code = run("attention", "--checkpoint", ckpt, "--corpus", workdir / "corpus.jsonl",
+                   "--embeddings", workdir / "emb.txt", "--platform", "twitter",
+                   "--embed-dim", EMBED_DIM, "--outdir", out)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert message in err and str(ckpt) in err and "Traceback" not in err
+        assert not out.exists()
 
 
 def test_empty_test_split_keeps_exit_codes(tmp_path, capsys):

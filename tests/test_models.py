@@ -7,10 +7,10 @@ import pytest
 from convsarc.data import SegmentedInstance
 from convsarc.embeddings import EmbeddingTable, lookup, sentence_avg
 from convsarc.errors import ConfigError, DomainError, NumericError
-from convsarc.nn import (LSTMCellParams, finite_diff_grad, lstm_forward,
+from convsarc.nn import (INIT_SCALE, LSTMCellParams, finite_diff_grad, lstm_forward,
                          max_relative_error, new_rng, sigmoid, softmax)
-from convsarc.models import (AttentionParams, AttentionRecord, LABEL_TO_INDEX,
-                             VARIANTS, gradient_check_variant,
+from convsarc.models import (ATTENTION_VARIANTS, AttentionParams, AttentionRecord,
+                             LABEL_TO_INDEX, VARIANTS, gradient_check_variant,
                              init_params, load_checkpoint, loss_and_grads,
                              predict, save_checkpoint, score, train_model,
                              TrainSettings, _attend_forward, _batch_grads,
@@ -43,6 +43,16 @@ def probs_and_record(params, s, table):
     return probs, record
 
 
+def set_cell(params, side, cell):
+    """Put cell in as side c's (context) or r's (reply) LSTM cell."""
+    params.tensors().update({f"lstm_{side}.{k}": v for k, v in cell.tensors().items()})
+
+
+def attention_block(dim, seed):
+    """A seeded dim x dim attention block: sent_attn's context attention."""
+    return seeded_params("sent_attn", seed=seed, hidden=dim).attention("attn_c")
+
+
 def attend(hidden, ap):
     """(pooled, weights) of attention over the rows of a hidden-state matrix."""
     pooled, weights, _ = _attend_forward(hidden, ap, [len(hidden)])
@@ -53,10 +63,48 @@ BASIC = seg([["alpha", "beta"], ["gamma", "delta", "eps"]],
             [["zeta", "eta"], ["theta"]])
 
 
+# ------------------------------------------------------------------- init
+
+def per_block_draws(variant, embed, hidden, att, rng, head_only=False):
+    """The seeded tensors drawn block by block, as init_params drew them
+    when each block had its own initializer: the context cell, the reply
+    cell, attn_c, attn_r, wattn_c, wattn_r, then the classifier."""
+    t = {}
+    for side in ("r",) if variant == "reply_only" else ("c", "r"):
+        cell = LSTMCellParams.init(embed, hidden, rng)
+        t.update({f"lstm_{side}.{k}": v for k, v in cell.tensors().items()})
+    blocks = []
+    if variant in ATTENTION_VARIANTS:
+        blocks += [("attn_c", hidden), ("attn_r", hidden)]
+    if variant == "hier_attn":
+        blocks += [("wattn_c", embed), ("wattn_r", embed)]
+    for name, input_dim in blocks:
+        t[f"{name}.W_a"] = rng.uniform(-INIT_SCALE, INIT_SCALE, (att, input_dim))
+        t[f"{name}.b_a"] = np.zeros(att)
+        t[f"{name}.u_s"] = rng.uniform(-INIT_SCALE, INIT_SCALE, att)
+    out_dim = hidden if variant == "reply_only" or head_only else 2 * hidden
+    t["W_out"] = rng.uniform(-INIT_SCALE, INIT_SCALE, (2, out_dim))
+    t["b_out"] = np.zeros(2)
+    return t
+
+
+@pytest.mark.parametrize("variant,head_only",
+                         [(v, False) for v in VARIANTS] + [("conditional", True)])
+def test_init_params_draws_each_block_in_turn_bit_for_bit(variant, head_only):
+    params = init_params(variant, EMBED, HIDDEN, att_dim=3, rng=new_rng(31),
+                         conditional_reply_head_only=head_only)
+    want = per_block_draws(variant, EMBED, HIDDEN, 3, new_rng(31), head_only)
+    got = params.tensors()
+    assert list(got) == list(want)
+    for name, tensor in want.items():
+        assert got[name].dtype == np.float64
+        assert np.array_equal(got[name], tensor), name
+
+
 # ----------------------------------------------------------------- attend
 
 def test_attend_single_vector_gets_full_weight():
-    ap = AttentionParams.init(3, 3, new_rng(1))
+    ap = attention_block(3, seed=1)
     h = np.array([0.3, -0.2, 0.5])
     pooled, weights = attend(h[None, :], ap)
     assert np.array_equal(weights, [1.0])
@@ -64,7 +112,7 @@ def test_attend_single_vector_gets_full_weight():
 
 
 def test_attend_identical_vectors_split_evenly():
-    ap = AttentionParams.init(2, 2, new_rng(1))
+    ap = attention_block(2, seed=1)
     h = np.array([0.4, 0.1])
     pooled, weights = attend(np.stack([h, h]), ap)
     assert np.allclose(weights, [0.5, 0.5], atol=1e-12)
@@ -82,7 +130,7 @@ def test_attend_hand_set_scores_match_softmax_oracle():
 
 
 def test_attend_empty_sequence_is_domain_error():
-    ap = AttentionParams.init(2, 2, new_rng(0))
+    ap = attention_block(2, seed=0)
     with pytest.raises(DomainError):
         attend(np.zeros((0, 2)), ap)
 
@@ -107,7 +155,7 @@ def test_reply_only_matches_manual_unroll():
     params = seeded_params("reply_only", seed=3, embed=4, hidden=2)
     table = oov_table(dim=4, seed=5)
     s = seg([], [["one", "two"]])
-    cell = params.lstm_r
+    cell = params.cell("r")
     # per-gate slices of the stacked tensors, in i, f, o, g order
     W_i, W_f, W_o, W_g = np.split(cell.W, 4)
     U_i, U_f, U_o, U_g = np.split(cell.U, 4)
@@ -122,7 +170,8 @@ def test_reply_only_matches_manual_unroll():
         g = np.tanh(W_g @ x + U_g @ h + b_g)
         c = f * c + i * g
         h = o * np.tanh(c)
-    expected = softmax(params.W_out @ h + params.b_out)
+    t = params.tensors()
+    expected = softmax(t["W_out"] @ h + t["b_out"])
     got = probs_of(params, s, table)
     assert np.allclose(got, expected, atol=1e-12)
 
@@ -144,7 +193,7 @@ def test_encode_checks_variant_tag():
 
 def test_concat_classifier_width_is_sum_of_hiddens():
     params = seeded_params("concat")
-    assert params.W_out.shape == (2, 2 * HIDDEN)
+    assert params.tensors()["W_out"].shape == (2, 2 * HIDDEN)
 
 
 def test_concat_untied_parameters_are_order_sensitive():
@@ -157,13 +206,14 @@ def test_concat_untied_parameters_are_order_sensitive():
 
 def test_concat_zero_context_cell_reduces_to_reply_block():
     params = seeded_params("concat", seed=2)
-    params.lstm_c = LSTMCellParams.zeros(EMBED, HIDDEN)
+    set_cell(params, "c", LSTMCellParams.zeros(EMBED, HIDDEN))
     table = oov_table()
     probs = probs_of(params, BASIC, table)
     # context block contributes exactly zero, so only the reply block matters
     xs = np.array([lookup(table, t) for s in BASIC.reply_sentences for t in s])
-    _, fin, _ = lstm_forward(params.lstm_r, xs, [len(xs)])
-    expected = softmax(params.W_out[:, HIDDEN:] @ fin.h[0] + params.b_out)
+    _, fin, _ = lstm_forward(params.cell("r"), xs, [len(xs)])
+    t = params.tensors()
+    expected = softmax(t["W_out"][:, HIDDEN:] @ fin.h[0] + t["b_out"])
     assert np.allclose(probs, expected, atol=1e-12)
 
 
@@ -177,14 +227,14 @@ def test_concat_rejects_empty_context():
 
 def test_conditional_zero_context_state_matches_reply_pathway():
     cond = seeded_params("conditional", seed=4)
-    cond.lstm_c = LSTMCellParams.zeros(EMBED, HIDDEN)  # final state (0, 0)
+    set_cell(cond, "c", LSTMCellParams.zeros(EMBED, HIDDEN))  # final state (0, 0)
     table = oov_table()
     probs = probs_of(cond, BASIC, table)
 
     reply_only = init_params("reply_only", EMBED, HIDDEN)
-    reply_only.lstm_r = cond.lstm_r
-    reply_only.W_out = cond.W_out[:, HIDDEN:]
-    reply_only.b_out = cond.b_out
+    set_cell(reply_only, "r", cond.cell("r"))
+    reply_only.tensors()["W_out"] = cond.tensors()["W_out"][:, HIDDEN:]
+    reply_only.tensors()["b_out"] = cond.tensors()["b_out"]
     expected = probs_of(reply_only, BASIC, table)
     assert np.allclose(probs, expected, atol=1e-12)
 
@@ -201,7 +251,7 @@ def test_conditional_gradient_reaches_context_cell_through_memory_handoff():
     # classifier sees only h_r, so lstm_c's only path is the cell state
     params = seeded_params("conditional", seed=8,
                            conditional_reply_head_only=True)
-    assert params.W_out.shape == (2, HIDDEN)
+    assert params.tensors()["W_out"].shape == (2, HIDDEN)
     rng = new_rng(1)
     params = params.replace_tensors(
         {k: rng.uniform(-0.5, 0.5, v.shape) for k, v in params.tensors().items()})
@@ -224,7 +274,7 @@ def test_conditional_gradient_reaches_context_cell_through_memory_handoff():
 
 def test_conditional_dim_mismatch_is_config_error():
     params = seeded_params("conditional", seed=4)
-    params.lstm_c = LSTMCellParams.zeros(EMBED, HIDDEN + 1)
+    set_cell(params, "c", LSTMCellParams.zeros(EMBED, HIDDEN + 1))
     with pytest.raises(ConfigError):
         probs_of(params, BASIC, oov_table())
 
@@ -255,11 +305,12 @@ def test_sent_attn_matches_attend_oracle_composition():
 
     sc = np.array([sentence_avg(table, x) for x in s.context_sentences])
     sr = np.array([sentence_avg(table, x) for x in s.reply_sentences])
-    hs_c, _, _ = lstm_forward(params.lstm_c, sc, [len(sc)])
-    hs_r, _, _ = lstm_forward(params.lstm_r, sr, [len(sr)])
-    v_c, w_c = attend(hs_c, params.attn_c)
-    v_r, w_r = attend(hs_r, params.attn_r)
-    expected = softmax(params.W_out @ np.concatenate([v_c, v_r]) + params.b_out)
+    hs_c, _, _ = lstm_forward(params.cell("c"), sc, [len(sc)])
+    hs_r, _, _ = lstm_forward(params.cell("r"), sr, [len(sr)])
+    v_c, w_c = attend(hs_c, params.attention("attn_c"))
+    v_r, w_r = attend(hs_r, params.attention("attn_r"))
+    t = params.tensors()
+    expected = softmax(t["W_out"] @ np.concatenate([v_c, v_r]) + t["b_out"])
     assert np.allclose(probs, expected, atol=1e-12)
     assert np.allclose(record.context_weights, w_c, atol=1e-12)
     assert np.allclose(record.reply_weights, w_r, atol=1e-12)
@@ -293,14 +344,14 @@ def test_word_attn_single_token_reply_weight():
 
 def test_hier_attn_uniform_word_attention_reduces_to_sent_attn():
     hier = seeded_params("hier_attn", seed=11)
-    for block in (hier.wattn_c, hier.wattn_r):
+    for block in (hier.attention("wattn_c"), hier.attention("wattn_r")):
         block.W_a[:] = 0.0
         block.b_a[:] = 0.0
         block.u_s[:] = 0.0  # flat scores -> uniform word weights
     sent = init_params("sent_attn", EMBED, HIDDEN)
-    sent.lstm_c, sent.lstm_r = hier.lstm_c, hier.lstm_r
-    sent.attn_c, sent.attn_r = hier.attn_c, hier.attn_r
-    sent.W_out, sent.b_out = hier.W_out, hier.b_out
+    # every sent_attn block taken from hier: both cells, both attentions, W_out, b_out
+    for name in sent.tensors():
+        sent.tensors()[name] = hier.tensors()[name]
     table = oov_table(seed=4)
     ph, rh = probs_and_record(hier, BASIC, table)
     ps, rs = probs_and_record(sent, BASIC, table)
@@ -580,6 +631,36 @@ def test_checkpoint_tensor_of_wrong_shape_is_config_error_naming_path(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_unknown_variant_is_config_error_naming_path(tmp_path):
+    path = tmp_path / "model.json"
+    save_checkpoint(seeded_params("reply_only"), path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["variant"] = "mystery_attn"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"model\.json: unknown variant 'mystery_attn'"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_tensor_data_outside_base64_alphabet_is_config_error(tmp_path):
+    path = tmp_path / "model.json"
+    save_checkpoint(seeded_params("reply_only"), path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["tensors"]["lstm_r.b"]["data"] = "!!" + doc["tensors"]["lstm_r.b"]["data"]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"model\.json: malformed"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_head_only_flag_must_be_boolean(tmp_path):
+    path = tmp_path / "model.json"
+    save_checkpoint(seeded_params("conditional"), path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["conditional_reply_head_only"] = "yes"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"model\.json: .*conditional_reply_head_only"):
+        load_checkpoint(path)
+
+
 @pytest.mark.parametrize("content", ["not json at all", "[1, 2]"])
 def test_checkpoint_not_a_json_object_is_config_error_naming_path(tmp_path, content):
     path = tmp_path / "model.json"
@@ -593,7 +674,7 @@ def test_predict_label_invariant_under_logit_shift():
     table = oov_table()
     base_label, base_probs, _ = predict(params, BASIC, table)
     shifted = seeded_params("reply_only", seed=29)
-    shifted.b_out = shifted.b_out + 7.5  # same constant on both logits
+    shifted.tensors()["b_out"] = shifted.tensors()["b_out"] + 7.5  # same on both logits
     label, probs, _ = predict(shifted, BASIC, table)
     assert label == base_label
     assert np.allclose(probs, base_probs, atol=1e-12)

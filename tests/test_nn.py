@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -16,8 +17,7 @@ from convsarc.nn import (LSTMCache, LSTMCellParams, LSTMState, _pack,
 def rand_cell(input_dim, hidden_dim, seed=0, scale=0.5):
     rng = new_rng(seed)
     t = LSTMCellParams.zeros(input_dim, hidden_dim).tensors()
-    return LSTMCellParams.from_tensors(
-        {k: rng.uniform(-scale, scale, v.shape) for k, v in t.items()})
+    return LSTMCellParams(*(rng.uniform(-scale, scale, v.shape) for v in t.values()))
 
 
 def one_step(p, x, prev):
@@ -169,7 +169,7 @@ def test_lstm_backward_matches_finite_differences():
     w_h, w_c = rng.uniform(-1, 1, (1, 2)), rng.uniform(-1, 1, (1, 2))
 
     def loss(t):
-        cell = LSTMCellParams.from_tensors(t)
+        cell = LSTMCellParams(t["W"], t["U"], t["b"])
         hs, final, _ = lstm_forward(cell, t["x"], [4], LSTMState(np.zeros((1, 2)), t["c0"]))
         return float(np.sum(w_steps * hs) + np.sum(w_h * final.h) + np.sum(w_c * final.c))
 
@@ -249,6 +249,17 @@ def test_lstm_backward_refuses_a_used_cache():
     assert len(cache) == 5
     with pytest.raises(DomainError, match="cache"):
         lstm_backward(p, cache, dh_final=np.ones((2, 2)))
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (6, 4), (9, 2)])
+def test_lstm_backward_rejects_dh_steps_of_the_wrong_shape(shape):
+    # a 3-sequence pass of 6 steps at hidden 2 takes a 6 x 2 dh_steps
+    p = rand_cell(3, 2, seed=16)
+    _, _, cache = lstm_forward(p, new_rng(17).uniform(-1, 1, (6, 3)), [1, 2, 3])
+    with pytest.raises(ShapeError, match=re.escape(
+            f"dh_steps has shape {shape}, expected (6, 2)")):
+        lstm_backward(p, cache, dh_steps=np.ones(shape))
+    lstm_backward(p, cache, dh_steps=np.ones((6, 2)))  # the refusal left the cache unused
 
 
 # ------------------------------------ lstm_forward/lstm_backward vs reference
