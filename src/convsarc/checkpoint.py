@@ -1,0 +1,70 @@
+"""The checkpoint file format, shared by both model kinds.
+
+A checkpoint is one JSON object with sorted keys and a trailing newline. It
+carries its `kind` ("lstm" or "svm") and that kind's `format_version`;
+float64 arrays are stored as base64 of their little-endian bytes. A file
+that cannot be read as a checkpoint raises ConfigError naming its path.
+"""
+from __future__ import annotations
+
+import base64
+import json
+from contextlib import contextmanager
+
+import numpy as np
+
+from .errors import ConfigError
+
+VERSIONS = {"lstm": 2, "svm": 1}  # lstm 2: LSTM gates stacked into W, U, b
+
+
+def read(path, kind: str | None = None) -> dict:
+    """The checkpoint at path as a dict, after checking that it is one of
+    kind (any known kind if None) at that kind's format_version."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except (OSError, ValueError) as e:  # unreadable, not UTF-8, or not JSON
+        raise ConfigError(f"{path}: not a JSON checkpoint: {e}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path}: checkpoint is not a JSON object")
+    want = kind or doc.get("kind")
+    if want not in tuple(VERSIONS):  # a tuple: the kind may be unhashable
+        raise ConfigError(f"{path}: unknown checkpoint kind {want!r}")
+    if doc.get("format_version") != VERSIONS[want]:
+        raise ConfigError(f"{path}: checkpoint format_version {doc.get('format_version')} "
+                          f"not supported (expected {VERSIONS[want]})")
+    if doc.get("kind") != want:
+        raise ConfigError(f"{path}: not an {want} checkpoint")
+    return doc
+
+
+def write(kind: str, fields: dict, path) -> None:
+    doc = {"format_version": VERSIONS[kind], "kind": kind, **fields}
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        json.dump(doc, fh, sort_keys=True)
+        fh.write("\n")
+
+
+@contextmanager
+def parsing(path):
+    """Turns a missing field or a value of the wrong type, met while taking
+    a read checkpoint apart, into a ConfigError naming path."""
+    try:
+        yield
+    except KeyError as e:
+        raise ConfigError(f"{path}: checkpoint lacks field {e}") from None
+    except (TypeError, ValueError, AttributeError, IndexError, OverflowError) as e:
+        raise ConfigError(f"{path}: malformed checkpoint: {e}") from None
+
+
+def encode(arr: np.ndarray) -> str:
+    return base64.b64encode(np.ascontiguousarray(arr, dtype="<f8").tobytes()).decode("ascii")
+
+
+def decode(data: str) -> np.ndarray:
+    """The float64 array encode stored; ValueError unless it is whole and finite."""
+    arr = np.frombuffer(base64.b64decode(data, validate=True), dtype="<f8").astype(np.float64)
+    if not np.isfinite(arr).all():
+        raise ValueError("non-finite values in tensor data")
+    return arr

@@ -12,8 +12,8 @@ import json
 import sys
 from pathlib import Path
 
-from . import data, evaluate, features, models
-from .config import MODEL_CHOICES, PLATFORM_CHOICES, RunConfig, TASK_CHOICES
+from . import checkpoint, data, evaluate, features, models
+from .config import CHOICES, RunConfig
 from .embeddings import load_embeddings
 from .errors import ConfigError, DataError, DomainError, NumericError, ShapeError
 
@@ -43,23 +43,13 @@ def _build_parser() -> _Parser:
 
 def _add_config_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags override its keys")
-    p.add_argument("--variant", choices=MODEL_CHOICES)
-    p.add_argument("--task", choices=TASK_CHOICES)
-    p.add_argument("--platform", choices=PLATFORM_CHOICES)
-    p.add_argument("--corpus")
-    p.add_argument("--raw-tweets", dest="raw_tweets")
-    p.add_argument("--embeddings")
-    p.add_argument("--lexicons")
-    p.add_argument("--checkpoint")
-    p.add_argument("--outdir")
-    for flag in ("embed-dim", "hidden-dim", "att-dim", "batch-size", "epochs",
-                 "patience", "seed", "max-context", "min-ngram-count"):
-        p.add_argument(f"--{flag}", dest=flag.replace("-", "_"), type=int)
-    for flag in ("dropout", "l2", "lr"):
-        p.add_argument(f"--{flag}", type=float)
-    p.add_argument("--conditional-reply-head-only",
-                   dest="conditional_reply_head_only",
-                   action=argparse.BooleanOptionalAction, default=None)
+    for key, (kind, _) in RunConfig.field_types().items():
+        flag = "--" + key.replace("_", "-")
+        if kind is bool:
+            p.add_argument(flag, dest=key, action=argparse.BooleanOptionalAction, default=None)
+        else:
+            p.add_argument(flag, dest=key, type=None if kind is str else kind,
+                           choices=CHOICES.get(key))
 
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
@@ -116,18 +106,6 @@ def _load_lexicon_dir(path) -> features.LexiconSet:
         if not (d / name).exists():
             raise ConfigError(f"lexicons: missing file {d / name}")
     return features.load_lexicons(*(d / name for name in names))
-
-
-def _checkpoint_kind(path) -> str:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as e:  # unreadable, not UTF-8, or not JSON
-        raise ConfigError(f"checkpoint: cannot read {path}: {e}") from None
-    kind = doc.get("kind") if isinstance(doc, dict) else None
-    if kind not in ("lstm", "svm"):
-        raise ConfigError(f"checkpoint: unknown kind {kind!r} in {path}")
-    return kind
 
 
 # --------------------------------------------------------------------------
@@ -206,7 +184,7 @@ def _scoring_setup(cfg: RunConfig) -> tuple[str, list]:
     """Validate everything a scoring command needs, then load the instances.
     Nothing is written until validation is complete."""
     cfg.validate(need=("checkpoint", "corpus"))
-    kind = _checkpoint_kind(cfg.checkpoint)
+    kind = checkpoint.read(cfg.checkpoint)["kind"]
     extra = ("lexicons",) if kind == "svm" else ("embeddings",)
     cfg.validate(need=("checkpoint", "corpus") + extra)
     _require_outdir(cfg)
@@ -262,7 +240,7 @@ def cmd_predict(cfg: RunConfig) -> None:
 def cmd_attention(cfg: RunConfig) -> None:
     cfg.validate(need=("checkpoint", "corpus", "embeddings"))
     _require_outdir(cfg)
-    if _checkpoint_kind(cfg.checkpoint) != "lstm":
+    if checkpoint.read(cfg.checkpoint)["kind"] != "lstm":
         raise ConfigError(f"checkpoint: {cfg.checkpoint}: attention needs an lstm checkpoint")
     params = models.load_checkpoint(cfg.checkpoint)
     if params.variant not in models.ATTENTION_VARIANTS:

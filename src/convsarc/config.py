@@ -8,37 +8,19 @@ import json
 import math
 import os
 from dataclasses import dataclass, asdict, fields
+from typing import get_args, get_type_hints
 
-from .data import context_cutoff
+from .data import PLATFORMS, context_cutoff
 from .errors import ConfigError
+from .features import TASKS
+from .models import VARIANTS
 
-MODEL_CHOICES = ("reply_only", "concat", "conditional",
-                 "sent_attn", "word_attn", "hier_attn", "svm")
-TASK_CHOICES = ("reply_only", "context_and_reply")
-PLATFORM_CHOICES = ("forum", "twitter")
+CHOICES = {"variant": VARIANTS + ("svm",), "task": TASKS, "platform": PLATFORMS}
 
 _PLATFORM_EMBED_DIM = {"twitter": 100, "forum": 300}
-
-_STRING_KEYS = ("variant", "task", "platform", "corpus", "raw_tweets",
-                "embeddings", "lexicons", "checkpoint", "outdir")
-_INT_KEYS = ("embed_dim", "hidden_dim", "att_dim", "batch_size", "epochs",
-             "patience", "seed", "max_context", "min_ngram_count")
-_FLOAT_KEYS = ("dropout", "l2", "lr")
-
-
-def _check_type(source: str, key: str, val) -> None:
-    if val is None and key in ("corpus", "raw_tweets", "embeddings", "lexicons",
-                               "checkpoint", "outdir", "embed_dim", "hidden_dim",
-                               "att_dim", "max_context"):
-        return
-    if key in _STRING_KEYS and not isinstance(val, str):
-        raise ConfigError(f"{source}: {key} must be a string, got {val!r}")
-    if key in _INT_KEYS and (not isinstance(val, int) or isinstance(val, bool)):
-        raise ConfigError(f"{source}: {key} must be an integer, got {val!r}")
-    if key in _FLOAT_KEYS and (not isinstance(val, (int, float)) or isinstance(val, bool)):
-        raise ConfigError(f"{source}: {key} must be a number, got {val!r}")
-    if key == "conditional_reply_head_only" and not isinstance(val, bool):
-        raise ConfigError(f"{source}: {key} must be a boolean, got {val!r}")
+# how a type error names each field type, and the values it accepts
+_TYPE_NAMES = {str: ("a string", str), int: ("an integer", int),
+               float: ("a number", (int, float)), bool: ("a boolean", bool)}
 
 
 @dataclass
@@ -89,6 +71,12 @@ class RunConfig:
         return tuple(f.name for f in fields(cls))
 
     @classmethod
+    def field_types(cls) -> dict[str, tuple[type, bool]]:
+        """Each key's type, and whether it may be None, from the annotations."""
+        return {k: (get_args(t)[0], True) if get_args(t) else (t, False)
+                for k, t in get_type_hints(cls).items()}
+
+    @classmethod
     def from_file(cls, path) -> "RunConfig":
         try:
             with open(path, "r", encoding="utf-8") as fh:
@@ -103,11 +91,15 @@ class RunConfig:
 
     def updated(self, overrides: dict, source: str = "command line") -> "RunConfig":
         values = asdict(self)
-        known = self.field_names()
+        types = self.field_types()
         for key, val in overrides.items():
-            if key not in known:
+            if key not in types:
                 raise ConfigError(f"{source}: unknown config key '{key}'")
-            _check_type(source, key, val)
+            kind, optional = types[key]
+            name, accepted = _TYPE_NAMES[kind]
+            if not ((val is None and optional) or (
+                    isinstance(val, accepted) and (kind is bool or not isinstance(val, bool)))):
+                raise ConfigError(f"{source}: {key} must be {name}, got {val!r}")
             values[key] = val
         return RunConfig(**values)
 
@@ -119,12 +111,9 @@ class RunConfig:
     def validate(self, need: tuple[str, ...] = ()) -> None:
         """Full validation up front: no command touches its outputs until
         the whole config is known to be good."""
-        if self.variant not in MODEL_CHOICES:
-            raise ConfigError(f"variant: '{self.variant}' not in {MODEL_CHOICES}")
-        if self.task not in TASK_CHOICES:
-            raise ConfigError(f"task: '{self.task}' not in {TASK_CHOICES}")
-        if self.platform not in PLATFORM_CHOICES:
-            raise ConfigError(f"platform: '{self.platform}' not in {PLATFORM_CHOICES}")
+        for key, choices in CHOICES.items():
+            if getattr(self, key) not in choices:
+                raise ConfigError(f"{key}: '{getattr(self, key)}' not in {choices}")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigError(f"dropout: {self.dropout} outside [0, 1)")
         if not 0 < self.lr < math.inf:  # NaN fails every comparison

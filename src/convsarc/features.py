@@ -12,8 +12,6 @@ class-weighted hinge loss with an L2 penalty.
 """
 from __future__ import annotations
 
-import base64
-import json
 import re
 from collections import Counter
 from fractions import Fraction
@@ -26,6 +24,7 @@ from .data import (ConversationInstance, EMOTICONS, context_sentence_texts,
                    load_resource_list, segment_instance)
 from .errors import ConfigError, DomainError, ParseError
 from .nn import new_rng
+from . import checkpoint
 
 FeatureVector = dict[str, float]
 
@@ -119,21 +118,6 @@ def lexicon_features(tokens: Sequence[str], side: str,
     return fv
 
 
-def _net_polarity(tokens: Sequence[str], lex: LexiconSet) -> int:
-    lowered = [t.lower() for t in tokens]
-    return (sum(1 for t in lowered if t in lex.positive)
-            - sum(1 for t in lowered if t in lex.negative))
-
-
-def sentiment_incongruity(context_tokens: Sequence[str],
-                          reply_tokens: Sequence[str],
-                          lex: LexiconSet) -> bool:
-    """True iff both sides have nonzero net polarity with opposite signs."""
-    c = _net_polarity(context_tokens, lex)
-    r = _net_polarity(reply_tokens, lex)
-    return c * r < 0
-
-
 def _index_patterns(patterns: Iterable[Sequence[str]]) -> dict[str, list[list[str]]]:
     """Nonempty token patterns keyed by their first token, longest first."""
     index: dict[str, list[list[str]]] = {}
@@ -199,17 +183,20 @@ def assemble(inst: ConversationInstance, mode: str, lex: LexiconSet,
         raise DomainError(f"unknown task mode '{mode}'")
     seg = segment_instance(inst, max_context)
     reply_tokens = [t for s in seg.reply_sentences for t in s]
+    reply_lex = lexicon_features(reply_tokens, "reply", lex)
     fv: FeatureVector = {}
     fv.update(_namespace("r", ngram_features(reply_tokens)))
-    fv.update(_namespace("r", lexicon_features(reply_tokens, "reply", lex)))
+    fv.update(_namespace("r", reply_lex))
     fv.update(_namespace("r", indicator_features(reply_tokens, inst.reply)))
     if mode == "context_and_reply":
         context_tokens = [t for s in seg.context_sentences for t in s]
         context_raw = " ".join(context_sentence_texts(inst, max_context))
+        context_lex = lexicon_features(context_tokens, "context", lex)
         fv.update(_namespace("c", ngram_features(context_tokens)))
-        fv.update(_namespace("c", lexicon_features(context_tokens, "context", lex)))
+        fv.update(_namespace("c", context_lex))
         fv.update(_namespace("c", indicator_features(context_tokens, context_raw)))
-        if sentiment_incongruity(context_tokens, reply_tokens, lex):
+        c, r = (f.get("pos_count", 0.0) - f.get("neg_count", 0.0) for f in (context_lex, reply_lex))
+        if c * r < 0:  # both sides have net polarity, of opposite signs
             fv["incongruity"] = 1.0
     return fv
 
@@ -416,54 +403,30 @@ def svm_predict(model: SvmModel, fv: FeatureVector) -> tuple[str, float]:
     return ("S" if score > 0.0 else "NS"), score
 
 
-SVM_CHECKPOINT_VERSION = 1
-
-
 def save_svm_checkpoint(model: SvmModel, task: str, max_context: int | None,
                         path) -> None:
-    doc = {
-        "format_version": SVM_CHECKPOINT_VERSION,
-        "kind": "svm",
+    checkpoint.write("svm", {
         "task": task,
         "max_context": max_context,
         "features": model.registry.names,
-        "weights": base64.b64encode(
-            np.ascontiguousarray(model.weights, dtype="<f8").tobytes()).decode("ascii"),
+        "weights": checkpoint.encode(model.weights),
         "bias": model.bias,
         "class_weights": {k: float(v) for k, v in model.class_weights.items()},
-    }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+    }, path)
 
 
 def load_svm_checkpoint(path) -> tuple[SvmModel, str, int | None]:
     """Read a save_svm_checkpoint file; a malformed one raises ConfigError
     naming the path."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except ValueError as e:  # not UTF-8, or not JSON
-        raise ConfigError(f"{path}: not a JSON checkpoint: {e}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: checkpoint is not a JSON object")
-    if doc.get("format_version") != SVM_CHECKPOINT_VERSION:
-        raise ConfigError(
-            f"{path}: checkpoint format_version {doc.get('format_version')} "
-            f"not supported (expected {SVM_CHECKPOINT_VERSION})")
-    if doc.get("kind") != "svm":
-        raise ConfigError(f"{path}: not an svm checkpoint")
-    try:
-        weights = np.frombuffer(base64.b64decode(doc["weights"], validate=True),
-                                dtype="<f8").astype(np.float64)
+    doc = checkpoint.read(path, "svm")
+    with checkpoint.parsing(path):
+        weights, bias = checkpoint.decode(doc["weights"]), float(doc["bias"])
         names = doc["features"]
-        model = SvmModel(FeatureRegistry(names), weights, float(doc["bias"]),
+        if not np.isfinite(bias):
+            raise ValueError(f"bias {bias} is not finite")
+        model = SvmModel(FeatureRegistry(names), weights, bias,
                          {k: Fraction(v) for k, v in doc["class_weights"].items()})
         task, max_context = doc["task"], doc["max_context"]
-    except KeyError as e:
-        raise ConfigError(f"{path}: checkpoint lacks field {e}") from None
-    except (TypeError, ValueError, AttributeError, OverflowError) as e:  # bad types or base64
-        raise ConfigError(f"{path}: malformed checkpoint: {e}") from None
     if not (isinstance(names, list) and all(isinstance(n, str) for n in names)
             and len(set(names)) == len(names) == len(weights)):
         raise ConfigError(f"{path}: malformed checkpoint: feature names do not "

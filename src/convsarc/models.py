@@ -24,8 +24,6 @@ Probabilities and logits are ordered (S, NS).
 """
 from __future__ import annotations
 
-import base64
-import json
 from itertools import accumulate
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -38,14 +36,12 @@ from .errors import ConfigError, DomainError, NumericError
 from .nn import (LSTMCellParams, LSTMState, cross_entropy, dropout_mask,
                  finite_diff_grad, lstm_backward, lstm_forward,
                  max_relative_error, new_rng, sgd_step, softmax, INIT_SCALE)
-from . import evaluate
+from . import checkpoint, evaluate
 
 VARIANTS = ("reply_only", "concat", "conditional",
             "sent_attn", "word_attn", "hier_attn")
 ATTENTION_VARIANTS = ("sent_attn", "word_attn", "hier_attn")
 LABEL_TO_INDEX = {"S": 0, "NS": 1}  # probability/logit order is (S, NS)
-
-CHECKPOINT_VERSION = 2  # 2: LSTM gates stacked into W, U, b
 
 
 class AttentionParams(NamedTuple):
@@ -498,71 +494,44 @@ def train_model(train_insts: Sequence[ConversationInstance],
 # checkpoints
 
 
+def _dims(named: dict[str, np.ndarray]) -> dict:
+    """The dims a checkpoint of these tensors records."""
+    return {"embed_dim": named["lstm_r.W"].shape[1], "hidden_dim": named["lstm_r.U"].shape[1],
+            "att_dim": named["attn_r.W_a"].shape[0] if "attn_r.W_a" in named else None}
+
+
 def save_checkpoint(params: ModelParams, path) -> None:
     """Self-describing deterministic checkpoint: variant, dims, and all
     tensors as little-endian float64 bytes."""
-    named, tensors = params.tensors(), {}
-    for name, t in named.items():
-        tensors[name] = {
-            "shape": list(t.shape),
-            "data": base64.b64encode(
-                np.ascontiguousarray(t, dtype="<f8").tobytes()).decode("ascii"),
-        }
-    doc = {
-        "format_version": CHECKPOINT_VERSION,
-        "kind": "lstm",
+    named = params.tensors()
+    checkpoint.write("lstm", {
         "variant": params.variant,
         "conditional_reply_head_only": params.conditional_reply_head_only,
-        "dims": {
-            "embed_dim": params.embed_dim,
-            "hidden_dim": params.hidden_dim,
-            "att_dim": named["attn_r.W_a"].shape[0] if "attn_r.W_a" in named else None,
-        },
-        "tensors": tensors,
-    }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, sort_keys=True)
-        fh.write("\n")
+        "dims": _dims(named),
+        "tensors": {name: {"shape": list(t.shape), "data": checkpoint.encode(t)}
+                    for name, t in named.items()},
+    }, path)
 
 
 def load_checkpoint(path) -> ModelParams:
     """Read a save_checkpoint file; a malformed one raises ConfigError
     naming the path."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except ValueError as e:  # not UTF-8, or not JSON
-        raise ConfigError(f"{path}: not a JSON checkpoint: {e}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: checkpoint is not a JSON object")
-    version = doc.get("format_version")
-    if version != CHECKPOINT_VERSION:
-        raise ConfigError(
-            f"{path}: checkpoint format_version {version} not supported "
-            f"(expected {CHECKPOINT_VERSION})")
-    if doc.get("kind") != "lstm":
-        raise ConfigError(f"{path}: not an lstm checkpoint")
-    try:
-        dims, head_only = doc["dims"], doc["conditional_reply_head_only"]
+    doc = checkpoint.read(path, "lstm")
+    with checkpoint.parsing(path):
+        dims, head_only, variant = doc["dims"], doc["conditional_reply_head_only"], doc["variant"]
         if not isinstance(head_only, bool):
             raise TypeError(f"conditional_reply_head_only must be a boolean, got {head_only!r}")
-        skeleton = init_params(doc["variant"], dims["embed_dim"], dims["hidden_dim"],
-                               dims["att_dim"], rng=None,
-                               conditional_reply_head_only=head_only)
-        loaded = {}
-        for name, spec in doc["tensors"].items():
-            arr = np.frombuffer(base64.b64decode(spec["data"], validate=True), dtype="<f8")
-            loaded[name] = arr.reshape(spec["shape"]).astype(np.float64)
-    except KeyError as e:
-        raise ConfigError(f"{path}: checkpoint lacks field {e}") from None
-    except (TypeError, ValueError, AttributeError) as e:  # bad types, base64 or shapes
-        raise ConfigError(f"{path}: malformed checkpoint: {e}") from None
-    except ConfigError as e:  # an unknown variant
-        raise ConfigError(f"{path}: {e}") from None
-    expected = {k: t.shape for k, t in skeleton.tensors().items()}
-    if expected != {k: t.shape for k, t in loaded.items()}:
-        raise ConfigError(f"{path}: tensor set or shapes do not match variant "
-                          f"'{doc['variant']}'")
+        if variant not in VARIANTS:
+            raise ConfigError(f"{path}: unknown variant {variant!r} (choose from {VARIANTS})")
+        loaded = {name: checkpoint.decode(spec["data"]).reshape(spec["shape"])
+                  for name, spec in doc["tensors"].items()}
+        if dims != _dims(loaded):  # so nothing is allocated from dims the data do not fill
+            raise ValueError(f"dims {dims} do not fit the tensors")
+        skeleton = init_params(variant, dims["embed_dim"], dims["hidden_dim"], dims["att_dim"],
+                               rng=None, conditional_reply_head_only=head_only)
+    if {k: t.shape for k, t in skeleton.tensors().items()} != {
+            k: t.shape for k, t in loaded.items()}:
+        raise ConfigError(f"{path}: tensor set or shapes do not match variant '{variant}'")
     return skeleton.replace_tensors(loaded)
 
 

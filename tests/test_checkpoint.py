@@ -1,0 +1,203 @@
+"""The checkpoint file format: one module owns it, and no checkpoint of
+either kind, however mangled, gets past the loaders as anything but a
+ConfigError that names the file."""
+import ast
+import copy
+import json
+import math
+from fractions import Fraction
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+import hypothesis.strategies as st
+
+import convsarc
+from convsarc import checkpoint
+from convsarc.errors import ConfigError
+from convsarc.features import FeatureRegistry, SvmModel, load_svm_checkpoint, save_svm_checkpoint
+from convsarc.models import init_params, load_checkpoint, save_checkpoint
+from convsarc.nn import new_rng
+
+SRC = Path(convsarc.__file__).parent
+
+
+def saved(tmp_path, kind):
+    """A valid checkpoint of kind, as written, and its path."""
+    path = tmp_path / f"{kind}.json"
+    if kind == "lstm":
+        save_checkpoint(init_params("hier_attn", 3, 2, 2, rng=new_rng(1)), path)
+    else:
+        model = SvmModel(FeatureRegistry(["r|ng1:a", "c|cat:x", "incongruity"]),
+                         np.array([0.5, -1.25, 3.0]), 0.75,
+                         {"S": Fraction(3, 2), "NS": Fraction(3, 4)})
+        save_svm_checkpoint(model, "context_and_reply", 5, path)
+    return path
+
+
+LOADERS = {"lstm": load_checkpoint, "svm": load_svm_checkpoint}
+
+
+def test_only_the_checkpoint_module_knows_the_file_format():
+    for f in sorted(SRC.glob("*.py")):
+        if f.name == "checkpoint.py":
+            continue
+        text = f.read_text(encoding="utf-8")
+        imported = set()
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Import):
+                imported |= {a.name.split(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                imported.add(node.module.split(".")[0])
+        assert "base64" not in imported, f.name
+        assert "format_version" not in text, f.name
+        if f.name in ("models.py", "features.py"):
+            assert "json" not in imported, f.name
+
+
+@pytest.mark.parametrize("kind", ["lstm", "svm"])
+def test_write_gives_sorted_keys_and_one_trailing_newline(tmp_path, kind):
+    text = saved(tmp_path, kind).read_text(encoding="utf-8")
+    assert text.endswith("}\n") and text.count("\n") == 1
+    assert text == json.dumps(json.loads(text), sort_keys=True) + "\n"
+    assert checkpoint.read(tmp_path / f"{kind}.json")["kind"] == kind
+
+
+@pytest.mark.parametrize("kind", ["lstm", "svm"])
+def test_unreadable_file_is_config_error_naming_path(tmp_path, kind):
+    for path in (tmp_path / "absent.json", tmp_path):
+        with pytest.raises(ConfigError, match="not a JSON checkpoint"):
+            LOADERS[kind](path)
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"kind": "caf\xe9"}')
+    with pytest.raises(ConfigError, match=r"latin1\.json: not a JSON checkpoint"):
+        LOADERS[kind](path)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ({"kind": "mystery", "format_version": 1}, "unknown checkpoint kind 'mystery'"),
+    ({"format_version": 2}, "unknown checkpoint kind None"),
+    ({"kind": ["lstm"], "format_version": 2}, r"unknown checkpoint kind \['lstm'\]"),
+    ({"kind": "svm", "format_version": 2},
+     r"checkpoint format_version 2 not supported \(expected 1\)"),
+])
+def test_read_of_any_kind_refuses_unknown_kinds_and_versions(tmp_path, doc, message):
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"odd\.json: " + message):
+        checkpoint.read(path)
+
+
+def test_read_of_one_kind_refuses_the_other(tmp_path):
+    path = tmp_path / "odd.json"
+    path.write_text(json.dumps({"kind": "svm", "format_version": 2}), encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"odd\.json: not an lstm checkpoint"):
+        checkpoint.read(path, "lstm")
+
+
+def test_decode_inverts_encode_and_refuses_non_finite_values():
+    arr = np.array([[0.1, -0.0, 5e-324], [1e308, -2.5, 7.0]])
+    back = checkpoint.decode(checkpoint.encode(arr)).reshape(arr.shape)
+    assert back.tobytes() == arr.tobytes() and back.flags.writeable
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            checkpoint.decode(checkpoint.encode(np.array([1.0, bad])))
+
+
+# -- fuzzing -------------------------------------------------------------------
+
+ODD_VALUES = [None, True, False, 0, -1, 1, 2.5, 10 ** 13, -10 ** 13, "x", "", [], {},
+              [1, 2], {"a": 1}, math.nan, math.inf, "AAAA", [10 ** 13, 1], [-1]]
+DIMS = [0, -1, -7, 10 ** 13, -10 ** 13]
+
+
+def paths(doc, prefix=()):
+    """Every key or index path into doc's objects and lists."""
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc)
+    for key, value in items:
+        yield prefix + (key,)
+        if isinstance(value, (dict, list)):
+            yield from paths(value, prefix + (key,))
+
+
+def base64_paths(doc):
+    tensors = doc.get("tensors")
+    names = list(tensors) if isinstance(tensors, dict) else []
+    return [("weights",)] + [("tensors", name, "data") for name in names]
+
+
+def corrupt(data, text):
+    """text, base64 of float64s, corrupted in one of several ways."""
+    n = max(len(text) * 3 // 4 // 8, 1)
+    how = data.draw(st.sampled_from(["cut", "insert", "nan", "resize"]))
+    if how == "cut":
+        return text[:data.draw(st.integers(0, max(len(text) - 1, 0)))]
+    if how == "insert":
+        at = data.draw(st.integers(0, len(text)))
+        return text[:at] + data.draw(st.sampled_from(["!", "=", "A", " ", "é"])) + text[at:]
+    if how == "nan":
+        values = np.ones(n)
+        values[data.draw(st.integers(0, n - 1))] = data.draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+        return checkpoint.encode(values)
+    return checkpoint.encode(np.ones(n + data.draw(st.sampled_from([-1, 1, 7]))))
+
+
+def mutate(data, doc):
+    for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+        ops = ["drop", "retype", "corrupt"] + (["dims"] if "dims" in doc else [])
+        op = data.draw(st.sampled_from(ops), label="op")
+        if op == "dims" and isinstance(doc["dims"], dict):
+            key = data.draw(st.sampled_from(["embed_dim", "hidden_dim", "att_dim"]))
+            doc["dims"][key] = data.draw(st.sampled_from(DIMS))
+            continue
+        if op == "corrupt":
+            candidates = [p for p in base64_paths(doc) if isinstance(_get(doc, p), str)]
+            if candidates:
+                path = data.draw(st.sampled_from(candidates))
+                _set(doc, path, corrupt(data, _get(doc, path)))
+            continue
+        all_paths = list(paths(doc))
+        if not all_paths:
+            return
+        path = data.draw(st.sampled_from(all_paths), label="path")
+        parent = _get(doc, path[:-1])
+        if op == "drop":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = copy.deepcopy(data.draw(st.sampled_from(ODD_VALUES)))
+
+
+def _get(doc, path):
+    try:
+        for key in path:
+            doc = doc[key]
+        return doc
+    except (KeyError, IndexError, TypeError):
+        return None
+
+
+def _set(doc, path, value):
+    _get(doc, path[:-1])[path[-1]] = value
+
+
+@pytest.mark.parametrize("kind", ["lstm", "svm"])
+@given(data=st.data())
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_mutated_checkpoint_loads_or_is_config_error_naming_path(tmp_path, kind, data):
+    path = saved(tmp_path, kind)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    mutate(data, doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    try:
+        loaded = LOADERS[kind](path)
+    except ConfigError as e:
+        assert str(path) in str(e)
+        return
+    if kind == "lstm":
+        values = list(loaded.tensors().values())
+    else:
+        values = [loaded[0].weights, np.array([loaded[0].bias])]
+    assert all(np.isfinite(v).all() for v in values)

@@ -9,8 +9,9 @@ import pytest
 
 import convsarc
 
-from convsarc import evaluate, models
-from convsarc.cli import main
+from convsarc import checkpoint, evaluate, models
+from convsarc.cli import COMMANDS, _build_parser, _config_from_args, main
+from convsarc.config import RunConfig
 from convsarc.data import context_cutoff, load_corpus, save_corpus, segment_instance
 from convsarc.embeddings import load_embeddings
 from convsarc.nn import new_rng
@@ -183,6 +184,80 @@ def test_config_file_type_error_names_key(tmp_path, capsys):
     assert run("gradcheck", "--config", cfg) == 1
     err = capsys.readouterr().err
     assert "epochs" in err and "integer" in err
+
+
+STRING_KEYS = ("variant", "task", "platform", "corpus", "raw_tweets", "embeddings",
+               "lexicons", "checkpoint", "outdir")
+INT_KEYS = ("embed_dim", "hidden_dim", "att_dim", "batch_size", "epochs", "patience",
+            "seed", "max_context", "min_ngram_count")
+FLOAT_KEYS = ("dropout", "l2", "lr")
+OPTIONAL_KEYS = ("corpus", "raw_tweets", "embeddings", "lexicons", "checkpoint",
+                 "outdir", "embed_dim", "hidden_dim", "att_dim", "max_context")
+# (key, a value of the wrong type, the word its message uses for the type)
+WRONG_TYPES = ([(k, v, "string") for k in STRING_KEYS for v in (7, True, [])]
+               + [(k, v, "integer") for k in INT_KEYS for v in ("3", 2.0, True)]
+               + [(k, v, "number") for k in FLOAT_KEYS for v in ("0.5", False, {})]
+               + [("conditional_reply_head_only", v, "boolean") for v in ("yes", 1, None)]
+               + [(k, None, word) for keys, word in ((STRING_KEYS, "string"),
+                                                     (INT_KEYS, "integer"),
+                                                     (FLOAT_KEYS, "number"))
+                  for k in keys if k not in OPTIONAL_KEYS])
+
+
+def test_wrong_type_table_covers_every_config_key():
+    assert {k for k, _, _ in WRONG_TYPES} == set(RunConfig.field_names())
+
+
+@pytest.mark.parametrize("key, value, word", WRONG_TYPES)
+def test_config_file_value_of_wrong_type_names_key(tmp_path, capsys, key, value, word):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: value}), encoding="utf-8")
+    assert run("gradcheck", "--config", cfg) == 1
+    err = capsys.readouterr().err
+    assert f"{key} must be a{'n' if word == 'integer' else ''} {word}, got {value!r}" in err
+
+
+@pytest.mark.parametrize("key", OPTIONAL_KEYS)
+def test_config_file_null_for_an_optional_key_is_accepted(key):
+    assert getattr(RunConfig().updated({key: None}, source="test"), key) is None
+
+
+FLAG_VALUES = ([("variant", "concat", "concat"), ("task", "reply_only", "reply_only"),
+                ("platform", "twitter", "twitter")]
+               + [(k, "some/path", "some/path") for k in STRING_KEYS[3:]]
+               + [(k, "7", 7) for k in INT_KEYS]
+               + [(k, "0.25", 0.25) for k in FLOAT_KEYS])
+
+
+@pytest.mark.parametrize("command", sorted(COMMANDS))
+def test_every_flag_sets_its_key(command):
+    parser = _build_parser()
+    for key, text, value in FLAG_VALUES:
+        cfg = _config_from_args(parser.parse_args([command, "--" + key.replace("_", "-"), text]))
+        assert getattr(cfg, key) == value and type(getattr(cfg, key)) is type(value), key
+    for flag, value in (("--conditional-reply-head-only", True),
+                        ("--no-conditional-reply-head-only", False)):
+        cfg = _config_from_args(parser.parse_args([command, flag]))
+        assert cfg.conditional_reply_head_only is value
+    assert _config_from_args(parser.parse_args([command])) == RunConfig()
+
+
+def test_each_command_takes_the_same_option_strings():
+    sub = next(a for a in _build_parser()._actions if a.choices)
+    want = ({"-h", "--help", "--config", "--conditional-reply-head-only",
+             "--no-conditional-reply-head-only"}
+            | {"--" + k.replace("_", "-") for k in STRING_KEYS + INT_KEYS + FLOAT_KEYS})
+    assert set(sub.choices) == set(COMMANDS)
+    for name, parser in sub.choices.items():
+        assert {s for a in parser._actions for s in a.option_strings} == want, name
+
+
+@pytest.mark.parametrize("flag, value", [("--variant", "svm_x"), ("--task", "both"),
+                                         ("--platform", "reddit"), ("--epochs", "2.5"),
+                                         ("--lr", "fast")])
+def test_flag_value_outside_its_type_or_choices_is_usage_error(capsys, flag, value):
+    assert run("gradcheck", flag, value) == 1
+    assert flag in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("key", ["lr", "l2"])
@@ -364,6 +439,40 @@ def test_attention_refuses_svm_and_reply_only_checkpoints(workdir, lexicon_dir, 
         assert code == 1
         assert message in err and str(ckpt) in err and "Traceback" not in err
         assert not out.exists()
+
+
+def test_predict_refuses_svm_checkpoint_with_nan_weights(workdir, lexicon_dir, capsys):
+    svm_run = workdir / "svm_run"
+    assert run("train", "--corpus", workdir / "corpus.jsonl", "--lexicons", lexicon_dir,
+               "--variant", "svm", "--task", "reply_only", "--platform", "twitter",
+               "--epochs", 1, "--seed", 0, "--outdir", svm_run) == 0
+    ckpt = svm_run / "checkpoint.json"
+    doc = json.loads(ckpt.read_text(encoding="utf-8"))
+    doc["weights"] = checkpoint.encode(np.full(len(doc["features"]), np.nan))
+    ckpt.write_text(json.dumps(doc), encoding="utf-8")
+    capsys.readouterr()
+    out = workdir / "never"
+    code = run("predict", "--checkpoint", ckpt, "--corpus", workdir / "corpus.jsonl",
+               "--lexicons", lexicon_dir, "--platform", "twitter", "--outdir", out)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert str(ckpt) in err and "non-finite" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_eval_refuses_checkpoint_dims_too_large_to_allocate(workdir, capsys):
+    _, ckpt = scoring_inputs(workdir, "sent_attn")
+    doc = json.loads(ckpt.read_text(encoding="utf-8"))
+    doc["dims"]["embed_dim"] = 10 ** 13
+    ckpt.write_text(json.dumps(doc), encoding="utf-8")
+    out = workdir / "never"
+    code = run("eval", "--checkpoint", ckpt, "--corpus", workdir / "corpus.jsonl",
+               "--embeddings", workdir / "emb.txt", "--platform", "twitter",
+               "--embed-dim", EMBED_DIM, "--outdir", out)
+    err = capsys.readouterr().err
+    assert code == 1
+    assert str(ckpt) in err and "dims" in err and "Traceback" not in err
+    assert not out.exists()
 
 
 def test_empty_test_split_keeps_exit_codes(tmp_path, capsys):

@@ -278,6 +278,55 @@ def test_lexicon_categories_match_any_scan(tiny_lexicons):
         assert [k for k in fv if k.startswith("cat:")] == expected
 
 
+def ref_net_polarity(tokens, lex):
+    lowered = [t.lower() for t in tokens]
+    return (sum(1 for t in lowered if t in lex.positive)
+            - sum(1 for t in lowered if t in lex.negative))
+
+
+def ref_assemble(inst, mode, lex, max_context=None):
+    """assemble as first written: the incongruity flag from each side's own
+    lowercased polarity counts."""
+    seg = data.segment_instance(inst, max_context)
+    reply_tokens = [t for s in seg.reply_sentences for t in s]
+    fv = {}
+    fv.update(features._namespace("r", features.ngram_features(reply_tokens)))
+    fv.update(features._namespace("r", features.lexicon_features(reply_tokens, "reply", lex)))
+    fv.update(features._namespace("r", features.indicator_features(reply_tokens, inst.reply)))
+    if mode == "context_and_reply":
+        context_tokens = [t for s in seg.context_sentences for t in s]
+        context_raw = " ".join(data.context_sentence_texts(inst, max_context))
+        fv.update(features._namespace("c", features.ngram_features(context_tokens)))
+        fv.update(features._namespace(
+            "c", features.lexicon_features(context_tokens, "context", lex)))
+        fv.update(features._namespace(
+            "c", features.indicator_features(context_tokens, context_raw)))
+        if ref_net_polarity(context_tokens, lex) * ref_net_polarity(reply_tokens, lex) < 0:
+            fv["incongruity"] = 1.0
+    return fv
+
+
+LEXICON = features.LexiconSet(
+    categories={"affect": frozenset({"love", "hate"}), "certain": frozenset({"never"})},
+    positive=frozenset({"love", "great", "happy"}),
+    negative=frozenset({"hate", "terrible", "sad"}),
+    negations=frozenset({"not", "never"}))
+# lexicon words in several cases, among the tokenizer's hard pieces
+polar_words = st.sampled_from(["love", "Love", "LOVE", "great!", "Happy", "hate", "HATE",
+                               "terrible.", "Sad", "not", "never", "yeah", "right?"])
+polar_texts = st.lists(st.one_of(polar_words, words), max_size=10).map(" ".join)
+
+
+@given(st.sampled_from(data.PLATFORMS), st.sampled_from(features.TASKS),
+       st.lists(st.one_of(polar_texts, utterances), max_size=6), polar_texts,
+       st.sampled_from([None, 0, 1, 3]))
+@settings(max_examples=150, deadline=None)
+def test_assemble_matches_reference_in_order(platform, mode, context, reply, max_context):
+    inst = ConversationInstance("x", platform, context, reply or "r", "S")
+    fv = features.assemble(inst, mode, LEXICON, max_context)
+    assert list(fv.items()) == list(ref_assemble(inst, mode, LEXICON, max_context).items())
+
+
 # -- SVM -------------------------------------------------------------------------
 
 # n-gram names, which the min_ngram_count cutoff drops, and names it keeps;

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from convsarc import checkpoint
 from convsarc.data import ConversationInstance
 from convsarc.errors import ConfigError, ParseError
 from convsarc.features import (FeatureRegistry, SvmConfig, assemble,
@@ -13,7 +14,7 @@ from convsarc.features import (FeatureRegistry, SvmConfig, assemble,
                                indicator_features, lexicon_features,
                                load_lexicons, ngram_features,
                                load_svm_checkpoint, save_svm_checkpoint,
-                               sentiment_incongruity, svm_predict, svm_train)
+                               svm_predict, svm_train)
 
 # -- n-grams -----------------------------------------------------------------
 
@@ -67,6 +68,16 @@ def test_lexicon_matches_allcaps_tokens(tiny_lexicons):
 
 
 # -- incongruity ----------------------------------------------------------------
+
+
+def sentiment_incongruity(context_tokens, reply_tokens, lex):
+    """Whether assemble sets the incongruity flag for one context tweet and
+    a reply made of these tokens."""
+    inst = ConversationInstance("x", "twitter", [" ".join(context_tokens)],
+                                " ".join(reply_tokens), "S")
+    fv = assemble(inst, "context_and_reply", lex)
+    assert fv.get("incongruity", 1.0) == 1.0
+    return "incongruity" in fv
 
 
 def test_incongruity_opposite_signs(tiny_lexicons):
@@ -326,6 +337,17 @@ def test_svm_checkpoint_field_of_wrong_type_is_config_error_naming_path(
     doc[field] = value
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(ConfigError, match=r"svm\.json: malformed"):
+        load_svm_checkpoint(path)
+
+
+@pytest.mark.parametrize("field", ["weights", "bias"])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_svm_checkpoint_non_finite_value_is_config_error_naming_path(tmp_path, field, value):
+    path, doc = saved_svm_doc(tmp_path)
+    doc[field] = (checkpoint.encode(np.full(len(doc["features"]), value))
+                  if field == "weights" else value)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"svm\.json: malformed checkpoint: .*(non-)?finite"):
         load_svm_checkpoint(path)
 
 

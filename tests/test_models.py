@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from convsarc import checkpoint
 from convsarc.data import SegmentedInstance
 from convsarc.embeddings import EmbeddingTable, lookup, sentence_avg
 from convsarc.errors import ConfigError, DomainError, NumericError
@@ -658,6 +659,31 @@ def test_checkpoint_head_only_flag_must_be_boolean(tmp_path):
     doc["conditional_reply_head_only"] = "yes"
     path.write_text(json.dumps(doc), encoding="utf-8")
     with pytest.raises(ConfigError, match=r"model\.json: .*conditional_reply_head_only"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_checkpoint_non_finite_tensor_value_is_config_error_naming_path(tmp_path, value):
+    path = tmp_path / "model.json"
+    save_checkpoint(seeded_params("reply_only"), path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    w_out = seeded_params("reply_only").tensors()["W_out"].copy()
+    w_out[1, 2] = value
+    doc["tensors"]["W_out"]["data"] = checkpoint.encode(w_out)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"model\.json: malformed checkpoint: non-finite"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("key, value", [("embed_dim", 10 ** 13), ("hidden_dim", 0),
+                                        ("att_dim", -3), ("att_dim", 5), ("embed_dim", None)])
+def test_checkpoint_dims_that_do_not_fit_the_tensors_are_config_error(tmp_path, key, value):
+    path = tmp_path / "model.json"
+    save_checkpoint(seeded_params("reply_only"), path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["dims"][key] = value
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"model\.json: malformed checkpoint: dims .* do not fit"):
         load_checkpoint(path)
 
 
