@@ -18,21 +18,25 @@ from .errors import ConfigError
 VERSIONS = {"lstm": 2, "svm": 1}  # lstm 2: LSTM gates stacked into W, U, b
 
 
-def read(path, kind: str | None = None) -> dict:
+def read(path, kind: str | None = None, doc: dict | None = None) -> dict:
     """The checkpoint at path as a dict, after checking that it is one of
-    kind (any known kind if None) at that kind's format_version."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except (OSError, ValueError) as e:  # unreadable, not UTF-8, or not JSON
-        raise ConfigError(f"{path}: not a JSON checkpoint: {e}") from None
+    kind (any known kind if None) at that kind's format_version. A doc that
+    an earlier read returned for path is checked again without rereading
+    the file."""
+    if doc is None:
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                doc = json.load(fh)
+        except (OSError, ValueError) as e:  # unreadable, not UTF-8, or not JSON
+            raise ConfigError(f"{path}: not a JSON checkpoint: {e}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: checkpoint is not a JSON object")
     want = kind or doc.get("kind")
     if want not in tuple(VERSIONS):  # a tuple: the kind may be unhashable
         raise ConfigError(f"{path}: unknown checkpoint kind {want!r}")
-    if doc.get("format_version") != VERSIONS[want]:
-        raise ConfigError(f"{path}: checkpoint format_version {doc.get('format_version')} "
+    version = doc.get("format_version")
+    if type(version) is not int or version != VERSIONS[want]:  # not true, not 2.0
+        raise ConfigError(f"{path}: checkpoint format_version {version} "
                           f"not supported (expected {VERSIONS[want]})")
     if doc.get("kind") != want:
         raise ConfigError(f"{path}: not an {want} checkpoint")
@@ -56,6 +60,14 @@ def parsing(path):
         raise ConfigError(f"{path}: checkpoint lacks field {e}") from None
     except (TypeError, ValueError, AttributeError, IndexError, OverflowError) as e:
         raise ConfigError(f"{path}: malformed checkpoint: {e}") from None
+
+
+def number(value, name: str):
+    """value if it is a JSON number (an int or a float, not a boolean);
+    TypeError, which parsing reports as malformed, otherwise."""
+    if type(value) not in (int, float):
+        raise TypeError(f"{name} must be a number, got {value!r}")
+    return value
 
 
 def encode(arr: np.ndarray) -> str:

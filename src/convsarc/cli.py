@@ -180,25 +180,26 @@ def cmd_train(cfg: RunConfig) -> None:
           f"kept epoch {result.best_epoch}")
 
 
-def _scoring_setup(cfg: RunConfig) -> tuple[str, list]:
+def _scoring_setup(cfg: RunConfig) -> tuple[dict, list]:
     """Validate everything a scoring command needs, then load the instances.
-    Nothing is written until validation is complete."""
+    Returns the read checkpoint, which the loaders take without rereading
+    it, and the instances. Nothing is written until validation is complete."""
     cfg.validate(need=("checkpoint", "corpus"))
-    kind = checkpoint.read(cfg.checkpoint)["kind"]
-    extra = ("lexicons",) if kind == "svm" else ("embeddings",)
+    doc = checkpoint.read(cfg.checkpoint)
+    extra = ("lexicons",) if doc["kind"] == "svm" else ("embeddings",)
     cfg.validate(need=("checkpoint", "corpus") + extra)
     _require_outdir(cfg)
-    return kind, _eval_instances(cfg)
+    return doc, _eval_instances(cfg)
 
 
 def _segments(cfg: RunConfig, instances) -> list:
     return [data.segment_instance(inst, cfg.resolved_max_context) for inst in instances]
 
 
-def _predictions(cfg: RunConfig, kind: str, instances) -> tuple[list[dict], str]:
+def _predictions(cfg: RunConfig, doc: dict, instances) -> tuple[list[dict], str]:
     rows = []
-    if kind == "svm":
-        model, task, max_context = features.load_svm_checkpoint(cfg.checkpoint)
+    if doc["kind"] == "svm":
+        model, task, max_context = features.load_svm_checkpoint(cfg.checkpoint, doc)
         lex = _load_lexicon_dir(cfg.lexicons)
         for inst in instances:
             label, margin = features.svm_predict(
@@ -206,7 +207,7 @@ def _predictions(cfg: RunConfig, kind: str, instances) -> tuple[list[dict], str]
             rows.append({"id": inst.id, "gold": inst.label, "label": label,
                          "margin": margin})
         return rows, f"svm_{task}"
-    params = models.load_checkpoint(cfg.checkpoint)
+    params = models.load_checkpoint(cfg.checkpoint, doc)
     table = load_embeddings(cfg.embeddings, params.embed_dim)
     labels, probs, _ = models.score(params, _segments(cfg, instances), table)
     for inst, label, p in zip(instances, labels, probs):
@@ -216,8 +217,8 @@ def _predictions(cfg: RunConfig, kind: str, instances) -> tuple[list[dict], str]
 
 
 def cmd_eval(cfg: RunConfig) -> None:
-    kind, instances = _scoring_setup(cfg)
-    rows, name = _predictions(cfg, kind, instances)
+    doc, instances = _scoring_setup(cfg)
+    rows, name = _predictions(cfg, doc, instances)
     out = _prepare_outdir(cfg)
     metrics = evaluate.prf1([r["gold"] for r in rows], [r["label"] for r in rows])
     (out / "metrics.jsonl").write_text(
@@ -228,8 +229,8 @@ def cmd_eval(cfg: RunConfig) -> None:
 
 
 def cmd_predict(cfg: RunConfig) -> None:
-    kind, instances = _scoring_setup(cfg)
-    rows, _ = _predictions(cfg, kind, instances)
+    doc, instances = _scoring_setup(cfg)
+    rows, _ = _predictions(cfg, doc, instances)
     out = _prepare_outdir(cfg)
     with open(out / "predictions.jsonl", "w", encoding="utf-8", newline="\n") as fh:
         for row in rows:
@@ -240,9 +241,10 @@ def cmd_predict(cfg: RunConfig) -> None:
 def cmd_attention(cfg: RunConfig) -> None:
     cfg.validate(need=("checkpoint", "corpus", "embeddings"))
     _require_outdir(cfg)
-    if checkpoint.read(cfg.checkpoint)["kind"] != "lstm":
+    doc = checkpoint.read(cfg.checkpoint)
+    if doc["kind"] != "lstm":
         raise ConfigError(f"checkpoint: {cfg.checkpoint}: attention needs an lstm checkpoint")
-    params = models.load_checkpoint(cfg.checkpoint)
+    params = models.load_checkpoint(cfg.checkpoint, doc)
     if params.variant not in models.ATTENTION_VARIANTS:
         raise ConfigError(
             f"checkpoint: {cfg.checkpoint}: variant '{params.variant}' has no attention weights")

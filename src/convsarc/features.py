@@ -415,17 +415,20 @@ def save_svm_checkpoint(model: SvmModel, task: str, max_context: int | None,
     }, path)
 
 
-def load_svm_checkpoint(path) -> tuple[SvmModel, str, int | None]:
-    """Read a save_svm_checkpoint file; a malformed one raises ConfigError
+def load_svm_checkpoint(path, doc: dict | None = None) -> tuple[SvmModel, str, int | None]:
+    """Read a save_svm_checkpoint file, or take doc, its contents as
+    checkpoint.read returned them; a malformed one raises ConfigError
     naming the path."""
-    doc = checkpoint.read(path, "svm")
+    doc = checkpoint.read(path, "svm", doc)
     with checkpoint.parsing(path):
-        weights, bias = checkpoint.decode(doc["weights"]), float(doc["bias"])
+        weights = checkpoint.decode(doc["weights"])
+        bias = float(checkpoint.number(doc["bias"], "bias"))
         names = doc["features"]
         if not np.isfinite(bias):
             raise ValueError(f"bias {bias} is not finite")
         model = SvmModel(FeatureRegistry(names), weights, bias,
-                         {k: Fraction(v) for k, v in doc["class_weights"].items()})
+                         {k: Fraction(checkpoint.number(v, f"class weight {k!r}"))
+                          for k, v in doc["class_weights"].items()})
         task, max_context = doc["task"], doc["max_context"]
     if not (isinstance(names, list) and all(isinstance(n, str) for n in names)
             and len(set(names)) == len(names) == len(weights)):

@@ -372,33 +372,45 @@ class TrainResult:
     best_epoch: int
 
 
-# Cap on the tokens one forward/backward pass holds, chosen from measured
-# peak memory: a batch of T tokens (a training batch, or a scoring pass)
-# runs as ceil(T / MAX_PASS_TOKENS) consecutive sub-batches of about equal
-# size, which bounds the cached activations whatever the batch size.
-MAX_PASS_TOKENS = 500
+# Cap on the cached rows one forward/backward pass holds, chosen from
+# measured peak memory: a batch whose instances cache R rows (a training
+# batch, or a scoring pass) runs as ceil(R / MAX_PASS_ROWS) consecutive
+# sub-batches of about equal size, which bounds the cached activations
+# whatever the batch size. A row is one LSTM step or one attention input:
+# reply_only steps over reply tokens only and never reads the context;
+# sent_attn steps over sentences, whose word averages cache nothing per
+# token; the other variants cache a row per token of both sides (hier_attn's
+# word attention does so before its sentence LSTM).
+MAX_PASS_ROWS = 500
 
 
-def _tokens(seg: SegmentedInstance) -> int:
-    return sum(map(len, seg.context_sentences)) + sum(map(len, seg.reply_sentences))
+def _rows(seg: SegmentedInstance, variant: str) -> int:
+    """The rows a pass of variant caches for seg."""
+    if variant == "sent_attn":
+        return len(seg.context_sentences) + len(seg.reply_sentences)
+    reply = sum(map(len, seg.reply_sentences))
+    if variant == "reply_only":
+        return reply
+    return sum(map(len, seg.context_sentences)) + reply
 
 
-def _sub_batches(indices, segs: Sequence[SegmentedInstance]) -> list[list[int]]:
+def _sub_batches(indices, segs: Sequence[SegmentedInstance], variant: str) -> list[list[int]]:
     """indices cut into the fewest runs of about equal size that keep each
-    run near MAX_PASS_TOKENS on average; none when there are no indices."""
+    run near MAX_PASS_ROWS rows of variant on average; none when there are
+    no indices."""
     indices = list(indices)
-    tokens = sum(_tokens(segs[i]) for i in indices)
-    passes = min(len(indices), -(-tokens // MAX_PASS_TOKENS))
+    rows = sum(_rows(segs[i], variant) for i in indices)
+    passes = min(len(indices), -(-rows // MAX_PASS_ROWS))
     return [run.tolist() for run in np.array_split(indices, max(passes, 1)) if run.size]
 
 
 def score(params: ModelParams, segs: Sequence[SegmentedInstance], table: EmbeddingTable
           ) -> tuple[list[str], np.ndarray, list[AttentionRecord | None]]:
     """predict for a batch of instances, run as sub-batches under
-    MAX_PASS_TOKENS: labels, B x 2 probabilities (S, NS), and attention
+    MAX_PASS_ROWS: labels, B x 2 probabilities (S, NS), and attention
     records (None without attention)."""
     probs, records = [np.empty((0, 2))], []
-    for run in _sub_batches(range(len(segs)), segs):
+    for run in _sub_batches(range(len(segs)), segs, params.variant):
         run_probs, run_records, _, _ = _forward(params, [segs[i] for i in run], table)
         probs.append(run_probs)
         records += run_records
@@ -408,9 +420,9 @@ def score(params: ModelParams, segs: Sequence[SegmentedInstance], table: Embeddi
 
 def _batch_grads(params, segs, labels, table, dropout_rate, rng):
     """Per-instance losses and the gradients of the batch's mean loss, run
-    as sub-batches under MAX_PASS_TOKENS whose gradients are summed."""
+    as sub-batches under MAX_PASS_ROWS whose gradients are summed."""
     losses, grads = [], None
-    for run in _sub_batches(range(len(segs)), segs):
+    for run in _sub_batches(range(len(segs)), segs, params.variant):
         _, _, run_losses, run_grads = _forward(
             params, [segs[i] for i in run], table, labels=[labels[i] for i in run],
             dropout_rate=dropout_rate, rng=rng)
@@ -437,7 +449,7 @@ def train_model(train_insts: Sequence[ConversationInstance],
     epoch the dev macro-F1 is evaluated and the best epoch's parameters are
     retained. Fully deterministic for a fixed seed, config, and corpus.
 
-    A mini-batch runs as one batched pass (or a few, under MAX_PASS_TOKENS,
+    A mini-batch runs as one batched pass (or a few, under MAX_PASS_ROWS,
     whose gradients are summed); the dropout draws come in the instances'
     order within the batch, as they would one instance at a time."""
     if settings.variant not in VARIANTS:
@@ -513,10 +525,11 @@ def save_checkpoint(params: ModelParams, path) -> None:
     }, path)
 
 
-def load_checkpoint(path) -> ModelParams:
-    """Read a save_checkpoint file; a malformed one raises ConfigError
+def load_checkpoint(path, doc: dict | None = None) -> ModelParams:
+    """Read a save_checkpoint file, or take doc, its contents as
+    checkpoint.read returned them; a malformed one raises ConfigError
     naming the path."""
-    doc = checkpoint.read(path, "lstm")
+    doc = checkpoint.read(path, "lstm", doc)
     with checkpoint.parsing(path):
         dims, head_only, variant = doc["dims"], doc["conditional_reply_head_only"], doc["variant"]
         if not isinstance(head_only, bool):

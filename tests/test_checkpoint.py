@@ -201,3 +201,51 @@ def test_mutated_checkpoint_loads_or_is_config_error_naming_path(tmp_path, kind,
     else:
         values = [loaded[0].weights, np.array([loaded[0].bias])]
     assert all(np.isfinite(v).all() for v in values)
+
+
+@pytest.mark.parametrize("kind, fields, message", [
+    ("svm", {"format_version": True}, r"format_version True not supported \(expected 1\)"),
+    ("svm", {"format_version": 1.0}, r"format_version 1\.0 not supported \(expected 1\)"),
+    ("lstm", {"format_version": 2.0}, r"format_version 2\.0 not supported \(expected 2\)"),
+    ("svm", {"bias": "1.5"}, "bias must be a number, got '1.5'"),
+    ("svm", {"bias": False}, "bias must be a number, got False"),
+    ("svm", {"class_weights": {"S": "3/2", "NS": 0.75}}, "class weight 'S' must be a number"),
+    ("svm", {"class_weights": {"S": 1.5, "NS": True}}, "class weight 'NS' must be a number"),
+    # the three together: this file used to load as bias 1.5 and weights 3/2 and 1
+    ("svm", {"bias": "1.5", "class_weights": {"S": "3/2", "NS": True}, "format_version": True},
+     "format_version True not supported"),
+], ids=["svm-version-true", "svm-version-float", "lstm-version-float", "bias-string",
+        "bias-bool", "class-weight-string", "class-weight-bool", "all-three"])
+def test_values_of_the_wrong_json_type_are_refused(tmp_path, kind, fields, message):
+    path = saved(tmp_path, kind)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc.update(fields)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ConfigError, match=rf"{kind}\.json: .*{message}"):
+        LOADERS[kind](path)
+
+
+def test_svm_numbers_may_be_json_integers(tmp_path):
+    path = saved(tmp_path, "svm")
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc.update(bias=2, class_weights={"S": 1, "NS": 3})
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    model, _, _ = load_svm_checkpoint(path)
+    assert model.bias == 2.0 and type(model.bias) is float
+    assert model.class_weights == {"S": Fraction(1), "NS": Fraction(3)}
+
+
+@pytest.mark.parametrize("kind", ["lstm", "svm"])
+def test_loaders_take_a_read_document_without_rereading(tmp_path, kind):
+    path = saved(tmp_path, kind)
+    doc = checkpoint.read(path)
+    want = LOADERS[kind](path)
+    path.unlink()
+    got = LOADERS[kind](path, doc)
+    if kind == "lstm":
+        assert all(np.array_equal(got.tensors()[k], t) for k, t in want.tensors().items())
+    else:
+        assert got[0].weights.tobytes() == want[0].weights.tobytes() and got[1:] == want[1:]
+    other = checkpoint.read(saved(tmp_path, "svm" if kind == "lstm" else "lstm"))
+    with pytest.raises(ConfigError, match=rf"{kind}\.json: checkpoint format_version"):
+        LOADERS[kind](path, other)

@@ -371,8 +371,8 @@ def test_cli_scoring_in_passes_matches_per_instance_predict(tmp_path, monkeypatc
     params, table = models.load_checkpoint(ckpt), load_embeddings(emb, EMBED_DIM)
     segs = [segment_instance(i, context_cutoff("twitter")) for i in instances]
     want = [models.predict(params, seg, table) for seg in segs]
-    monkeypatch.setattr("convsarc.models.MAX_PASS_TOKENS", 40)
-    assert len(models._sub_batches(range(len(segs)), segs)) > 2
+    monkeypatch.setattr("convsarc.models.MAX_PASS_ROWS", 20)  # reply_only: 70 rows
+    assert len(models._sub_batches(range(len(segs)), segs, variant)) > 2
     common = ("--checkpoint", ckpt, "--corpus", corpus, "--embeddings", emb,
               "--platform", "twitter", "--embed-dim", EMBED_DIM)
 
@@ -458,6 +458,54 @@ def test_predict_refuses_svm_checkpoint_with_nan_weights(workdir, lexicon_dir, c
     assert code == 1
     assert str(ckpt) in err and "non-finite" in err and "Traceback" not in err
     assert not out.exists()
+
+
+def test_scoring_refuses_svm_checkpoint_values_of_the_wrong_type(workdir, lexicon_dir, capsys):
+    svm_run = workdir / "svm_run"
+    assert run("train", "--corpus", workdir / "corpus.jsonl", "--lexicons", lexicon_dir,
+               "--variant", "svm", "--task", "reply_only", "--platform", "twitter",
+               "--epochs", 1, "--seed", 0, "--outdir", svm_run) == 0
+    ckpt = svm_run / "checkpoint.json"
+    doc = json.loads(ckpt.read_text(encoding="utf-8"))
+    for fields, message in (({"format_version": True}, "format_version True"),
+                            ({"bias": "1.5"}, "bias must be a number"),
+                            ({"class_weights": {"S": "3/2", "NS": True}}, "must be a number")):
+        ckpt.write_text(json.dumps({**doc, **fields}), encoding="utf-8")
+        capsys.readouterr()
+        for command in ("eval", "predict"):
+            out = workdir / "never"
+            code = run(command, "--checkpoint", ckpt, "--corpus", workdir / "corpus.jsonl",
+                       "--lexicons", lexicon_dir, "--platform", "twitter", "--outdir", out)
+            err = capsys.readouterr().err
+            assert code == 1
+            assert str(ckpt) in err and message in err and "Traceback" not in err
+            assert not out.exists()
+
+
+def test_scoring_commands_read_the_checkpoint_once(tmp_path, lexicon_dir, monkeypatch):
+    emb, lstm_ckpt = scoring_inputs(tmp_path, "sent_attn")
+    corpus = tmp_path / "cue.jsonl"
+    save_corpus(make_planted_cue_corpus(20, seed=11), corpus)
+    assert run("train", "--corpus", corpus, "--lexicons", lexicon_dir, "--variant", "svm",
+               "--task", "reply_only", "--platform", "twitter", "--epochs", 1,
+               "--seed", 0, "--outdir", tmp_path / "svm_run") == 0
+    svm_ckpt = tmp_path / "svm_run" / "checkpoint.json"
+    reads = []
+    load = json.load
+
+    def spy(fh, *args, **kwargs):
+        reads.append(Path(fh.name))
+        return load(fh, *args, **kwargs)
+
+    monkeypatch.setattr(json, "load", spy)
+    runs = [(cmd, svm_ckpt, ("--lexicons", lexicon_dir)) for cmd in ("eval", "predict")]
+    runs += [(cmd, lstm_ckpt, ("--embeddings", emb, "--embed-dim", EMBED_DIM))
+             for cmd in ("eval", "predict", "attention")]
+    for k, (command, ckpt, extra) in enumerate(runs):
+        reads.clear()
+        assert run(command, "--checkpoint", ckpt, "--corpus", corpus, *extra,
+                   "--platform", "twitter", "--outdir", tmp_path / f"out{k}") == 0
+        assert reads.count(ckpt) == 1, command
 
 
 def test_eval_refuses_checkpoint_dims_too_large_to_allocate(workdir, capsys):

@@ -542,10 +542,11 @@ def test_batched_dropout_draws_the_per_instance_stream(variant):
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_batch_larger_than_pass_cap_sums_sub_batches(variant, monkeypatch):
-    monkeypatch.setattr("convsarc.models.MAX_PASS_TOKENS", 9)
+    # BATCH * 2 holds 26 sentences and 24 reply tokens: 3 passes at cap 9
+    monkeypatch.setattr("convsarc.models.MAX_PASS_ROWS", 9)
     params, table = batch_setup(variant, seed=4)
     segs = BATCH * 2
-    assert len(list(_sub_batches(range(len(segs)), segs))) > 2
+    assert len(_sub_batches(range(len(segs)), segs, variant)) > 2
     labels = [LABEL_TO_INDEX[s.label] for s in segs]
     losses, grads = _batch_grads(params, segs, labels, table, 0.0, None)
     want_losses, want_grads = per_instance_mean(params, segs, table)
@@ -569,11 +570,51 @@ def test_batched_gradients_match_finite_differences(variant):
 
 
 def test_scoring_runs_in_sub_batches_with_the_same_labels(monkeypatch):
-    params, table = batch_setup("word_attn", seed=6)
     segs = BATCH * 3
-    want = [predict(params, s, table)[0] for s in segs]
-    monkeypatch.setattr("convsarc.models.MAX_PASS_TOKENS", 20)
-    assert score(params, segs, table)[0] == want
+    monkeypatch.setattr("convsarc.models.MAX_PASS_ROWS", 9)
+    for variant in VARIANTS:
+        params, table = batch_setup(variant, seed=6)
+        want = [predict(params, s, table)[0] for s in segs]
+        assert len(_sub_batches(range(len(segs)), segs, variant)) > 2
+        assert score(params, segs, table)[0] == want
+
+
+def twitter_batch():
+    """16 threads shaped like a twitter mini-batch: 5 one-sentence context
+    tweets of 13 tokens and a 13-token reply each, so 1,248 tokens, 96
+    sentences and 208 reply tokens."""
+    tweet = [f"w{k}" for k in range(13)]
+    return [seg([tweet] * 5, [tweet]) for _ in range(16)]
+
+
+def token_runs(indices, segs, cap=500):
+    """The pass plan that counts every token of both sides, as it was
+    before passes were sized by the rows a variant caches."""
+    indices = list(indices)
+    tokens = sum(len(t) for i in indices
+                 for t in segs[i].context_sentences + segs[i].reply_sentences)
+    passes = min(len(indices), -(-tokens // cap))
+    return [run.tolist() for run in np.array_split(indices, max(passes, 1)) if run.size]
+
+
+def test_reply_only_and_sent_attn_run_a_twitter_batch_as_one_pass():
+    segs = twitter_batch()
+    assert len(token_runs(range(16), segs)) == 3
+    for variant in ("reply_only", "sent_attn"):
+        assert _sub_batches(range(16), segs, variant) == [list(range(16))]
+    for variant in ("concat", "conditional", "word_attn", "hier_attn"):
+        assert len(_sub_batches(range(16), segs, variant)) == 3
+
+
+@pytest.mark.parametrize("variant", ["concat", "conditional", "word_attn", "hier_attn"])
+def test_token_level_variants_keep_the_all_token_pass_plan(variant):
+    rng = new_rng(8)
+    for _ in range(50):
+        segs = [seg([["c"] * int(rng.integers(1, 40)) for _ in range(rng.integers(1, 6))],
+                    [["r"] * int(rng.integers(1, 30)) for _ in range(rng.integers(1, 3))])
+                for _ in range(int(rng.integers(1, 40)))]
+        indices = rng.permutation(len(segs))[:int(rng.integers(0, len(segs) + 1))]
+        assert _sub_batches(indices, segs, variant) == token_runs(indices, segs)
 
 
 # --------------------------------------------------------------- checkpoints
