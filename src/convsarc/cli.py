@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from urllib.parse import quote
 
 from . import checkpoint, data, evaluate, features, models
 from .config import CHOICES, RunConfig
@@ -263,8 +264,9 @@ def cmd_attention(cfg: RunConfig) -> None:
             # word_attn weights are over tokens, so each row is a token
             rows = [t for s in seg.context_sentences for t in s]
             triggers = None
-        evaluate.export_heatmap(rows, record, out / f"heatmap_{inst.id}.svg",
-                                side="context", human_triggers=triggers)
+        # quoting maps distinct ids to distinct names, none with a path separator
+        svg = out / f"heatmap_{quote(inst.id, safe='')}.svg"
+        evaluate.export_heatmap(rows, record, svg, side="context", human_triggers=triggers)
         if sentence_level and triggers:
             overlap_records.append((record, triggers))
     doc = {"instances": len(instances), "annotated": len(overlap_records)}

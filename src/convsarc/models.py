@@ -210,11 +210,12 @@ def _runs(values, lengths) -> list:
 
 def _forward(params: ModelParams, segs: Sequence[SegmentedInstance],
              table: EmbeddingTable, labels: Sequence[int] | None = None,
-             dropout_rate: float = 0.0, rng: np.random.Generator | None = None):
+             mask: np.ndarray | None = None):
     """Forward pass of any variant over a batch of instances; when labels
     are given, also runs the hand-derived backward pass. Each LSTM and
     attention block runs once for the batch, over the instances' rows
-    concatenated. Returns (B x 2 probabilities, per-instance attention
+    concatenated; mask (B x out_dim, from dropout_mask) scales the
+    classifier's input. Returns (B x 2 probabilities, per-instance attention
     records, per-instance losses, gradients of the batch's mean loss)."""
     variant = params.variant
     if variant not in VARIANTS:
@@ -281,20 +282,13 @@ def _forward(params: ModelParams, segs: Sequence[SegmentedInstance],
             pooled = ["r"]
         v = np.hstack([finals[side].h for side in pooled])
 
-    mask = None
-    v_used = v
-    if dropout_rate > 0.0:
-        if rng is None:
-            raise ConfigError("dropout requires an rng")
-        # one B x out_dim draw takes the stream of B out_dim draws in turn
-        mask = dropout_mask(v.shape, dropout_rate, rng)
-        v_used = v * mask
+    v_used = v if mask is None else v * mask
     W_out = params.by_name["W_out"]
     probs = softmax(v_used @ W_out.T + params.by_name["b_out"])
     if labels is None:
         return probs, records, None, None
 
-    losses = np.array([cross_entropy(p, y) for p, y in zip(probs, labels)])
+    losses = cross_entropy(probs, labels)
     dz = probs.copy()
     dz[np.arange(B), labels] -= 1.0
     dz /= B
@@ -336,12 +330,9 @@ def predict(params: ModelParams, seg: SegmentedInstance, table: EmbeddingTable
     return _label(probs[0]), probs[0], records[0]
 
 
-def loss_and_grads(params, seg, table, label: str,
-                   dropout_rate: float = 0.0,
-                   rng: np.random.Generator | None = None):
+def loss_and_grads(params, seg, table, label: str, mask: np.ndarray | None = None):
     _, _, losses, grads = _forward(params, [seg], table,
-                                   labels=[LABEL_TO_INDEX[label]],
-                                   dropout_rate=dropout_rate, rng=rng)
+                                   labels=[LABEL_TO_INDEX[label]], mask=mask)
     return float(losses[0]), grads
 
 
@@ -373,14 +364,14 @@ class TrainResult:
 
 
 # Cap on the cached rows one forward/backward pass holds, chosen from
-# measured peak memory: a batch whose instances cache R rows (a training
-# batch, or a scoring pass) runs as ceil(R / MAX_PASS_ROWS) consecutive
-# sub-batches of about equal size, which bounds the cached activations
-# whatever the batch size. A row is one LSTM step or one attention input:
-# reply_only steps over reply tokens only and never reads the context;
-# sent_attn steps over sentences, whose word averages cache nothing per
-# token; the other variants cache a row per token of both sides (hier_attn's
-# word attention does so before its sentence LSTM).
+# measured peak memory: every pass of a batch (a training batch, or the
+# instances being scored) holds at most MAX_PASS_ROWS rows, unless it is one
+# instance larger than the cap, which bounds the cached activations whatever
+# the batch size. A row is one LSTM step or one attention input: reply_only
+# steps over reply tokens only and never reads the context; sent_attn steps
+# over sentences, whose word averages cache nothing per token; the other
+# variants cache a row per token of both sides (hier_attn's word attention
+# does so before its sentence LSTM).
 MAX_PASS_ROWS = 500
 
 
@@ -394,46 +385,51 @@ def _rows(seg: SegmentedInstance, variant: str) -> int:
     return sum(map(len, seg.context_sentences)) + reply
 
 
-def _sub_batches(indices, segs: Sequence[SegmentedInstance], variant: str) -> list[list[int]]:
-    """indices cut into the fewest runs of about equal size that keep each
-    run near MAX_PASS_ROWS rows of variant on average; none when there are
-    no indices."""
-    indices = list(indices)
-    rows = sum(_rows(segs[i], variant) for i in indices)
-    passes = min(len(indices), -(-rows // MAX_PASS_ROWS))
-    return [run.tolist() for run in np.array_split(indices, max(passes, 1)) if run.size]
+def _sub_batches(segs: Sequence[SegmentedInstance], variant: str) -> list[list[int]]:
+    """The positions of segs cut into passes, each in ascending order, of at
+    most MAX_PASS_ROWS rows of variant; an instance larger than the cap runs
+    alone. The passes are filled in turn with the instances sorted by rows,
+    smallest first, so a batch within the cap is one pass."""
+    rows = [_rows(seg, variant) for seg in segs]
+    passes, total = [], 0
+    for i in sorted(range(len(segs)), key=rows.__getitem__):
+        if not passes or total + rows[i] > MAX_PASS_ROWS:
+            passes.append([])
+            total = 0
+        passes[-1].append(i)
+        total += rows[i]
+    return [sorted(run) for run in passes]
 
 
 def score(params: ModelParams, segs: Sequence[SegmentedInstance], table: EmbeddingTable
           ) -> tuple[list[str], np.ndarray, list[AttentionRecord | None]]:
-    """predict for a batch of instances, run as sub-batches under
-    MAX_PASS_ROWS: labels, B x 2 probabilities (S, NS), and attention
-    records (None without attention)."""
-    probs, records = [np.empty((0, 2))], []
-    for run in _sub_batches(range(len(segs)), segs, params.variant):
-        run_probs, run_records, _, _ = _forward(params, [segs[i] for i in run], table)
-        probs.append(run_probs)
-        records += run_records
-    probs = np.concatenate(probs)
+    """predict for a batch of instances, run as the passes of _sub_batches:
+    labels, B x 2 probabilities (S, NS), and attention records (None
+    without attention), in the order of segs."""
+    probs, records = np.empty((len(segs), 2)), [None] * len(segs)
+    for run in _sub_batches(segs, params.variant):
+        probs[run], run_records, _, _ = _forward(params, [segs[i] for i in run], table)
+        for i, record in zip(run, run_records):
+            records[i] = record
     return [_label(p) for p in probs], probs, records
 
 
-def _batch_grads(params, segs, labels, table, dropout_rate, rng):
+def _batch_grads(params, segs, labels, table, mask=None):
     """Per-instance losses and the gradients of the batch's mean loss, run
-    as sub-batches under MAX_PASS_ROWS whose gradients are summed."""
-    losses, grads = [], None
-    for run in _sub_batches(range(len(segs)), segs, params.variant):
-        _, _, run_losses, run_grads = _forward(
+    as the passes of _sub_batches whose gradients are summed; each pass
+    takes its instances' rows of the batch's dropout mask (B x out_dim)."""
+    losses, grads = np.empty(len(segs)), None
+    for run in _sub_batches(segs, params.variant):
+        _, _, losses[run], run_grads = _forward(
             params, [segs[i] for i in run], table, labels=[labels[i] for i in run],
-            dropout_rate=dropout_rate, rng=rng)
-        losses.append(run_losses)
+            mask=None if mask is None else mask[run])
         share = len(run) / len(segs)  # run_grads are the run's mean
         if grads is None:
             grads = {name: share * g for name, g in run_grads.items()}
         else:
             for name, g in run_grads.items():
                 grads[name] += share * g
-    return np.concatenate(losses), grads
+    return losses, grads
 
 
 def _dev_macro_f1(params, segs, gold, table) -> float:
@@ -449,9 +445,10 @@ def train_model(train_insts: Sequence[ConversationInstance],
     epoch the dev macro-F1 is evaluated and the best epoch's parameters are
     retained. Fully deterministic for a fixed seed, config, and corpus.
 
-    A mini-batch runs as one batched pass (or a few, under MAX_PASS_ROWS,
-    whose gradients are summed); the dropout draws come in the instances'
-    order within the batch, as they would one instance at a time."""
+    A mini-batch draws its dropout mask, one row per instance in the
+    batch's order, and then runs as the passes of _sub_batches, each within
+    MAX_PASS_ROWS, whose gradients are summed. The mask is the stream the
+    instances would draw one at a time, whatever the passes."""
     if settings.variant not in VARIANTS:
         raise ConfigError(f"unknown variant '{settings.variant}'")
     if not train_insts:
@@ -470,16 +467,17 @@ def train_model(train_insts: Sequence[ConversationInstance],
     best_params, best_f1, best_epoch = params, -1.0, 0
     epochs_since_best = 0
     log: list[dict] = []
-    n = len(train_segs)
+    n, out_dim = len(train_segs), params.by_name["W_out"].shape[1]
     for epoch in range(1, settings.epochs + 1):
         order = rng.permutation(n)
         epoch_loss = 0.0
         for k, b_start in enumerate(range(0, n, settings.batch_size)):
             batch = order[b_start:b_start + settings.batch_size]
+            mask = dropout_mask((len(batch), out_dim), settings.dropout, rng)
             try:
                 losses, grads = _batch_grads(
                     params, [train_segs[i] for i in batch], [train_labels[i] for i in batch],
-                    table, settings.dropout, rng)
+                    table, mask)
             except NumericError as e:
                 raise NumericError(f"epoch {epoch}, batch {k}: {e}") from None
             bad = np.flatnonzero(~np.isfinite(losses))

@@ -32,17 +32,6 @@ def new_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-def sigmoid(x: Array) -> Array:
-    return 1.0 / (1.0 + np.exp(-x))
-
-
-def _as_vector(name: str, v) -> Array:
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise ShapeError(f"{name} must be a vector, got shape {v.shape}")
-    return v
-
-
 @dataclass
 class LSTMCellParams:
     """Weights for one LSTM cell with the four gates stacked in i, f, o, g
@@ -323,13 +312,15 @@ def softmax(scores) -> Array:
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def cross_entropy(predicted, true_class: int) -> float:
-    """-ln(predicted[true_class]) with a 1e-12 probability floor."""
-    predicted = _as_vector("predicted", predicted)
-    if not 0 <= true_class < predicted.shape[0]:
-        raise DomainError(
-            f"true_class {true_class} out of range for {predicted.shape[0]} classes")
-    return float(-np.log(max(float(predicted[true_class]), PROB_FLOOR)))
+def cross_entropy(probs, labels) -> Array:
+    """-ln(probs[b, labels[b]]) for each row b of the B x classes matrix
+    probs, with a 1e-12 probability floor: B losses."""
+    probs, labels = np.asarray(probs, dtype=np.float64), np.asarray(labels)
+    if probs.ndim != 2 or labels.shape != probs.shape[:1]:
+        raise ShapeError(f"probs of shape {probs.shape} need one label each, got {labels.shape}")
+    if not ((0 <= labels) & (labels < probs.shape[1])).all():
+        raise DomainError(f"labels {labels.tolist()} out of range for {probs.shape[1]} classes")
+    return -np.log(np.maximum(probs[np.arange(len(labels)), labels], PROB_FLOOR))
 
 
 def sgd_step(params: dict[str, Array], grads: dict[str, Array],

@@ -51,7 +51,7 @@ def test_bench_tracer_counts_lstm_steps_of_a_batched_pass():
     tracer = spans.Tracer()
     tracer.install()
     try:
-        _batch_grads(params, segs, [0, 1, 0], table, 0.0, None)
+        _batch_grads(params, segs, [0, 1, 0], table)
         summary = spans.summarize(tracer.spans)
     finally:
         tracer.uninstall()

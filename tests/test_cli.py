@@ -162,6 +162,22 @@ def test_attention_command_exports_heatmaps_and_overlap(tmp_path):
     assert 0.0 <= doc["overlap_rate"] <= 1.0
 
 
+def test_attention_heatmaps_of_ids_with_path_separators_stay_in_the_outdir(tmp_path, capsys):
+    emb, ckpt = scoring_inputs(tmp_path, "sent_attn")
+    instances = make_planted_cue_corpus(2, seed=11)
+    for inst, id_ in zip(instances, ("sub/dir", "../x")):
+        inst.id = id_
+    corpus = tmp_path / "cue.jsonl"
+    save_corpus(instances, corpus)
+    att_dir = tmp_path / "att"
+    assert run("attention", "--checkpoint", ckpt, "--corpus", corpus, "--embeddings", emb,
+               "--platform", "twitter", "--embed-dim", EMBED_DIM, "--outdir", att_dir) == 0
+    assert sorted(p.name for p in att_dir.rglob("*.svg")) == [
+        "heatmap_..%2Fx.svg", "heatmap_sub%2Fdir.svg"]
+    assert not list(tmp_path.glob("*.svg"))
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_missing_embeddings_is_config_error_naming_field(workdir, capsys):
     out = workdir / "never"
     code = run("train", "--corpus", workdir / "corpus.jsonl",
@@ -372,7 +388,7 @@ def test_cli_scoring_in_passes_matches_per_instance_predict(tmp_path, monkeypatc
     segs = [segment_instance(i, context_cutoff("twitter")) for i in instances]
     want = [models.predict(params, seg, table) for seg in segs]
     monkeypatch.setattr("convsarc.models.MAX_PASS_ROWS", 20)  # reply_only: 70 rows
-    assert len(models._sub_batches(range(len(segs)), segs, variant)) > 2
+    assert len(models._sub_batches(segs, variant)) > 2
     common = ("--checkpoint", ckpt, "--corpus", corpus, "--embeddings", emb,
               "--platform", "twitter", "--embed-dim", EMBED_DIM)
 

@@ -3,23 +3,29 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+import hypothesis.strategies as st
 
 from convsarc import checkpoint
 from convsarc.data import SegmentedInstance
 from convsarc.embeddings import EmbeddingTable, lookup, sentence_avg
 from convsarc.errors import ConfigError, DomainError, NumericError
-from convsarc.nn import (INIT_SCALE, LSTMCellParams, finite_diff_grad, lstm_forward,
-                         max_relative_error, new_rng, sigmoid, softmax)
+from convsarc.nn import (INIT_SCALE, LSTMCellParams, dropout_mask, finite_diff_grad,
+                         lstm_forward, max_relative_error, new_rng, softmax)
 from convsarc.models import (ATTENTION_VARIANTS, AttentionParams, AttentionRecord,
-                             LABEL_TO_INDEX, VARIANTS, gradient_check_variant,
-                             init_params, load_checkpoint, loss_and_grads,
-                             predict, save_checkpoint, score, train_model,
-                             TrainSettings, _attend_forward, _batch_grads,
-                             _forward, _sub_batches)
+                             LABEL_TO_INDEX, MAX_PASS_ROWS, VARIANTS,
+                             gradient_check_variant, init_params, load_checkpoint,
+                             loss_and_grads, predict, save_checkpoint, score,
+                             train_model, TrainSettings, _attend_forward, _batch_grads,
+                             _forward, _rows, _sub_batches)
 from convsarc.synthetic import make_separable_corpus
 
 EMBED = 6
 HIDDEN = 4
+
+
+def sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
 
 
 def oov_table(dim=EMBED, seed=0):
@@ -490,10 +496,17 @@ def batch_setup(variant, seed=0):
     return params, table
 
 
+def out_dim(params):
+    return params.tensors()["W_out"].shape[1]
+
+
 def per_instance_mean(params, segs, table, rng=None, dropout=0.0):
+    """Mean loss and gradients one instance at a time; with rng, each
+    instance draws its own dropout mask from it in turn."""
     losses, total = [], None
     for s in segs:
-        loss, grads = loss_and_grads(params, s, table, s.label, dropout, rng)
+        mask = None if rng is None else dropout_mask((1, out_dim(params)), dropout, rng)
+        loss, grads = loss_and_grads(params, s, table, s.label, mask)
         losses.append(loss)
         total = grads if total is None else {k: total[k] + grads[k] for k in grads}
     return np.array(losses), {k: v / len(segs) for k, v in total.items()}
@@ -503,6 +516,20 @@ def assert_grads_close(got, want, atol=1e-10):
     assert set(got) == set(want)
     for name in want:
         assert np.allclose(got[name], want[name], atol=atol, rtol=0), name
+
+
+def assert_records_close(variant, record, record_one):
+    """A batched attention record against predict's for the same instance."""
+    if record_one is None:
+        assert record is None
+        return
+    pairs = [(record.context_weights, record_one.context_weights),
+             (record.reply_weights, record_one.reply_weights)]
+    if variant == "hier_attn":
+        pairs += zip(record.context_word_weights + record.reply_word_weights,
+                     record_one.context_word_weights + record_one.reply_word_weights)
+    for got, want in pairs:
+        assert np.allclose(got, want, atol=1e-12, rtol=0)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -516,26 +543,34 @@ def test_batched_loss_and_grads_equal_per_instance_mean(variant):
     for s, p, record in zip(BATCH, probs, records):
         _, p_one, record_one = predict(params, s, table)
         assert np.allclose(p, p_one, atol=1e-12, rtol=0)
-        if record_one is None:
-            assert record is None
-            continue
-        pairs = [(record.context_weights, record_one.context_weights),
-                 (record.reply_weights, record_one.reply_weights)]
-        if variant == "hier_attn":
-            pairs += zip(record.context_word_weights + record.reply_word_weights,
-                         record_one.context_word_weights + record_one.reply_word_weights)
-        for got, want in pairs:
-            assert np.allclose(got, want, atol=1e-12, rtol=0)
+        assert_records_close(variant, record, record_one)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_batched_dropout_draws_the_per_instance_stream(variant):
     params, table = batch_setup(variant, seed=3)
     labels = [LABEL_TO_INDEX[s.label] for s in BATCH]
-    _, _, losses, grads = _forward(params, BATCH, table, labels=labels,
-                                   dropout_rate=0.5, rng=new_rng(11))
+    mask = dropout_mask((len(BATCH), out_dim(params)), 0.5, new_rng(11))
+    _, _, losses, grads = _forward(params, BATCH, table, labels=labels, mask=mask)
     want_losses, want_grads = per_instance_mean(params, BATCH, table,
                                                 rng=new_rng(11), dropout=0.5)
+    assert np.allclose(losses, want_losses, atol=1e-10, rtol=0)
+    assert_grads_close(grads, want_grads)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_passes_take_their_instances_rows_of_the_batch_mask(variant, monkeypatch):
+    # at cap 9 the passes of BATCH * 2 are not in the batch's order
+    monkeypatch.setattr("convsarc.models.MAX_PASS_ROWS", 9)
+    params, table = batch_setup(variant, seed=7)
+    segs = BATCH * 2
+    plan = _sub_batches(segs, variant)
+    assert [i for run in plan for i in run] != list(range(len(segs)))
+    labels = [LABEL_TO_INDEX[s.label] for s in segs]
+    mask = dropout_mask((len(segs), out_dim(params)), 0.5, new_rng(12))
+    losses, grads = _batch_grads(params, segs, labels, table, mask)
+    want_losses, want_grads = per_instance_mean(params, segs, table,
+                                                rng=new_rng(12), dropout=0.5)
     assert np.allclose(losses, want_losses, atol=1e-10, rtol=0)
     assert_grads_close(grads, want_grads)
 
@@ -546,9 +581,9 @@ def test_batch_larger_than_pass_cap_sums_sub_batches(variant, monkeypatch):
     monkeypatch.setattr("convsarc.models.MAX_PASS_ROWS", 9)
     params, table = batch_setup(variant, seed=4)
     segs = BATCH * 2
-    assert len(_sub_batches(range(len(segs)), segs, variant)) > 2
+    assert len(_sub_batches(segs, variant)) > 2
     labels = [LABEL_TO_INDEX[s.label] for s in segs]
-    losses, grads = _batch_grads(params, segs, labels, table, 0.0, None)
+    losses, grads = _batch_grads(params, segs, labels, table)
     want_losses, want_grads = per_instance_mean(params, segs, table)
     assert np.allclose(losses, want_losses, atol=1e-10, rtol=0)
     assert_grads_close(grads, want_grads)
@@ -570,13 +605,21 @@ def test_batched_gradients_match_finite_differences(variant):
 
 
 def test_scoring_runs_in_sub_batches_with_the_same_labels(monkeypatch):
+    # probabilities and attention records too, each at its caller's position
+    # although the passes are not in the batch's order
     segs = BATCH * 3
     monkeypatch.setattr("convsarc.models.MAX_PASS_ROWS", 9)
     for variant in VARIANTS:
         params, table = batch_setup(variant, seed=6)
-        want = [predict(params, s, table)[0] for s in segs]
-        assert len(_sub_batches(range(len(segs)), segs, variant)) > 2
-        assert score(params, segs, table)[0] == want
+        want = [predict(params, s, table) for s in segs]
+        plan = _sub_batches(segs, variant)
+        assert len(plan) > 2
+        assert [i for run in plan for i in run] != list(range(len(segs)))
+        labels, probs, records = score(params, segs, table)
+        assert labels == [label for label, _, _ in want]
+        for p, record, (_, p_one, record_one) in zip(probs, records, want):
+            assert np.allclose(p, p_one, atol=1e-12, rtol=0)
+            assert_records_close(variant, record, record_one)
 
 
 def twitter_batch():
@@ -601,20 +644,51 @@ def test_reply_only_and_sent_attn_run_a_twitter_batch_as_one_pass():
     segs = twitter_batch()
     assert len(token_runs(range(16), segs)) == 3
     for variant in ("reply_only", "sent_attn"):
-        assert _sub_batches(range(16), segs, variant) == [list(range(16))]
+        assert _sub_batches(segs, variant) == [list(range(16))]
     for variant in ("concat", "conditional", "word_attn", "hier_attn"):
-        assert len(_sub_batches(range(16), segs, variant)) == 3
+        assert len(_sub_batches(segs, variant)) == 3
 
 
-@pytest.mark.parametrize("variant", ["concat", "conditional", "word_attn", "hier_attn"])
-def test_token_level_variants_keep_the_all_token_pass_plan(variant):
-    rng = new_rng(8)
-    for _ in range(50):
-        segs = [seg([["c"] * int(rng.integers(1, 40)) for _ in range(rng.integers(1, 6))],
-                    [["r"] * int(rng.integers(1, 30)) for _ in range(rng.integers(1, 3))])
-                for _ in range(int(rng.integers(1, 40)))]
-        indices = rng.permutation(len(segs))[:int(rng.integers(0, len(segs) + 1))]
-        assert _sub_batches(indices, segs, variant) == token_runs(indices, segs)
+# a batch of up to 24 instances, each (context sentence lengths, reply
+# sentence lengths); up to 720 context tokens, so some exceed the cap alone
+BATCH_SHAPES = st.lists(st.tuples(st.lists(st.integers(1, 120), max_size=6),
+                                  st.lists(st.integers(1, 60), max_size=3)), max_size=24)
+
+
+@given(BATCH_SHAPES, st.sampled_from(VARIANTS))
+@settings(max_examples=150, deadline=None)
+def test_pass_plan_keeps_the_cap_and_partitions_the_batch(shapes, variant):
+    segs = [seg([["c"] * n for n in context], [["r"] * n for n in reply])
+            for context, reply in shapes]
+    rows = [_rows(s, variant) for s in segs]
+    plan = _sub_batches(segs, variant)
+    assert sorted(i for run in plan for i in run) == list(range(len(segs)))
+    for run in plan:
+        assert run and run == sorted(run)
+        assert len(run) == 1 or sum(rows[i] for i in run) <= MAX_PASS_ROWS
+    if segs and sum(rows) <= MAX_PASS_ROWS:
+        assert plan == [list(range(len(segs)))]
+
+
+def test_uneven_instances_keep_the_cap():
+    # instances of 301, 301, 10 and 10 rows: an equal-count split into two
+    # passes puts 602 rows in the first
+    segs = [seg([["c"] * n], [["r"]]) for n in (300, 300, 9, 9)]
+    for variant in ("concat", "conditional", "word_attn", "hier_attn"):
+        assert _sub_batches(segs, variant) == [[0, 2, 3], [1]]
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_an_instance_of_no_rows_reaches_the_forward_refusal(variant):
+    # reply_only never reads the context, so a context alone gives it no rows
+    empty = seg([["a", "b"]], []) if variant == "reply_only" else seg([], [])
+    assert _rows(empty, variant) == 0
+    params, table = batch_setup(variant)
+    segs = [BATCH[0], empty, BATCH[1]]
+    with pytest.raises(DomainError):
+        _batch_grads(params, segs, [0, 1, 0], table)
+    with pytest.raises(DomainError):
+        score(params, segs, table)
 
 
 # --------------------------------------------------------------- checkpoints

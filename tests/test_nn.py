@@ -11,7 +11,11 @@ from convsarc.models import AttentionParams, _project
 from convsarc.nn import (LSTMCache, LSTMCellParams, LSTMState, _pack,
                          _sorted_rows, cross_entropy, dropout_mask,
                          finite_diff_grad, lstm_backward, lstm_forward,
-                         new_rng, sgd_step, sigmoid, softmax)
+                         new_rng, sgd_step, softmax)
+
+
+def sigmoid(x):
+    return 1.0 / (1.0 + np.exp(-x))
 
 
 def rand_cell(input_dim, hidden_dim, seed=0, scale=0.5):
@@ -532,24 +536,40 @@ def test_softmax_handles_large_scores():
 # ------------------------------------------------------------- cross_entropy
 
 def test_cross_entropy_perfect_prediction():
-    assert cross_entropy([1.0, 0.0], 0) == 0.0
+    assert cross_entropy([[1.0, 0.0]], [0])[0] == 0.0
 
 
 def test_cross_entropy_even_split_is_ln2():
-    assert cross_entropy([0.5, 0.5], 1) == pytest.approx(0.693147, abs=1e-6)
+    assert cross_entropy([[0.5, 0.5]], [1])[0] == pytest.approx(0.693147, abs=1e-6)
 
 
 def test_cross_entropy_point_one():
-    assert cross_entropy([0.9, 0.1], 1) == pytest.approx(2.302585, abs=1e-6)
+    assert cross_entropy([[0.9, 0.1]], [1])[0] == pytest.approx(2.302585, abs=1e-6)
 
 
 def test_cross_entropy_probability_floor():
-    assert cross_entropy([1.0, 0.0], 1) == pytest.approx(-math.log(1e-12))
+    assert cross_entropy([[1.0, 0.0]], [1])[0] == pytest.approx(-math.log(1e-12))
 
 
 def test_cross_entropy_bad_index():
     with pytest.raises(DomainError):
-        cross_entropy([0.5, 0.5], 2)
+        cross_entropy([[0.5, 0.5]], [2])
+
+
+def test_cross_entropy_gives_one_floored_loss_per_row():
+    rng = new_rng(3)
+    probs = rng.dirichlet([1.0, 1.0, 1.0], 50)
+    labels = rng.integers(0, 3, 50)
+    probs[0], labels[0] = [1.0, 0.0, 0.0], 1
+    want = [-math.log(max(p[y], 1e-12)) for p, y in zip(probs, labels)]
+    assert np.allclose(cross_entropy(probs, labels), want, rtol=1e-15, atol=0)
+
+
+def test_cross_entropy_needs_one_label_per_row():
+    with pytest.raises(ShapeError):
+        cross_entropy([0.5, 0.5], [1])
+    with pytest.raises(ShapeError):
+        cross_entropy([[0.5, 0.5]], [0, 1])
 
 
 # ----------------------------------------------------------------- sgd_step
