@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import ConfigError
 
-VERSIONS = {"lstm": 2, "svm": 1}  # lstm 2: LSTM gates stacked into W, U, b
+VERSIONS = {"lstm": 3, "svm": 1}  # lstm 2 stacked the LSTM gates; 3 stores max_context
 
 
 def read(path, kind: str | None = None, doc: dict | None = None) -> dict:
@@ -67,6 +67,15 @@ def number(value, name: str):
     TypeError, which parsing reports as malformed, otherwise."""
     if type(value) not in (int, float):
         raise TypeError(f"{name} must be a number, got {value!r}")
+    return value
+
+
+def window(value):
+    """value if it is a context window a checkpoint may record: None (each
+    instance's platform default) or a nonnegative JSON integer; ValueError,
+    which parsing reports as malformed, otherwise."""
+    if value is not None and (type(value) is not int or value < 0):
+        raise ValueError(f"max_context must be null or a nonnegative integer, got {value!r}")
     return value
 
 

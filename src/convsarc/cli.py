@@ -8,6 +8,7 @@ error, 2 data error, 3 numeric failure.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -19,6 +20,7 @@ from .embeddings import load_embeddings
 from .errors import ConfigError, DataError, DomainError, NumericError, ShapeError
 
 GRADCHECK_TOLERANCE = 1e-4
+MAX_NAME_BYTES = 255  # the longest file name common file systems take
 
 
 class _Parser(argparse.ArgumentParser):
@@ -104,7 +106,7 @@ def _load_lexicon_dir(path) -> features.LexiconSet:
     d = Path(path)
     names = ("categories.tsv", "positive.txt", "negative.txt", "negations.txt")
     for name in names:
-        if not (d / name).exists():
+        if not (d / name).is_file():
             raise ConfigError(f"lexicons: missing file {d / name}")
     return features.load_lexicons(*(d / name for name in names))
 
@@ -136,20 +138,21 @@ def cmd_prepare(cfg: RunConfig) -> None:
           f"train {len(train)}, dev {len(dev)}, test {len(test)}")
 
 
-def _train_svm(cfg: RunConfig, out: Path, train_i, dev_i) -> None:
+def _train_svm(cfg: RunConfig, train_i, dev_i) -> None:
     lex = _load_lexicon_dir(cfg.lexicons)
-    pairs = [(features.assemble(i, cfg.task, lex, cfg.resolved_max_context), i.label)
+    out = _prepare_outdir(cfg)
+    pairs = [(features.assemble(i, cfg.task, lex, cfg.max_context), i.label)
              for i in train_i]
     model = features.svm_train(pairs, features.SvmConfig(
         epochs=cfg.epochs, l2=cfg.l2, lr=None, seed=cfg.seed,
         min_ngram_count=cfg.min_ngram_count))
-    features.save_svm_checkpoint(model, cfg.task, cfg.resolved_max_context,
+    features.save_svm_checkpoint(model, cfg.task, cfg.max_context,
                                  out / "checkpoint.json")
     with open(out / "train_log.jsonl", "w", encoding="utf-8", newline="\n") as fh:
         for epoch, obj in enumerate(model.objective_history, start=1):
             fh.write(json.dumps({"epoch": epoch, "hinge_objective": obj},
                                 sort_keys=True) + "\n")
-    dev_pairs = [(features.assemble(i, cfg.task, lex, cfg.resolved_max_context), i.label)
+    dev_pairs = [(features.assemble(i, cfg.task, lex, cfg.max_context), i.label)
                  for i in dev_i]
     dev_pred = [features.svm_predict(model, fv)[0] for fv, _ in dev_pairs]
     metrics = evaluate.prf1([lab for _, lab in dev_pairs], dev_pred)
@@ -161,16 +164,16 @@ def cmd_train(cfg: RunConfig) -> None:
     cfg.validate(need=needed)
     _require_outdir(cfg)
     train_i, dev_i, _ = _load_splits(cfg)
-    out = _prepare_outdir(cfg)
     if cfg.variant == "svm":
-        _train_svm(cfg, out, train_i, dev_i)
+        _train_svm(cfg, train_i, dev_i)
         return
     table = load_embeddings(cfg.embeddings, cfg.resolved_embed_dim)
+    out = _prepare_outdir(cfg)
     settings = models.TrainSettings(
         variant=cfg.variant, hidden_dim=cfg.resolved_hidden_dim,
         att_dim=cfg.att_dim, lr=cfg.lr, l2=cfg.l2, dropout=cfg.dropout,
         batch_size=cfg.batch_size, epochs=cfg.epochs, patience=cfg.patience,
-        seed=cfg.seed, max_context=cfg.resolved_max_context,
+        seed=cfg.seed, max_context=cfg.max_context,
         conditional_reply_head_only=cfg.conditional_reply_head_only)
     result = models.train_model(train_i, dev_i, table, settings)
     models.save_checkpoint(result.params, out / "checkpoint.json")
@@ -181,20 +184,35 @@ def cmd_train(cfg: RunConfig) -> None:
           f"kept epoch {result.best_epoch}")
 
 
-def _scoring_setup(cfg: RunConfig) -> tuple[dict, list]:
+def _scoring_setup(cfg: RunConfig, attention: bool = False) -> tuple[dict, list]:
     """Validate everything a scoring command needs, then load the instances.
     Returns the read checkpoint, which the loaders take without rereading
-    it, and the instances. Nothing is written until validation is complete."""
+    it, and the instances. Nothing is written until validation is complete.
+    Scoring uses the context window the checkpoint stores, so an explicit
+    max_context that differs from it is a ConfigError."""
     cfg.validate(need=("checkpoint", "corpus"))
     doc = checkpoint.read(cfg.checkpoint)
+    if cfg.max_context is not None and cfg.max_context != doc.get("max_context"):
+        raise ConfigError(f"max_context: {cfg.max_context} conflicts with "
+                          f"{doc.get('max_context')} stored in checkpoint {cfg.checkpoint}")
+    if attention and doc["kind"] != "lstm":
+        raise ConfigError(f"checkpoint: {cfg.checkpoint}: attention needs an lstm checkpoint")
+    if attention and doc.get("variant") not in models.ATTENTION_VARIANTS:
+        raise ConfigError(
+            f"checkpoint: {cfg.checkpoint}: variant {doc.get('variant')!r} has no attention weights")
     extra = ("lexicons",) if doc["kind"] == "svm" else ("embeddings",)
     cfg.validate(need=("checkpoint", "corpus") + extra)
     _require_outdir(cfg)
     return doc, _eval_instances(cfg)
 
 
-def _segments(cfg: RunConfig, instances) -> list:
-    return [data.segment_instance(inst, cfg.resolved_max_context) for inst in instances]
+def _lstm_scores(cfg: RunConfig, doc: dict, instances):
+    """The checkpoint's parameters, the instances segmented with its window,
+    and models.score's labels, probabilities and attention records."""
+    params = models.load_checkpoint(cfg.checkpoint, doc)
+    table = load_embeddings(cfg.embeddings, params.embed_dim)
+    segs = [data.segment_instance(inst, params.max_context) for inst in instances]
+    return params, segs, models.score(params, segs, table)
 
 
 def _predictions(cfg: RunConfig, doc: dict, instances) -> tuple[list[dict], str]:
@@ -208,9 +226,7 @@ def _predictions(cfg: RunConfig, doc: dict, instances) -> tuple[list[dict], str]
             rows.append({"id": inst.id, "gold": inst.label, "label": label,
                          "margin": margin})
         return rows, f"svm_{task}"
-    params = models.load_checkpoint(cfg.checkpoint, doc)
-    table = load_embeddings(cfg.embeddings, params.embed_dim)
-    labels, probs, _ = models.score(params, _segments(cfg, instances), table)
+    params, _, (labels, probs, _) = _lstm_scores(cfg, doc, instances)
     for inst, label, p in zip(instances, labels, probs):
         rows.append({"id": inst.id, "gold": inst.label, "label": label,
                      "p_s": float(p[0]), "p_ns": float(p[1])})
@@ -240,33 +256,26 @@ def cmd_predict(cfg: RunConfig) -> None:
 
 
 def cmd_attention(cfg: RunConfig) -> None:
-    cfg.validate(need=("checkpoint", "corpus", "embeddings"))
-    _require_outdir(cfg)
-    doc = checkpoint.read(cfg.checkpoint)
-    if doc["kind"] != "lstm":
-        raise ConfigError(f"checkpoint: {cfg.checkpoint}: attention needs an lstm checkpoint")
-    params = models.load_checkpoint(cfg.checkpoint, doc)
-    if params.variant not in models.ATTENTION_VARIANTS:
-        raise ConfigError(
-            f"checkpoint: {cfg.checkpoint}: variant '{params.variant}' has no attention weights")
-    table = load_embeddings(cfg.embeddings, params.embed_dim)
-    instances = _eval_instances(cfg)
-    segs = _segments(cfg, instances)
-    _, _, records = models.score(params, segs, table)
+    doc, instances = _scoring_setup(cfg, attention=True)
+    params, segs, (_, _, records) = _lstm_scores(cfg, doc, instances)
     out = _prepare_outdir(cfg)
     sentence_level = params.variant in ("sent_attn", "hier_attn")
     overlap_records = []
     for inst, seg, record in zip(instances, segs, records):
         if sentence_level:
-            rows = data.context_sentence_texts(inst, cfg.resolved_max_context)
-            triggers = data.effective_triggers(inst, cfg.resolved_max_context)
+            rows, triggers = seg.context_texts, seg.triggers
         else:
             # word_attn weights are over tokens, so each row is a token
             rows = [t for s in seg.context_sentences for t in s]
             triggers = None
-        # quoting maps distinct ids to distinct names, none with a path separator
-        svg = out / f"heatmap_{quote(inst.id, safe='')}.svg"
-        evaluate.export_heatmap(rows, record, svg, side="context", human_triggers=triggers)
+        # quoting maps distinct ids to distinct ASCII names, none with a path
+        # separator; a name too long for a file system is the id's hash,
+        # after an "=" that quoting never leaves in a name
+        name = f"heatmap_{quote(inst.id, safe='')}.svg"
+        if len(name) > MAX_NAME_BYTES:
+            name = f"heatmap_={hashlib.sha256(inst.id.encode('utf-8')).hexdigest()}.svg"
+        evaluate.export_heatmap(rows, record, out / name, side="context",
+                                human_triggers=triggers)
         if sentence_level and triggers:
             overlap_records.append((record, triggers))
     doc = {"instances": len(instances), "annotated": len(overlap_records)}

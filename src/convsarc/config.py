@@ -10,7 +10,7 @@ import os
 from dataclasses import dataclass, asdict, fields
 from typing import get_args, get_type_hints
 
-from .data import PLATFORMS, context_cutoff
+from .data import PLATFORMS, read_text
 from .errors import ConfigError
 from .features import TASKS
 from .models import VARIANTS
@@ -44,7 +44,7 @@ class RunConfig:
     epochs: int = 30
     patience: int = 10
     seed: int = 13
-    max_context: int | None = None  # default: 10 forum / 5 twitter
+    max_context: int | None = None  # default per instance: 10 forum / 5 twitter
     min_ngram_count: int = 2
     conditional_reply_head_only: bool = False
 
@@ -59,10 +59,6 @@ class RunConfig:
     def resolved_hidden_dim(self) -> int:
         return self.hidden_dim if self.hidden_dim is not None \
             else self.resolved_embed_dim
-
-    @property
-    def resolved_max_context(self) -> int:
-        return context_cutoff(self.platform, self.max_context)
 
     # ---- IO ----
 
@@ -79,10 +75,7 @@ class RunConfig:
     @classmethod
     def from_file(cls, path) -> "RunConfig":
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except OSError as e:
-            raise ConfigError(f"config file {path}: {e}") from None
+            doc = json.loads(read_text(path))
         except json.JSONDecodeError as e:
             raise ConfigError(f"config file {path}: invalid JSON ({e.msg})") from None
         if not isinstance(doc, dict):

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -66,11 +66,15 @@ class ConversationInstance:
 
 @dataclass
 class SegmentedInstance:
-    """Tokenized view of an instance: one token list per sentence."""
+    """Tokenized view of an instance: one token list per sentence, plus the
+    raw context sentences (aligned 1:1 with context_sentences) and the human
+    triggers re-indexed into them (None when none survives truncation)."""
 
     context_sentences: list[list[str]]
     reply_sentences: list[list[str]]
     label: str
+    context_texts: list[str] = field(default_factory=list)
+    triggers: list[int] | None = None
 
 
 @dataclass
@@ -300,43 +304,52 @@ def segment_instance(inst: ConversationInstance,
     most recent context sentences (10 forum / 5 twitter by default, or
     max_context), and only those are tokenized; the reply is never
     truncated."""
+    texts = _context_texts(inst)
+    cutoff = context_cutoff(inst.platform, max_context)
+    kept = texts[-cutoff:] if cutoff else []
+    dropped = len(texts) - len(kept)
+    triggers = [t - dropped for t in inst.human_triggers or () if t >= dropped]
     return SegmentedInstance(
-        context_sentences=[casefold_selective(tokenize(u))
-                           for u in context_sentence_texts(inst, max_context)],
+        context_sentences=[casefold_selective(tokenize(u)) for u in kept],
         reply_sentences=[casefold_selective(tokenize(u))
                          for u in _sentence_texts(inst.reply, inst.platform)],
-        label=inst.label)
-
-
-def context_sentence_texts(inst: ConversationInstance,
-                           max_context: int | None = None) -> list[str]:
-    """Raw context sentences aligned 1:1 with the segmented token lists."""
-    cutoff = context_cutoff(inst.platform, max_context)
-    return _context_texts(inst)[-cutoff:] if cutoff else []
-
-
-def effective_triggers(inst: ConversationInstance,
-                       max_context: int | None = None) -> list[int] | None:
-    """human_triggers re-indexed into the truncated context window; None when
-    the instance has no annotation or no trigger survives truncation."""
-    if inst.human_triggers is None:
-        return None
-    total = len(_context_texts(inst))
-    kept = min(total, context_cutoff(inst.platform, max_context))
-    dropped = total - kept
-    shifted = [t - dropped for t in inst.human_triggers if t >= dropped]
-    return shifted or None
+        label=inst.label, context_texts=kept, triggers=triggers or None)
 
 
 def _field_error(path, lineno: int, field: str, message: str) -> ParseError:
     return ParseError(f"{path}: line {lineno}: field '{field}' {message}")
 
 
+def open_input(path, mode: str = "rb", **kwargs):
+    """open(path, mode, **kwargs) for reading; a path that cannot be opened,
+    such as a directory, raises ConfigError naming it."""
+    try:
+        return open(path, mode, **kwargs)
+    except OSError as e:
+        raise ConfigError(f"{path}: cannot read: {e.strerror or e}") from None
+
+
+def read_text(path) -> str:
+    """The text of a UTF-8 file, its newlines made universal as text mode
+    makes them; a byte that is not UTF-8 raises ParseError naming the path
+    and line."""
+    with open_input(path) as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line_start = raw.rfind(b"\n", 0, e.start) + 1
+        lineno = raw.count(b"\n", 0, line_start) + 1
+        raise ParseError(f"{path}: line {lineno}: not valid UTF-8 ({e.reason} "
+                         f"at byte {e.start - line_start})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
 def read_jsonl(path) -> Iterator[tuple[int, object]]:
     """(line number, parsed value) for each nonblank line of a UTF-8
     JSON-lines file; a line that is not UTF-8 or not JSON raises ParseError
     naming the path and line."""
-    with open(path, "rb") as fh:
+    with open_input(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             try:
                 line = raw.decode("utf-8")

@@ -13,6 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
+from .data import open_input
 from .errors import ConfigError, DomainError, ParseError
 
 OOV_SCALE = 0.05
@@ -45,7 +46,7 @@ def load_embeddings(path, expected_dim: int) -> EmbeddingTable:
     vocab: dict[str, np.ndarray] = {}
     # surrogateescape keeps each byte that is not UTF-8 as a lone surrogate,
     # so the line holding it can be named; newlines are universal as before
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    with open_input(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         header = fh.readline()
         _check_utf8(path, 1, header)
         parts = header.split()

@@ -20,8 +20,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .data import (ConversationInstance, EMOTICONS, context_sentence_texts,
-                   load_resource_list, segment_instance)
+from .data import (ConversationInstance, EMOTICONS, load_resource_list, read_text,
+                   segment_instance)
 from .errors import ConfigError, DomainError, ParseError
 from .nn import new_rng
 from . import checkpoint
@@ -50,11 +50,10 @@ class LexiconSet:
 
 def _read_token_file(path) -> frozenset[str]:
     tokens = set()
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                tokens.add(line.lower())
+    for line in read_text(path).split("\n"):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            tokens.add(line.lower())
     if not tokens:
         raise ConfigError(f"{path}: lexicon file is empty")
     return frozenset(tokens)
@@ -64,20 +63,18 @@ def load_lexicons(categories_path, positive_path, negative_path,
                   negations_path) -> LexiconSet:
     """categories file: "category<TAB>token" lines; others: one token per line."""
     cats: dict[str, set[str]] = {}
-    with open(categories_path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            if "\t" not in line:
-                raise ParseError(
-                    f"{categories_path}: line {lineno}: expected 'category<TAB>token'")
-            name, token = line.split("\t", 1)
-            name, token = name.strip(), token.strip().lower()
-            if not name or not token:
-                raise ParseError(
-                    f"{categories_path}: line {lineno}: empty category or token")
-            cats.setdefault(name, set()).add(token)
+    for lineno, line in enumerate(read_text(categories_path).split("\n"), start=1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        if "\t" not in line:
+            raise ParseError(
+                f"{categories_path}: line {lineno}: expected 'category<TAB>token'")
+        name, token = line.split("\t", 1)
+        name, token = name.strip(), token.strip().lower()
+        if not name or not token:
+            raise ParseError(
+                f"{categories_path}: line {lineno}: empty category or token")
+        cats.setdefault(name, set()).add(token)
     if not cats:
         raise ConfigError(f"{categories_path}: no categories loaded")
     return LexiconSet(
@@ -190,7 +187,7 @@ def assemble(inst: ConversationInstance, mode: str, lex: LexiconSet,
     fv.update(_namespace("r", indicator_features(reply_tokens, inst.reply)))
     if mode == "context_and_reply":
         context_tokens = [t for s in seg.context_sentences for t in s]
-        context_raw = " ".join(context_sentence_texts(inst, max_context))
+        context_raw = " ".join(seg.context_texts)
         context_lex = lexicon_features(context_tokens, "context", lex)
         fv.update(_namespace("c", ngram_features(context_tokens)))
         fv.update(_namespace("c", context_lex))
@@ -429,13 +426,11 @@ def load_svm_checkpoint(path, doc: dict | None = None) -> tuple[SvmModel, str, i
         model = SvmModel(FeatureRegistry(names), weights, bias,
                          {k: Fraction(checkpoint.number(v, f"class weight {k!r}"))
                           for k, v in doc["class_weights"].items()})
-        task, max_context = doc["task"], doc["max_context"]
+        task, max_context = doc["task"], checkpoint.window(doc["max_context"])
     if not (isinstance(names, list) and all(isinstance(n, str) for n in names)
             and len(set(names)) == len(names) == len(weights)):
         raise ConfigError(f"{path}: malformed checkpoint: feature names do not "
                           f"match the {len(weights)} weights")
-    if task not in TASKS or not (max_context is None or
-                                 (type(max_context) is int and max_context >= 0)):
-        raise ConfigError(f"{path}: malformed checkpoint: task {task!r}, "
-                          f"max_context {max_context!r}")
+    if task not in TASKS:
+        raise ConfigError(f"{path}: malformed checkpoint: task {task!r}")
     return model, task, max_context

@@ -69,11 +69,14 @@ class AttentionRecord:
 class ModelParams:
     """All trainable tensors for one variant, under the names gradients, SGD
     and checkpoints use: lstm_c.W, lstm_r.U, attn_c.u_s, wattn_r.b_a, ...,
-    W_out (2 x out_dim), b_out. Embeddings are not here: they stay frozen."""
+    W_out (2 x out_dim), b_out. Embeddings are not here: they stay frozen.
+    max_context is the context window the model was trained with, which
+    scoring uses too; None means each instance's platform default."""
 
     variant: str
     by_name: dict[str, np.ndarray]
     conditional_reply_head_only: bool = False
+    max_context: int | None = None
 
     def tensors(self) -> dict[str, np.ndarray]:
         """The name -> tensor dict itself, not a copy."""
@@ -82,7 +85,7 @@ class ModelParams:
     def replace_tensors(self, t: dict[str, np.ndarray]) -> "ModelParams":
         """The same variant with the tensors of t under this one's names."""
         t = {k: np.asarray(t[k], dtype=np.float64) for k in self.by_name}
-        return ModelParams(self.variant, t, self.conditional_reply_head_only)
+        return ModelParams(self.variant, t, self.conditional_reply_head_only, self.max_context)
 
     def cell(self, side: str) -> LSTMCellParams:
         """A view of side c's (context) or r's (reply) LSTM cell."""
@@ -459,6 +462,7 @@ def train_model(train_insts: Sequence[ConversationInstance],
     params = init_params(settings.variant, table.dim, settings.hidden_dim,
                          settings.att_dim, rng,
                          settings.conditional_reply_head_only)
+    params.max_context = settings.max_context
     train_segs = [segment_instance(i, settings.max_context) for i in train_insts]
     train_labels = [LABEL_TO_INDEX[i.label] for i in train_insts]
     dev_segs = [segment_instance(i, settings.max_context) for i in dev_insts]
@@ -511,13 +515,14 @@ def _dims(named: dict[str, np.ndarray]) -> dict:
 
 
 def save_checkpoint(params: ModelParams, path) -> None:
-    """Self-describing deterministic checkpoint: variant, dims, and all
-    tensors as little-endian float64 bytes."""
+    """Self-describing deterministic checkpoint: variant, dims, context
+    window, and all tensors as little-endian float64 bytes."""
     named = params.tensors()
     checkpoint.write("lstm", {
         "variant": params.variant,
         "conditional_reply_head_only": params.conditional_reply_head_only,
         "dims": _dims(named),
+        "max_context": params.max_context,
         "tensors": {name: {"shape": list(t.shape), "data": checkpoint.encode(t)}
                     for name, t in named.items()},
     }, path)
@@ -530,6 +535,7 @@ def load_checkpoint(path, doc: dict | None = None) -> ModelParams:
     doc = checkpoint.read(path, "lstm", doc)
     with checkpoint.parsing(path):
         dims, head_only, variant = doc["dims"], doc["conditional_reply_head_only"], doc["variant"]
+        max_context = checkpoint.window(doc["max_context"])
         if not isinstance(head_only, bool):
             raise TypeError(f"conditional_reply_head_only must be a boolean, got {head_only!r}")
         if variant not in VARIANTS:
@@ -543,6 +549,7 @@ def load_checkpoint(path, doc: dict | None = None) -> ModelParams:
     if {k: t.shape for k, t in skeleton.tensors().items()} != {
             k: t.shape for k, t in loaded.items()}:
         raise ConfigError(f"{path}: tensor set or shapes do not match variant '{variant}'")
+    skeleton.max_context = max_context
     return skeleton.replace_tensors(loaded)
 
 

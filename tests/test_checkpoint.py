@@ -91,7 +91,8 @@ def test_read_of_any_kind_refuses_unknown_kinds_and_versions(tmp_path, doc, mess
 
 def test_read_of_one_kind_refuses_the_other(tmp_path):
     path = tmp_path / "odd.json"
-    path.write_text(json.dumps({"kind": "svm", "format_version": 2}), encoding="utf-8")
+    path.write_text(json.dumps({"kind": "svm", "format_version": checkpoint.VERSIONS["lstm"]}),
+                    encoding="utf-8")
     with pytest.raises(ConfigError, match=r"odd\.json: not an lstm checkpoint"):
         checkpoint.read(path, "lstm")
 
@@ -110,6 +111,7 @@ def test_decode_inverts_encode_and_refuses_non_finite_values():
 ODD_VALUES = [None, True, False, 0, -1, 1, 2.5, 10 ** 13, -10 ** 13, "x", "", [], {},
               [1, 2], {"a": 1}, math.nan, math.inf, "AAAA", [10 ** 13, 1], [-1]]
 DIMS = [0, -1, -7, 10 ** 13, -10 ** 13]
+WINDOWS = ["absent", -1, 1.5, "5", True]  # stored max_context values to refuse
 
 
 def paths(doc, prefix=()):
@@ -147,7 +149,15 @@ def corrupt(data, text):
 def mutate(data, doc):
     for _ in range(data.draw(st.integers(1, 3), label="mutations")):
         ops = ["drop", "retype", "corrupt"] + (["dims"] if "dims" in doc else [])
+        ops += ["window"] if "max_context" in doc else []
         op = data.draw(st.sampled_from(ops), label="op")
+        if op == "window":
+            value = data.draw(st.sampled_from(WINDOWS))
+            if value == "absent":
+                del doc["max_context"]
+            else:
+                doc["max_context"] = value
+            continue
         if op == "dims" and isinstance(doc["dims"], dict):
             key = data.draw(st.sampled_from(["embed_dim", "hidden_dim", "att_dim"]))
             doc["dims"][key] = data.draw(st.sampled_from(DIMS))
@@ -203,10 +213,15 @@ def test_mutated_checkpoint_loads_or_is_config_error_naming_path(tmp_path, kind,
     assert all(np.isfinite(v).all() for v in values)
 
 
+LSTM_VERSION = checkpoint.VERSIONS["lstm"]
+WINDOW_MESSAGE = "max_context must be null or a nonnegative integer"
+
+
 @pytest.mark.parametrize("kind, fields, message", [
     ("svm", {"format_version": True}, r"format_version True not supported \(expected 1\)"),
     ("svm", {"format_version": 1.0}, r"format_version 1\.0 not supported \(expected 1\)"),
-    ("lstm", {"format_version": 2.0}, r"format_version 2\.0 not supported \(expected 2\)"),
+    ("lstm", {"format_version": float(LSTM_VERSION)},
+     rf"format_version {LSTM_VERSION}\.0 not supported \(expected {LSTM_VERSION}\)"),
     ("svm", {"bias": "1.5"}, "bias must be a number, got '1.5'"),
     ("svm", {"bias": False}, "bias must be a number, got False"),
     ("svm", {"class_weights": {"S": "3/2", "NS": 0.75}}, "class weight 'S' must be a number"),
@@ -214,8 +229,15 @@ def test_mutated_checkpoint_loads_or_is_config_error_naming_path(tmp_path, kind,
     # the three together: this file used to load as bias 1.5 and weights 3/2 and 1
     ("svm", {"bias": "1.5", "class_weights": {"S": "3/2", "NS": True}, "format_version": True},
      "format_version True not supported"),
+    ("lstm", {"max_context": -1}, WINDOW_MESSAGE + ", got -1"),
+    ("lstm", {"max_context": 1.5}, WINDOW_MESSAGE + r", got 1\.5"),
+    ("lstm", {"max_context": "5"}, WINDOW_MESSAGE + ", got '5'"),
+    ("lstm", {"max_context": True}, WINDOW_MESSAGE + ", got True"),
+    ("svm", {"max_context": True}, WINDOW_MESSAGE + ", got True"),
 ], ids=["svm-version-true", "svm-version-float", "lstm-version-float", "bias-string",
-        "bias-bool", "class-weight-string", "class-weight-bool", "all-three"])
+        "bias-bool", "class-weight-string", "class-weight-bool", "all-three",
+        "lstm-window-negative", "lstm-window-float", "lstm-window-string", "lstm-window-bool",
+        "svm-window-bool"])
 def test_values_of_the_wrong_json_type_are_refused(tmp_path, kind, fields, message):
     path = saved(tmp_path, kind)
     doc = json.loads(path.read_text(encoding="utf-8"))

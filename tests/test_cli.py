@@ -554,3 +554,114 @@ def test_empty_test_split_keeps_exit_codes(tmp_path, capsys):
     assert run("attention", *common, "--outdir", tmp_path / "att") == 0
     doc = json.loads((tmp_path / "att" / "overlap.json").read_text())
     assert doc == {"instances": 0, "annotated": 0}
+
+
+def test_scoring_uses_the_window_of_the_data_and_checkpoint_not_the_platform_flag(tmp_path):
+    # eight context sentences: the twitter window keeps 5, the forum one 10
+    emb = tmp_path / "emb.txt"
+    write_embedding_file(emb, synthetic_vocabulary(), dim=EMBED_DIM, seed=3)
+    corpus = tmp_path / "cue.jsonl"
+    save_corpus(make_planted_cue_corpus(20, n_context=8, seed=11), corpus)
+    assert run("train", "--corpus", corpus, "--embeddings", emb, "--variant", "sent_attn",
+               "--platform", "twitter", "--embed-dim", EMBED_DIM, "--hidden-dim", 6,
+               "--epochs", 2, "--patience", 2, "--seed", 3,
+               "--outdir", tmp_path / "run") == 0
+    common = ("--checkpoint", tmp_path / "run" / "checkpoint.json", "--corpus", corpus,
+              "--embeddings", emb)
+    for tag, flags in (("flag", ("--platform", "twitter")), ("bare", ())):
+        assert run("predict", *common, *flags, "--outdir", tmp_path / f"pred_{tag}") == 0
+        assert run("attention", *common, *flags, "--outdir", tmp_path / f"att_{tag}") == 0
+    assert ((tmp_path / "pred_flag" / "predictions.jsonl").read_bytes()
+            == (tmp_path / "pred_bare" / "predictions.jsonl").read_bytes())
+    names = sorted(p.name for p in (tmp_path / "att_flag").iterdir() if p.name != "config.json")
+    assert "overlap.json" in names and len(names) == 21
+    assert names == sorted(p.name for p in (tmp_path / "att_bare").iterdir()
+                           if p.name != "config.json")
+    for name in names:
+        assert ((tmp_path / "att_flag" / name).read_bytes()
+                == (tmp_path / "att_bare" / name).read_bytes()), name
+
+
+@pytest.mark.parametrize("command", ["eval", "predict", "attention"])
+def test_scoring_refuses_a_max_context_that_conflicts_with_the_checkpoint(
+        workdir, lexicon_dir, capsys, command):
+    (workdir / "lstm").mkdir()
+    _, lstm_ckpt = scoring_inputs(workdir / "lstm", "sent_attn")  # stores no window
+    runs = [(lstm_ckpt, ("--embeddings", workdir / "emb.txt"))]
+    if command != "attention":
+        assert run("train", "--corpus", workdir / "corpus.jsonl", "--lexicons", lexicon_dir,
+                   "--variant", "svm", "--task", "reply_only", "--max-context", 3,
+                   "--epochs", 1, "--seed", 0, "--outdir", workdir / "svm_run") == 0
+        runs.append((workdir / "svm_run" / "checkpoint.json", ("--lexicons", lexicon_dir)))
+    capsys.readouterr()
+    for ckpt, extra in runs:
+        out = workdir / "never"
+        code = run(command, "--checkpoint", ckpt, "--corpus", workdir / "corpus.jsonl",
+                   *extra, "--max-context", 4, "--outdir", out)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "max_context: 4 conflicts" in err and str(ckpt) in err
+        assert "Traceback" not in err
+        assert not out.exists()
+    # the window the svm checkpoint stores may be given again
+    if command != "attention":
+        assert run(command, "--checkpoint", runs[1][0], "--corpus", workdir / "corpus.jsonl",
+                   "--lexicons", lexicon_dir, "--max-context", 3,
+                   "--outdir", workdir / "same") == 0
+
+
+def test_attention_names_heatmaps_of_ids_too_long_for_a_file_name_by_hash(tmp_path, capsys):
+    emb, ckpt = scoring_inputs(tmp_path, "sent_attn")
+    instances = make_planted_cue_corpus(3, seed=11)
+    # 300 ASCII characters, and 41 two-byte ones that quote to 246 characters
+    for inst, id_ in zip(instances, ("a" * 300, "é" * 41, "é" * 40)):
+        inst.id = id_
+    corpus = tmp_path / "cue.jsonl"
+    save_corpus(instances, corpus)
+    att_dir = tmp_path / "att"
+    assert run("attention", "--checkpoint", ckpt, "--corpus", corpus, "--embeddings", emb,
+               "--outdir", att_dir) == 0
+    names = sorted(p.name for p in att_dir.glob("heatmap_*.svg"))
+    assert len(names) == 3
+    assert all(len(name.encode("utf-8")) <= 255 for name in names)
+    assert sum(name.startswith("heatmap_=") for name in names) == 2
+    assert "heatmap_" + "%C3%A9" * 40 + ".svg" in names
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def _refused_input(tmp_path, workdir, lexicon_dir, case):
+    """(argv, code, path that stderr must name) for one refused input."""
+    bad_dir = tmp_path / "a_directory"
+    bad_dir.mkdir()
+    out = ("--outdir", tmp_path / "never")
+    train = ("train", "--corpus", workdir / "corpus.jsonl", "--variant", "reply_only",
+             "--epochs", 1) + out
+    if case == "config-not-utf8":
+        cfg = tmp_path / "cfg.json"
+        cfg.write_bytes(b'{"epochs": 1,\n "seed": "\xff"}\n')
+        return train + ("--embeddings", workdir / "emb.txt", "--config", cfg), 2, cfg
+    if case == "lexicon-not-utf8":
+        (lexicon_dir / "negative.txt").write_bytes(b"bad\n\xe9vil\n")
+        return (train + ("--lexicons", lexicon_dir, "--variant", "svm"), 2,
+                lexicon_dir / "negative.txt")
+    if case == "prepare-corpus-dir":
+        return ("prepare", "--corpus", bad_dir) + out, 1, bad_dir
+    if case == "prepare-raw-tweets-dir":
+        return ("prepare", "--raw-tweets", bad_dir, "--platform", "twitter") + out, 1, bad_dir
+    if case == "train-embeddings-dir":
+        return train + ("--embeddings", bad_dir), 1, bad_dir
+    assert case == "train-embed-dim-mismatch"
+    return train + ("--embeddings", workdir / "emb.txt", "--embed-dim", 9), 1, workdir / "emb.txt"
+
+
+@pytest.mark.parametrize("case", ["config-not-utf8", "lexicon-not-utf8", "prepare-corpus-dir",
+                                  "prepare-raw-tweets-dir", "train-embeddings-dir",
+                                  "train-embed-dim-mismatch"])
+def test_refused_input_names_its_path_without_traceback_or_outdir(
+        tmp_path, workdir, lexicon_dir, capsys, case):
+    argv, want, path = _refused_input(tmp_path, workdir, lexicon_dir, case)
+    code = run(*argv)
+    err = capsys.readouterr().err
+    assert code == want, err
+    assert str(path) in err and "Traceback" not in err
+    assert not (tmp_path / "never").exists()

@@ -5,8 +5,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from convsarc.data import (ConversationInstance, build_twitter_instances,
-                           casefold_selective, context_sentence_texts,
-                           effective_triggers, largest_remainder_counts,
+                           casefold_selective, largest_remainder_counts,
                            load_corpus, save_corpus, segment_instance,
                            split_sentences, stratified_split, tokenize,
                            twitter_filter)
@@ -241,7 +240,7 @@ def test_segment_instance_forum_splits_and_truncates(forum_instance):
     assert seg.context_sentences[0][0] == "the"
     assert len(seg.context_sentences) == 3  # two sentences + one sentence
     assert seg.reply_sentences[0][0] == "GREAT"
-    texts = context_sentence_texts(forum_instance)
+    texts = seg.context_texts
     assert len(texts) == len(seg.context_sentences)
     assert texts[0] == "The weather was terrible today."
 
@@ -252,8 +251,8 @@ def test_effective_triggers_shift_with_truncation():
         context=[f"tweet number {i} here" for i in range(7)],
         reply="a reply", label="S", human_triggers=[1, 6])
     # 7 tweets truncate to the last 5: index 6 -> 4, index 1 drops out
-    assert effective_triggers(inst) == [4]
-    assert effective_triggers(inst, max_context=7) == [1, 6]
+    assert segment_instance(inst).triggers == [4]
+    assert segment_instance(inst, max_context=7).triggers == [1, 6]
 
 
 # -- stratified splitting ------------------------------------------------------

@@ -220,12 +220,12 @@ def test_segmentation_matches_reference(platform, context, reply, max_context):
     context_ref, reply_ref, texts_ref = ref_segment(inst, max_context)
     assert seg.context_sentences == context_ref
     assert seg.reply_sentences == reply_ref
-    assert data.context_sentence_texts(inst, max_context) == texts_ref
+    assert seg.context_texts == texts_ref
     inst.human_triggers = [0, 3, 7]
     total = len(ref_context_units(inst))
     kept = min(total, data.context_cutoff(platform, max_context))
     shifted = [t - (total - kept) for t in inst.human_triggers if t >= total - kept]
-    assert data.effective_triggers(inst, max_context) == (shifted or None)
+    assert data.segment_instance(inst, max_context).triggers == (shifted or None)
 
 
 # -- tag questions and feature families -------------------------------------------
@@ -295,7 +295,7 @@ def ref_assemble(inst, mode, lex, max_context=None):
     fv.update(features._namespace("r", features.indicator_features(reply_tokens, inst.reply)))
     if mode == "context_and_reply":
         context_tokens = [t for s in seg.context_sentences for t in s]
-        context_raw = " ".join(data.context_sentence_texts(inst, max_context))
+        context_raw = " ".join(seg.context_texts)
         fv.update(features._namespace("c", features.ngram_features(context_tokens)))
         fv.update(features._namespace(
             "c", features.lexicon_features(context_tokens, "context", lex)))

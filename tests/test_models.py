@@ -710,10 +710,30 @@ def test_checkpoint_version_mismatch_fails_loudly(tmp_path):
     params = seeded_params("reply_only")
     path = tmp_path / "model.json"
     save_checkpoint(params, path)
-    doc = path.read_text(encoding="utf-8").replace('"format_version": 2',
-                                                   '"format_version": 1')
+    doc = path.read_text(encoding="utf-8").replace(
+        f'"format_version": {checkpoint.VERSIONS["lstm"]}', '"format_version": 1')
     path.write_text(doc, encoding="utf-8")
     with pytest.raises(ConfigError, match="format_version"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("max_context", [None, 0, 7])
+def test_checkpoint_keeps_the_context_window(tmp_path, max_context):
+    params = seeded_params("sent_attn")
+    params.max_context = max_context
+    assert params.replace_tensors(params.tensors()).max_context == max_context
+    path = tmp_path / "model.json"
+    save_checkpoint(params, path)
+    assert json.loads(path.read_text(encoding="utf-8"))["max_context"] == max_context
+    assert load_checkpoint(path).max_context == max_context
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    del doc["max_context"]
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"model\.json: checkpoint lacks field 'max_context'"):
+        load_checkpoint(path)
+    # a version-2 file, written before the window was stored, fails loudly
+    path.write_text(json.dumps({**doc, "format_version": 2}), encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"model\.json: checkpoint format_version 2"):
         load_checkpoint(path)
 
 
