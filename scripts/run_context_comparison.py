@@ -22,6 +22,7 @@ DEFAULT_VARIANTS = ("reply_only", "concat", "conditional", "sent_attn")
 
 
 def main():
+    defaults = TrainSettings()
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--corpus", required=True)
     ap.add_argument("--embeddings", required=True)
@@ -29,25 +30,24 @@ def main():
     ap.add_argument("--hidden-dim", type=int, default=None,
                     help="defaults to the embedding dimension")
     ap.add_argument("--variants", nargs="+", default=list(DEFAULT_VARIANTS))
-    ap.add_argument("--epochs", type=int, default=30)
-    ap.add_argument("--patience", type=int, default=10)
-    ap.add_argument("--lr", type=float, default=0.05)
-    ap.add_argument("--l2", type=float, default=1e-4)
-    ap.add_argument("--dropout", type=float, default=0.5)
-    ap.add_argument("--batch-size", type=int, default=16)
-    ap.add_argument("--seed", type=int, default=13)
+    ap.add_argument("--epochs", type=int, default=defaults.epochs)
+    ap.add_argument("--patience", type=int, default=defaults.patience)
+    ap.add_argument("--lr", type=float, default=defaults.lr)
+    ap.add_argument("--l2", type=float, default=defaults.l2)
+    ap.add_argument("--dropout", type=float, default=defaults.dropout)
+    ap.add_argument("--batch-size", type=int, default=defaults.batch_size)
+    ap.add_argument("--seed", type=int, default=defaults.seed)
     args = ap.parse_args()
 
     instances = load_corpus(args.corpus)
     train, dev, test = stratified_split(instances, args.seed)
     table = load_embeddings(args.embeddings, args.embed_dim)
-    hidden = args.hidden_dim or args.embed_dim
     test_segs = [segment_instance(i) for i in test]
 
     rows = []
     for variant in args.variants:
         settings = TrainSettings(
-            variant=variant, hidden_dim=hidden, lr=args.lr, l2=args.l2,
+            variant=variant, hidden_dim=args.hidden_dim, lr=args.lr, l2=args.l2,
             dropout=args.dropout, batch_size=args.batch_size,
             epochs=args.epochs, patience=args.patience, seed=args.seed)
         result = train_model(train, dev, table, settings)

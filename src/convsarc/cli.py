@@ -140,12 +140,12 @@ def cmd_prepare(cfg: RunConfig) -> None:
 
 def _train_svm(cfg: RunConfig, train_i, dev_i) -> None:
     lex = _load_lexicon_dir(cfg.lexicons)
-    out = _prepare_outdir(cfg)
     pairs = [(features.assemble(i, cfg.task, lex, cfg.max_context), i.label)
              for i in train_i]
     model = features.svm_train(pairs, features.SvmConfig(
-        epochs=cfg.epochs, l2=cfg.l2, lr=None, seed=cfg.seed,
+        epochs=cfg.epochs, l2=cfg.l2, seed=cfg.seed,
         min_ngram_count=cfg.min_ngram_count))
+    out = _prepare_outdir(cfg)
     features.save_svm_checkpoint(model, cfg.task, cfg.max_context,
                                  out / "checkpoint.json")
     with open(out / "train_log.jsonl", "w", encoding="utf-8", newline="\n") as fh:
@@ -168,14 +168,8 @@ def cmd_train(cfg: RunConfig) -> None:
         _train_svm(cfg, train_i, dev_i)
         return
     table = load_embeddings(cfg.embeddings, cfg.resolved_embed_dim)
+    result = models.train_model(train_i, dev_i, table, cfg)
     out = _prepare_outdir(cfg)
-    settings = models.TrainSettings(
-        variant=cfg.variant, hidden_dim=cfg.resolved_hidden_dim,
-        att_dim=cfg.att_dim, lr=cfg.lr, l2=cfg.l2, dropout=cfg.dropout,
-        batch_size=cfg.batch_size, epochs=cfg.epochs, patience=cfg.patience,
-        seed=cfg.seed, max_context=cfg.max_context,
-        conditional_reply_head_only=cfg.conditional_reply_head_only)
-    result = models.train_model(train_i, dev_i, table, settings)
     models.save_checkpoint(result.params, out / "checkpoint.json")
     with open(out / "train_log.jsonl", "w", encoding="utf-8", newline="\n") as fh:
         for entry in result.log:

@@ -10,10 +10,10 @@ import os
 from dataclasses import dataclass, asdict, fields
 from typing import get_args, get_type_hints
 
-from .data import PLATFORMS, read_text
+from .data import PLATFORMS, read_text, refuse_lone_surrogates
 from .errors import ConfigError
 from .features import TASKS
-from .models import VARIANTS
+from .models import VARIANTS, TrainSettings
 
 CHOICES = {"variant": VARIANTS + ("svm",), "task": TASKS, "platform": PLATFORMS}
 
@@ -24,8 +24,8 @@ _TYPE_NAMES = {str: ("a string", str), int: ("an integer", int),
 
 
 @dataclass
-class RunConfig:
-    variant: str = "sent_attn"
+class RunConfig(TrainSettings):
+    """TrainSettings, plus the inputs, outputs and options of the commands."""
     task: str = "context_and_reply"
     platform: str = "forum"
     corpus: str | None = None
@@ -35,18 +35,8 @@ class RunConfig:
     checkpoint: str | None = None
     outdir: str | None = None
     embed_dim: int | None = None    # default: 100 twitter / 300 forum
-    hidden_dim: int | None = None   # default: embed_dim
-    att_dim: int | None = None      # default: hidden_dim
-    dropout: float = 0.5
-    l2: float = 1e-4
-    lr: float = 0.05
-    batch_size: int = 16
-    epochs: int = 30
-    patience: int = 10
-    seed: int = 13
-    max_context: int | None = None  # default per instance: 10 forum / 5 twitter
+    patience: int = 10              # no None: the CLI always stops early
     min_ngram_count: int = 2
-    conditional_reply_head_only: bool = False
 
     # ---- resolved defaults ----
 
@@ -54,11 +44,6 @@ class RunConfig:
     def resolved_embed_dim(self) -> int:
         return self.embed_dim if self.embed_dim is not None \
             else _PLATFORM_EMBED_DIM[self.platform]
-
-    @property
-    def resolved_hidden_dim(self) -> int:
-        return self.hidden_dim if self.hidden_dim is not None \
-            else self.resolved_embed_dim
 
     # ---- IO ----
 
@@ -74,10 +59,12 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
+        text = read_text(path)
         try:
-            doc = json.loads(read_text(path))
+            doc = json.loads(text)
         except json.JSONDecodeError as e:
             raise ConfigError(f"config file {path}: invalid JSON ({e.msg})") from None
+        refuse_lone_surrogates(text, path)
         if not isinstance(doc, dict):
             raise ConfigError(f"config file {path}: must be a flat JSON object")
         return cls().updated(doc, source=str(path))

@@ -35,6 +35,7 @@ _TERMINAL_PUNCT = ".,!?;:"
 _SENTENCE_ENDS = ".!?"
 _QUOTE_CHARS = "\"'“”‘’«»"
 _URL_RE = re.compile(r"^(?:https?://|www\.)", re.IGNORECASE)
+_JSON_STRING_RE = re.compile(r'"(?:[^"\\]|\\.)*"')
 
 
 def load_resource_list(name: str) -> tuple[str, ...]:
@@ -345,24 +346,35 @@ def read_text(path) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
+def refuse_lone_surrogates(text: str, path, first_lineno: int = 1) -> None:
+    """Raise ParseError naming the path and line if a string of the valid
+    JSON text holds a lone surrogate, which only a \\u escape can make and
+    no UTF-8 encoder takes. Text without a \\u escape is not scanned."""
+    if "\\u" not in text:
+        return
+    for lineno, line in enumerate(text.split("\n"), start=first_lineno):
+        for literal in _JSON_STRING_RE.findall(line):
+            try:
+                json.loads(literal).encode("utf-8")
+            except UnicodeEncodeError as e:
+                raise ParseError(f"{path}: line {lineno}: string holds a lone surrogate "
+                                 f"(\\u{ord(e.object[e.start]):04x})") from None
+
+
 def read_jsonl(path) -> Iterator[tuple[int, object]]:
     """(line number, parsed value) for each nonblank line of a UTF-8
-    JSON-lines file; a line that is not UTF-8 or not JSON raises ParseError
+    JSON-lines file, its newlines made universal by read_text; a line that
+    is not UTF-8, not JSON or holds a lone surrogate raises ParseError
     naming the path and line."""
-    with open_input(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError as e:
-                raise ParseError(f"{path}: line {lineno}: not valid UTF-8 ({e.reason} "
-                                 f"at byte {e.start})") from None
-            if not line.strip():
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise ParseError(f"{path}: line {lineno}: invalid JSON ({e.msg})") from None
-            yield lineno, obj
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise ParseError(f"{path}: line {lineno}: invalid JSON ({e.msg})") from None
+        refuse_lone_surrogates(line, path, lineno)
+        yield lineno, obj
 
 
 def load_corpus(path) -> list[ConversationInstance]:

@@ -258,7 +258,6 @@ def _is_ngram(name: str) -> bool:
 class SvmConfig:
     epochs: int = 50
     l2: float = 1e-4
-    lr: float | None = None  # None: 1 / (l2 + max ||x||^2), the stable bound
     seed: int = 0
     min_ngram_count: int = 2
 
@@ -369,7 +368,7 @@ def svm_train(train: Sequence[tuple[FeatureVector, str]],
     class_weights = class_weight_map(label for _, label in train)
     xs = [registry.vectorize(fv) for fv, _ in train]
     max_norm2 = max((sum(v * v for v in x.values()) for x in xs), default=0.0)
-    lr = config.lr if config.lr is not None else 1.0 / (config.l2 + max(max_norm2, 1e-12))
+    lr = 1.0 / (config.l2 + max(max_norm2, 1e-12))  # the stable step bound
     arrays = [_arrays(x) for x in xs]
     ys = [1.0 if label == "S" else -1.0 for _, label in train]
     cws = [float(class_weights[label]) for _, label in train]

@@ -345,17 +345,18 @@ def loss_and_grads(params, seg, table, label: str, mask: np.ndarray | None = Non
 
 @dataclass
 class TrainSettings:
+    """How train_model trains: one declaration of each setting and its default."""
     variant: str = "sent_attn"
-    hidden_dim: int = 100
-    att_dim: int | None = None
+    hidden_dim: int | None = None   # None: the embedding dim
+    att_dim: int | None = None      # None: hidden_dim
     lr: float = 0.05
     l2: float = 1e-4
     dropout: float = 0.5
     batch_size: int = 16
     epochs: int = 30
-    patience: int | None = 10
+    patience: int | None = 10       # None: no early stopping
     seed: int = 13
-    max_context: int | None = None
+    max_context: int | None = None  # None: 10 forum / 5 twitter, per instance
     conditional_reply_head_only: bool = False
 
 
@@ -459,7 +460,8 @@ def train_model(train_insts: Sequence[ConversationInstance],
     if not dev_insts:
         raise ConfigError("empty dev split")
     rng = new_rng(settings.seed)
-    params = init_params(settings.variant, table.dim, settings.hidden_dim,
+    hidden_dim = settings.hidden_dim if settings.hidden_dim is not None else table.dim
+    params = init_params(settings.variant, table.dim, hidden_dim,
                          settings.att_dim, rng,
                          settings.conditional_reply_head_only)
     params.max_context = settings.max_context

@@ -308,6 +308,17 @@ def test_flag_overrides_config_file(tmp_path, workdir):
     assert echoed["epochs"] == 1  # file value kept
 
 
+def test_train_without_hidden_dim_uses_the_embedding_dim(workdir):
+    out = workdir / "run"
+    assert run("train", "--corpus", workdir / "corpus.jsonl",
+               "--embeddings", workdir / "emb.txt", "--variant", "reply_only",
+               "--platform", "twitter", "--embed-dim", EMBED_DIM, "--epochs", 1,
+               "--outdir", out) == 0
+    assert json.loads((out / "config.json").read_text())["hidden_dim"] is None
+    doc = checkpoint.read(out / "checkpoint.json")
+    assert doc["dims"]["hidden_dim"] == doc["dims"]["embed_dim"] == EMBED_DIM
+
+
 def test_bad_corpus_is_data_error(tmp_path, workdir, capsys):
     bad = tmp_path / "bad.jsonl"
     bad.write_text('{"id": "x"}\n', encoding="utf-8")
@@ -630,7 +641,8 @@ def test_attention_names_heatmaps_of_ids_too_long_for_a_file_name_by_hash(tmp_pa
 
 
 def _refused_input(tmp_path, workdir, lexicon_dir, case):
-    """(argv, code, path that stderr must name) for one refused input."""
+    """(argv, code, the path, with its line where that is known, that stderr
+    must name) for one refused input."""
     bad_dir = tmp_path / "a_directory"
     bad_dir.mkdir()
     out = ("--outdir", tmp_path / "never")
@@ -650,13 +662,37 @@ def _refused_input(tmp_path, workdir, lexicon_dir, case):
         return ("prepare", "--raw-tweets", bad_dir, "--platform", "twitter") + out, 1, bad_dir
     if case == "train-embeddings-dir":
         return train + ("--embeddings", bad_dir), 1, bad_dir
-    assert case == "train-embed-dim-mismatch"
-    return train + ("--embeddings", workdir / "emb.txt", "--embed-dim", 9), 1, workdir / "emb.txt"
+    if case == "train-embed-dim-mismatch":
+        return (train + ("--embeddings", workdir / "emb.txt", "--embed-dim", 9), 1,
+                workdir / "emb.txt")
+    # a \ud800 escape decodes to a lone surrogate, which no UTF-8 writer takes
+    bad = tmp_path / "surrogate.jsonl"
+    if case == "config-lone-surrogate":
+        bad.write_text('{"epochs": 1,\n "outdir": "o\\ud800"}\n', encoding="utf-8")
+        return (train + ("--embeddings", workdir / "emb.txt", "--config", bad), 2,
+                f"{bad}: line 2: string holds a lone surrogate (\\ud800)")
+    if case == "raw-tweets-lone-surrogate":
+        make_raw_tweets(bad)
+        rows = bad.read_text(encoding="utf-8").split("\n")
+        rows[1] = rows[1].replace('"oh what', '"\\ud800oh what')
+        bad.write_text("\n".join(rows), encoding="utf-8")
+        return ("prepare", "--raw-tweets", bad, "--platform", "twitter") + out, 2, f"{bad}: line 2"
+    records = load_corpus(workdir / "corpus.jsonl")
+    records[0].reply = "\ud800" + records[0].reply
+    with open(bad, "w", encoding="utf-8") as fh:
+        for inst in records:
+            fh.write(json.dumps(vars(inst)) + "\n")  # ASCII: the surrogate as an escape
+    if case == "prepare-corpus-lone-surrogate":
+        return ("prepare", "--corpus", bad) + out, 2, f"{bad}: line 1"
+    assert case == "train-corpus-lone-surrogate"
+    return train + ("--embeddings", workdir / "emb.txt", "--corpus", bad), 2, f"{bad}: line 1"
 
 
 @pytest.mark.parametrize("case", ["config-not-utf8", "lexicon-not-utf8", "prepare-corpus-dir",
                                   "prepare-raw-tweets-dir", "train-embeddings-dir",
-                                  "train-embed-dim-mismatch"])
+                                  "train-embed-dim-mismatch", "config-lone-surrogate",
+                                  "raw-tweets-lone-surrogate", "prepare-corpus-lone-surrogate",
+                                  "train-corpus-lone-surrogate"])
 def test_refused_input_names_its_path_without_traceback_or_outdir(
         tmp_path, workdir, lexicon_dir, capsys, case):
     argv, want, path = _refused_input(tmp_path, workdir, lexicon_dir, case)
@@ -664,4 +700,26 @@ def test_refused_input_names_its_path_without_traceback_or_outdir(
     err = capsys.readouterr().err
     assert code == want, err
     assert str(path) in err and "Traceback" not in err
+    assert not (tmp_path / "never").exists()
+
+
+@pytest.mark.parametrize("case", ["empty-dev-split", "one-class-svm-split"])
+def test_refused_split_writes_no_outdir(tmp_path, workdir, lexicon_dir, capsys, case):
+    corpus = tmp_path / "prepared"
+    corpus.mkdir()
+    instances = load_corpus(workdir / "corpus.jsonl")
+    train, dev = instances[:32], instances[32:]
+    if case == "empty-dev-split":
+        dev, model = [], ("--variant", "reply_only", "--embeddings", workdir / "emb.txt",
+                          "--platform", "twitter", "--embed-dim", EMBED_DIM)
+    else:
+        train, model = ([i for i in train if i.label == "S"],
+                        ("--variant", "svm", "--lexicons", lexicon_dir))
+    for name, part in (("train", train), ("dev", dev), ("test", dev)):
+        save_corpus(part, corpus / f"{name}.jsonl")
+    code = run("train", "--corpus", corpus, "--epochs", 1,
+               "--outdir", tmp_path / "never", *model)
+    err = capsys.readouterr().err
+    assert code == 1, err
+    assert "config error" in err and "Traceback" not in err
     assert not (tmp_path / "never").exists()

@@ -357,6 +357,27 @@ def test_load_corpus_reports_line_number(tmp_path):
         load_corpus(write_lines(tmp_path, [record("a"), "{broken"]))
 
 
+@pytest.mark.parametrize("escape", ["\\ud800", "\\udfff", "x\\ude00\\ud83d"])
+def test_load_corpus_refuses_a_lone_surrogate_naming_the_line(tmp_path, escape):
+    bad = record("b").replace('"a reply"', f'"{escape} a reply"')
+    with pytest.raises(ParseError, match="corpus.jsonl: line 2: .*lone surrogate"):
+        load_corpus(write_lines(tmp_path, [record("a"), bad]))
+
+
+def test_load_corpus_takes_escaped_surrogate_pairs_and_backslashes(tmp_path):
+    p = write_lines(tmp_path, [record("a", reply="smile \U0001f600"),
+                               record("b", reply="a \\ud800 b")])
+    assert [i.reply for i in load_corpus(p)] == ["smile \U0001f600", "a \\ud800 b"]
+    assert "\\ud83d\\ude00" in p.read_text(encoding="utf-8")
+
+
+def test_load_corpus_splits_lines_on_every_newline_convention(tmp_path):
+    p = tmp_path / "corpus.jsonl"
+    p.write_bytes("\r\n".join([record("a"), "", record("b")]).encode() + b"\r{broken")
+    with pytest.raises(ParseError, match="line 4"):
+        load_corpus(p)
+
+
 def test_save_load_roundtrip(tmp_path):
     insts = [ConversationInstance("a", "twitter", ["ctx tweet one"],
                                   "reply text", "S", [0])]

@@ -152,7 +152,7 @@ def ref_svm_train(train, config):
     rows = [(ref_vectorize(fv, registry), 1.0 if label == "S" else -1.0,
              float(class_weights[label])) for fv, label in train]
     max_norm2 = max((sum(v * v for v in x.values()) for x, _, _ in rows), default=0.0)
-    lr = config.lr if config.lr is not None else 1.0 / (config.l2 + max(max_norm2, 1e-12))
+    lr = 1.0 / (config.l2 + max(max_norm2, 1e-12))
     w = np.zeros(len(registry))
     b = 0.0
     rng = np.random.default_rng(config.seed)
@@ -343,7 +343,6 @@ training_sets = st.tuples(vectors, vectors, st.lists(
         lambda t: [(t[0], "S"), (t[1], "NS")] + t[2])
 configs = st.builds(SvmConfig, epochs=st.integers(1, 5),
                     l2=st.sampled_from([0.0, 1e-4, 0.01, 0.3]),
-                    lr=st.sampled_from([None, None, 0.05, 0.5]),
                     seed=st.integers(0, 3), min_ngram_count=st.integers(1, 3))
 
 

@@ -443,6 +443,14 @@ def test_train_keeps_best_dev_epoch():
     assert best_f1 >= result.log[0]["dev_macro_f1"]
 
 
+def test_train_without_hidden_dim_uses_the_embedding_dim():
+    corpus, table = corpus_and_table()
+    result = train_model(corpus, corpus, table, TrainSettings(
+        variant="sent_attn", hidden_dim=None, epochs=1, seed=0))
+    assert result.params.hidden_dim == table.dim == EMBED
+    assert result.params.tensors()["attn_c.W_a"].shape == (EMBED, EMBED)  # att_dim follows
+
+
 def test_train_rejects_empty_splits():
     corpus, table = corpus_and_table()
     with pytest.raises(ConfigError):
