@@ -75,31 +75,16 @@ def _prepare_outdir(cfg: RunConfig) -> Path:
     return out
 
 
-def _load_splits(cfg: RunConfig):
-    """A corpus directory must hold train/dev/test.jsonl; a single file is
-    split 80/10/10 with the configured seed."""
+def _split_file(cfg: RunConfig, part: str) -> Path:
+    """The file holding part (train, dev or test): DIR/<part>.jsonl of a
+    prepared corpus directory, or the single corpus file."""
     p = Path(cfg.corpus)
-    if p.is_dir():
-        parts = []
-        for part in ("train", "dev", "test"):
-            f = p / f"{part}.jsonl"
-            if not f.exists():
-                raise ConfigError(f"corpus: split file missing: {f}")
-            parts.append(data.load_corpus(f))
-        return tuple(parts)
-    return data.stratified_split(data.load_corpus(p), cfg.seed)
-
-
-def _eval_instances(cfg: RunConfig):
-    """Instances a read-only command should score: the test split of a
-    prepared directory, or every instance of a single file."""
-    p = Path(cfg.corpus)
-    if p.is_dir():
-        f = p / "test.jsonl"
-        if not f.exists():
-            raise ConfigError(f"corpus: split file missing: {f}")
-        return data.load_corpus(f)
-    return data.load_corpus(p)
+    if not p.is_dir():
+        return p
+    f = p / f"{part}.jsonl"
+    if not f.exists():
+        raise ConfigError(f"corpus: split file missing: {f}")
+    return f
 
 
 def _load_lexicon_dir(path) -> features.LexiconSet:
@@ -163,7 +148,10 @@ def cmd_train(cfg: RunConfig) -> None:
     needed = ("corpus", "lexicons") if cfg.variant == "svm" else ("corpus", "embeddings")
     cfg.validate(need=needed)
     _require_outdir(cfg)
-    train_i, dev_i, _ = _load_splits(cfg)
+    if Path(cfg.corpus).is_dir():
+        train_i, dev_i = (data.load_corpus(_split_file(cfg, part)) for part in ("train", "dev"))
+    else:  # a single file is split 80/10/10 with the configured seed
+        train_i, dev_i, _ = data.stratified_split(data.load_corpus(cfg.corpus), cfg.seed)
     if cfg.variant == "svm":
         _train_svm(cfg, train_i, dev_i)
         return
@@ -179,9 +167,11 @@ def cmd_train(cfg: RunConfig) -> None:
 
 
 def _scoring_setup(cfg: RunConfig, attention: bool = False) -> tuple[dict, list]:
-    """Validate everything a scoring command needs, then load the instances.
-    Returns the read checkpoint, which the loaders take without rereading
-    it, and the instances. Nothing is written until validation is complete.
+    """Validate everything a scoring command needs, then load the instances:
+    the test split of a prepared directory, or every instance of a single
+    file, of which there must be at least one. Returns the read checkpoint,
+    which the loaders take without rereading it, and the instances. Nothing
+    is written until validation is complete.
     Scoring uses the context window the checkpoint stores, so an explicit
     max_context that differs from it is a ConfigError."""
     cfg.validate(need=("checkpoint", "corpus"))
@@ -197,7 +187,11 @@ def _scoring_setup(cfg: RunConfig, attention: bool = False) -> tuple[dict, list]
     extra = ("lexicons",) if doc["kind"] == "svm" else ("embeddings",)
     cfg.validate(need=("checkpoint", "corpus") + extra)
     _require_outdir(cfg)
-    return doc, _eval_instances(cfg)
+    corpus = _split_file(cfg, "test")
+    instances = data.load_corpus(corpus)
+    if not instances:
+        raise DataError(f"{corpus}: no instances to score")
+    return doc, instances
 
 
 def _lstm_scores(cfg: RunConfig, doc: dict, instances):

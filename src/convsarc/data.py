@@ -76,6 +76,7 @@ class SegmentedInstance:
     label: str
     context_texts: list[str] = field(default_factory=list)
     triggers: list[int] | None = None
+    id: str = ""  # the instance's id, which data errors name
 
 
 @dataclass
@@ -314,7 +315,7 @@ def segment_instance(inst: ConversationInstance,
         context_sentences=[casefold_selective(tokenize(u)) for u in kept],
         reply_sentences=[casefold_selective(tokenize(u))
                          for u in _sentence_texts(inst.reply, inst.platform)],
-        label=inst.label, context_texts=kept, triggers=triggers or None)
+        label=inst.label, context_texts=kept, triggers=triggers or None, id=inst.id)
 
 
 def _field_error(path, lineno: int, field: str, message: str) -> ParseError:

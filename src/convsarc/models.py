@@ -35,13 +35,15 @@ from .embeddings import EmbeddingTable, lookup, sentence_avg
 from .errors import ConfigError, DomainError, NumericError
 from .nn import (LSTMCellParams, LSTMState, cross_entropy, dropout_mask,
                  finite_diff_grad, lstm_backward, lstm_forward,
-                 max_relative_error, new_rng, sgd_step, softmax, INIT_SCALE)
+                 max_relative_error, new_rng, sgd_step, softmax)
 from . import checkpoint, evaluate
 
 VARIANTS = ("reply_only", "concat", "conditional",
             "sent_attn", "word_attn", "hier_attn")
 ATTENTION_VARIANTS = ("sent_attn", "word_attn", "hier_attn")
 LABEL_TO_INDEX = {"S": 0, "NS": 1}  # probability/logit order is (S, NS)
+INIT_SCALE = 0.05  # uniform(-0.05, 0.05), same range as OOV embeddings
+FORGET_BIAS = 1.0  # Jozefowicz et al. (2015)
 
 
 class AttentionParams(NamedTuple):
@@ -108,8 +110,9 @@ def init_params(variant: str, embed_dim: int, hidden_dim: int,
                 att_dim: int | None = None,
                 rng: np.random.Generator | None = None,
                 conditional_reply_head_only: bool = False) -> ModelParams:
-    """Fresh parameters for a variant; rng=None gives all-zero tensors
-    (used as a checkpoint skeleton)."""
+    """The one initializer of model tensors: uniform(-INIT_SCALE, INIT_SCALE)
+    weights and zero biases, but FORGET_BIAS on each LSTM forget gate, drawn
+    in name order; rng=None gives all-zero tensors (a checkpoint skeleton)."""
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant '{variant}' (choose from {VARIANTS})")
     att_dim = att_dim if att_dim is not None else hidden_dim
@@ -119,9 +122,11 @@ def init_params(variant: str, embed_dim: int, hidden_dim: int,
 
     t = {}
     for side in ("r",) if variant == "reply_only" else ("c", "r"):
-        cell = (LSTMCellParams.zeros(embed_dim, hidden_dim) if rng is None
-                else LSTMCellParams.init(embed_dim, hidden_dim, rng))
-        t.update(_prefixed(f"lstm_{side}", cell.tensors()))
+        t[f"lstm_{side}.W"] = uniform(4 * hidden_dim, embed_dim)
+        t[f"lstm_{side}.U"] = uniform(4 * hidden_dim, hidden_dim)
+        t[f"lstm_{side}.b"] = uniform(4 * hidden_dim)
+        if rng is not None:  # gates are stacked i, f, o, g
+            t[f"lstm_{side}.b"][hidden_dim:2 * hidden_dim] = FORGET_BIAS
     blocks = ([("attn_c", hidden_dim), ("attn_r", hidden_dim)]
               if variant in ATTENTION_VARIANTS else [])
     if variant == "hier_attn":
@@ -224,15 +229,15 @@ def _forward(params: ModelParams, segs: Sequence[SegmentedInstance],
     if variant not in VARIANTS:
         raise ConfigError(f"unknown variant '{variant}'")
     B, H = len(segs), params.hidden_dim
+    for seg in segs:
+        if not any(seg.reply_sentences):
+            raise DomainError(f"instance {seg.id!r}: reply has no tokens")
+        if variant != "reply_only" and not any(seg.context_sentences):
+            raise DomainError(f"instance {seg.id!r}: variant '{variant}' needs a nonempty "
+                              "context; use reply_only for context-free instances")
     sides = {"r": [seg.reply_sentences for seg in segs]}
-    if not all(any(sents) for sents in sides["r"]):
-        raise DomainError("reply has no tokens")
     if variant != "reply_only":
         sides = {"c": [seg.context_sentences for seg in segs], **sides}
-        if not all(any(sents) for sents in sides["c"]):
-            raise DomainError(
-                f"variant '{variant}' needs a nonempty context; "
-                "use reply_only for context-free instances")
     attention = variant in ATTENTION_VARIANTS
     # views of the blocks each side uses, built once for the pass
     cells = {side: params.cell(side) for side in sides}

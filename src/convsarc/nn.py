@@ -3,7 +3,8 @@ dropout, and a central-difference gradient oracle.
 
 Everything runs at float64. Parameters travel as flat ``{name: ndarray}``
 dicts so the optimizer and the finite-difference checker stay agnostic of
-which architecture produced them. Gate equations follow the standard
+which architecture produced them; models.init_params draws them all, so
+this module holds no initializer. Gate equations follow the standard
 formulation: i, f, o sigmoid gates, tanh candidate, no peepholes. The four
 gates are stacked in one pre-activation, split in i, f, o, g order:
 
@@ -14,7 +15,7 @@ gates are stacked in one pre-activation, split in i, f, o, g order:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -23,8 +24,6 @@ from .errors import DomainError, NumericError, ShapeError
 Array = np.ndarray
 
 PROB_FLOOR = 1e-12
-INIT_SCALE = 0.05  # uniform(-0.05, 0.05), same range as OOV embeddings
-FORGET_BIAS = 1.0
 
 
 def new_rng(seed: int) -> np.random.Generator:
@@ -32,8 +31,7 @@ def new_rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
-@dataclass
-class LSTMCellParams:
+class LSTMCellParams(NamedTuple):
     """Weights for one LSTM cell with the four gates stacked in i, f, o, g
     order: W (4*hidden x input), U (4*hidden x hidden), b (4*hidden)."""
 
@@ -48,24 +46,6 @@ class LSTMCellParams:
     @property
     def hidden_dim(self) -> int:
         return self.U.shape[1]
-
-    def tensors(self) -> dict[str, Array]:
-        return {"W": self.W, "U": self.U, "b": self.b}
-
-    @classmethod
-    def zeros(cls, input_dim: int, hidden_dim: int) -> "LSTMCellParams":
-        n = 4 * hidden_dim
-        return cls(np.zeros((n, input_dim)), np.zeros((n, hidden_dim)), np.zeros(n))
-
-    @classmethod
-    def init(cls, input_dim: int, hidden_dim: int,
-             rng: np.random.Generator) -> "LSTMCellParams":
-        """Uniform(-0.05, 0.05) weights; forget-gate bias starts at 1.0."""
-        n = 4 * hidden_dim
-        p = cls(*(rng.uniform(-INIT_SCALE, INIT_SCALE, size=shape)
-                  for shape in ((n, input_dim), (n, hidden_dim), n)))
-        p.b[hidden_dim:2 * hidden_dim] = FORGET_BIAS
-        return p
 
 
 @dataclass

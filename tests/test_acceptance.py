@@ -20,7 +20,7 @@ from convsarc.data import (ConversationInstance, SegmentedInstance,
 from convsarc.embeddings import EmbeddingTable, load_embeddings
 from convsarc.evaluate import attention_overlap, f1_score, prf1
 from convsarc.features import SvmConfig, class_weight_map, svm_predict, svm_train
-from convsarc.models import (VARIANTS, LSTMCellParams, TrainSettings, _forward,
+from convsarc.models import (VARIANTS, TrainSettings, _forward,
                              gradient_check_variant, init_params, predict,
                              score, train_model)
 from convsarc.nn import new_rng
@@ -95,8 +95,9 @@ def test_c2_attention_normalization_thousand_instances():
 def test_c3_conditional_reduction_to_reply_pathway():
     table = EmbeddingTable(dim=10, vocab={}, seed=2)
     cond = init_params("conditional", 10, 7, rng=new_rng(6))
+    zero = init_params("reply_only", 10, 7).cell("r")
     cond.tensors().update(  # a zero context cell forces its final state to zero
-        {f"lstm_c.{k}": v for k, v in LSTMCellParams.zeros(10, 7).tensors().items()})
+        {f"lstm_c.{k}": v for k, v in zero._asdict().items()})
     seg = SegmentedInstance(
         context_sentences=[["some", "ctx", "words"], ["more", "ctx"]],
         reply_sentences=[["the", "actual", "reply"], ["tokens", "here"]],

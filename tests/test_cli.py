@@ -550,21 +550,48 @@ def test_eval_refuses_checkpoint_dims_too_large_to_allocate(workdir, capsys):
     assert not out.exists()
 
 
-def test_empty_test_split_keeps_exit_codes(tmp_path, capsys):
-    emb, ckpt = scoring_inputs(tmp_path, "sent_attn")
-    prep = tmp_path / "prep"
+def test_empty_test_split_is_a_data_error_naming_the_file(workdir, lexicon_dir, capsys):
+    (workdir / "lstm").mkdir()
+    _, lstm_ckpt = scoring_inputs(workdir / "lstm", "sent_attn")
+    assert run("train", "--corpus", workdir / "corpus.jsonl", "--lexicons", lexicon_dir,
+               "--variant", "svm", "--epochs", 1, "--outdir", workdir / "svm_run") == 0
+    svm_ckpt = workdir / "svm_run" / "checkpoint.json"
+    prep = workdir / "prep"
     prep.mkdir()
     for part in ("train", "dev", "test"):
         (prep / f"{part}.jsonl").write_text("", encoding="utf-8")
-    common = ("--checkpoint", ckpt, "--corpus", prep, "--embeddings", emb,
-              "--platform", "twitter", "--embed-dim", EMBED_DIM)
-    assert run("eval", *common, "--outdir", tmp_path / "eval") == 2
-    assert "cannot score an empty label list" in capsys.readouterr().err
-    assert run("predict", *common, "--outdir", tmp_path / "pred") == 0
-    assert (tmp_path / "pred" / "predictions.jsonl").read_text() == ""
-    assert run("attention", *common, "--outdir", tmp_path / "att") == 0
-    doc = json.loads((tmp_path / "att" / "overlap.json").read_text())
-    assert doc == {"instances": 0, "annotated": 0}
+    single = workdir / "empty.jsonl"
+    single.write_text("", encoding="utf-8")
+    capsys.readouterr()
+    lstm = (lstm_ckpt, "--embeddings", workdir / "emb.txt")
+    svm = (svm_ckpt, "--lexicons", lexicon_dir)
+    for command, (ckpt, *extra) in (("eval", lstm), ("predict", lstm), ("attention", lstm),
+                                    ("eval", svm), ("predict", svm)):
+        for corpus, named in ((prep, prep / "test.jsonl"), (single, single)):
+            code = run(command, "--checkpoint", ckpt, "--corpus", corpus, *extra,
+                       "--outdir", workdir / "never")
+            err = capsys.readouterr().err
+            assert code == 2, (command, ckpt, err)
+            assert f"data error: {named}: no instances to score" in err
+            assert "Traceback" not in err
+            assert not (workdir / "never").exists()
+
+
+def test_train_reads_only_the_train_and_dev_splits(workdir, capsys):
+    prep = workdir / "prep"
+    prep.mkdir()
+    records = load_corpus(workdir / "corpus.jsonl")
+    save_corpus(records[:32], prep / "train.jsonl")
+    save_corpus(records[32:], prep / "dev.jsonl")  # and no test.jsonl
+    train = ("train", "--corpus", prep, "--embeddings", workdir / "emb.txt",
+             "--embed-dim", EMBED_DIM, "--variant", "reply_only", "--epochs", 1)
+    assert run(*train, "--outdir", workdir / "run") == 0
+    assert (workdir / "run" / "checkpoint.json").exists()
+    (prep / "dev.jsonl").unlink()
+    capsys.readouterr()
+    assert run(*train, "--outdir", workdir / "never") == 1
+    assert f"corpus: split file missing: {prep / 'dev.jsonl'}" in capsys.readouterr().err
+    assert not (workdir / "never").exists()
 
 
 def test_scoring_uses_the_window_of_the_data_and_checkpoint_not_the_platform_flag(tmp_path):
@@ -641,8 +668,8 @@ def test_attention_names_heatmaps_of_ids_too_long_for_a_file_name_by_hash(tmp_pa
 
 
 def _refused_input(tmp_path, workdir, lexicon_dir, case):
-    """(argv, code, the path, with its line where that is known, that stderr
-    must name) for one refused input."""
+    """(argv, code, the path, with its line where that is known, or the
+    instance that stderr must name) for one refused input."""
     bad_dir = tmp_path / "a_directory"
     bad_dir.mkdir()
     out = ("--outdir", tmp_path / "never")
@@ -665,6 +692,23 @@ def _refused_input(tmp_path, workdir, lexicon_dir, case):
     if case == "train-embed-dim-mismatch":
         return (train + ("--embeddings", workdir / "emb.txt", "--embed-dim", 9), 1,
                 workdir / "emb.txt")
+    records = load_corpus(workdir / "corpus.jsonl")
+    if case == "train-blank-context":  # a context that segments to no sentence
+        records[3].context = ["   "]
+        prep = tmp_path / "prep"
+        prep.mkdir()
+        save_corpus(records[:32], prep / "train.jsonl")
+        save_corpus(records[32:], prep / "dev.jsonl")
+        return (train + ("--embeddings", workdir / "emb.txt", "--embed-dim", EMBED_DIM,
+                         "--corpus", prep, "--variant", "conditional"),
+                2, f"instance '{records[3].id}'")
+    if case == "predict-empty-context":
+        (tmp_path / "lstm").mkdir()
+        emb, ckpt = scoring_inputs(tmp_path / "lstm", "sent_attn")
+        records[5].context = []
+        save_corpus(records, tmp_path / "no_context.jsonl")
+        return (("predict", "--checkpoint", ckpt, "--corpus", tmp_path / "no_context.jsonl",
+                 "--embeddings", emb) + out, 2, f"instance '{records[5].id}'")
     # a \ud800 escape decodes to a lone surrogate, which no UTF-8 writer takes
     bad = tmp_path / "surrogate.jsonl"
     if case == "config-lone-surrogate":
@@ -677,7 +721,6 @@ def _refused_input(tmp_path, workdir, lexicon_dir, case):
         rows[1] = rows[1].replace('"oh what', '"\\ud800oh what')
         bad.write_text("\n".join(rows), encoding="utf-8")
         return ("prepare", "--raw-tweets", bad, "--platform", "twitter") + out, 2, f"{bad}: line 2"
-    records = load_corpus(workdir / "corpus.jsonl")
     records[0].reply = "\ud800" + records[0].reply
     with open(bad, "w", encoding="utf-8") as fh:
         for inst in records:
@@ -692,7 +735,8 @@ def _refused_input(tmp_path, workdir, lexicon_dir, case):
                                   "prepare-raw-tweets-dir", "train-embeddings-dir",
                                   "train-embed-dim-mismatch", "config-lone-surrogate",
                                   "raw-tweets-lone-surrogate", "prepare-corpus-lone-surrogate",
-                                  "train-corpus-lone-surrogate"])
+                                  "train-corpus-lone-surrogate", "train-blank-context",
+                                  "predict-empty-context"])
 def test_refused_input_names_its_path_without_traceback_or_outdir(
         tmp_path, workdir, lexicon_dir, capsys, case):
     argv, want, path = _refused_input(tmp_path, workdir, lexicon_dir, case)

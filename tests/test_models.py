@@ -1,17 +1,19 @@
+import ast
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from convsarc import checkpoint
+from convsarc import checkpoint, nn
 from convsarc.data import SegmentedInstance
 from convsarc.embeddings import EmbeddingTable, lookup, sentence_avg
 from convsarc.errors import ConfigError, DomainError, NumericError
-from convsarc.nn import (INIT_SCALE, LSTMCellParams, dropout_mask, finite_diff_grad,
-                         lstm_forward, max_relative_error, new_rng, softmax)
+from convsarc.nn import (dropout_mask, finite_diff_grad, lstm_forward,
+                         max_relative_error, new_rng, softmax)
 from convsarc.models import (ATTENTION_VARIANTS, AttentionParams, AttentionRecord,
                              LABEL_TO_INDEX, MAX_PASS_ROWS, VARIANTS,
                              gradient_check_variant, init_params, load_checkpoint,
@@ -50,9 +52,13 @@ def probs_and_record(params, s, table):
     return probs, record
 
 
+def zero_cell(embed, hidden):
+    return init_params("reply_only", embed, hidden).cell("r")
+
+
 def set_cell(params, side, cell):
     """Put cell in as side c's (context) or r's (reply) LSTM cell."""
-    params.tensors().update({f"lstm_{side}.{k}": v for k, v in cell.tensors().items()})
+    params.tensors().update({f"lstm_{side}.{k}": v for k, v in cell._asdict().items()})
 
 
 def attention_block(dim, seed):
@@ -75,24 +81,46 @@ BASIC = seg([["alpha", "beta"], ["gamma", "delta", "eps"]],
 def per_block_draws(variant, embed, hidden, att, rng, head_only=False):
     """The seeded tensors drawn block by block, as init_params drew them
     when each block had its own initializer: the context cell, the reply
-    cell, attn_c, attn_r, wattn_c, wattn_r, then the classifier."""
+    cell, attn_c, attn_r, wattn_c, wattn_r, then the classifier. Weights
+    are uniform(-0.05, 0.05); a cell's forget-gate bias is 1.0."""
     t = {}
     for side in ("r",) if variant == "reply_only" else ("c", "r"):
-        cell = LSTMCellParams.init(embed, hidden, rng)
-        t.update({f"lstm_{side}.{k}": v for k, v in cell.tensors().items()})
+        t[f"lstm_{side}.W"] = rng.uniform(-0.05, 0.05, (4 * hidden, embed))
+        t[f"lstm_{side}.U"] = rng.uniform(-0.05, 0.05, (4 * hidden, hidden))
+        t[f"lstm_{side}.b"] = rng.uniform(-0.05, 0.05, 4 * hidden)
+        t[f"lstm_{side}.b"][hidden:2 * hidden] = 1.0  # gates i, f, o, g
     blocks = []
     if variant in ATTENTION_VARIANTS:
         blocks += [("attn_c", hidden), ("attn_r", hidden)]
     if variant == "hier_attn":
         blocks += [("wattn_c", embed), ("wattn_r", embed)]
     for name, input_dim in blocks:
-        t[f"{name}.W_a"] = rng.uniform(-INIT_SCALE, INIT_SCALE, (att, input_dim))
+        t[f"{name}.W_a"] = rng.uniform(-0.05, 0.05, (att, input_dim))
         t[f"{name}.b_a"] = np.zeros(att)
-        t[f"{name}.u_s"] = rng.uniform(-INIT_SCALE, INIT_SCALE, att)
+        t[f"{name}.u_s"] = rng.uniform(-0.05, 0.05, att)
     out_dim = hidden if variant == "reply_only" or head_only else 2 * hidden
-    t["W_out"] = rng.uniform(-INIT_SCALE, INIT_SCALE, (2, out_dim))
+    t["W_out"] = rng.uniform(-0.05, 0.05, (2, out_dim))
     t["b_out"] = np.zeros(2)
     return t
+
+
+def test_only_init_params_initializes_model_tensors():
+    # nn keeps no initializer of its own, so a second one cannot come back unnoticed
+    for f in sorted(Path(nn.__file__).parent.glob("*.py")):
+        tree = ast.parse(f.read_text(encoding="utf-8"))
+        assigned = {t.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+                    for t in node.targets if isinstance(t, ast.Name)}
+        if f.name != "models.py":
+            assert not assigned & {"INIT_SCALE", "FORGET_BIAS"}, f.name
+        if f.name == "nn.py":
+            assert not [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                        and isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "uniform"]
+            cell = next(node for node in tree.body if isinstance(node, ast.ClassDef)
+                        and node.name == "LSTMCellParams")
+            assert not [d for node in cell.body if isinstance(node, ast.FunctionDef)
+                        for d in node.decorator_list
+                        if isinstance(d, ast.Name) and d.id in ("classmethod", "staticmethod")]
 
 
 @pytest.mark.parametrize("variant,head_only",
@@ -213,7 +241,7 @@ def test_concat_untied_parameters_are_order_sensitive():
 
 def test_concat_zero_context_cell_reduces_to_reply_block():
     params = seeded_params("concat", seed=2)
-    set_cell(params, "c", LSTMCellParams.zeros(EMBED, HIDDEN))
+    set_cell(params, "c", zero_cell(EMBED, HIDDEN))
     table = oov_table()
     probs = probs_of(params, BASIC, table)
     # context block contributes exactly zero, so only the reply block matters
@@ -234,7 +262,7 @@ def test_concat_rejects_empty_context():
 
 def test_conditional_zero_context_state_matches_reply_pathway():
     cond = seeded_params("conditional", seed=4)
-    set_cell(cond, "c", LSTMCellParams.zeros(EMBED, HIDDEN))  # final state (0, 0)
+    set_cell(cond, "c", zero_cell(EMBED, HIDDEN))  # final state (0, 0)
     table = oov_table()
     probs = probs_of(cond, BASIC, table)
 
@@ -281,7 +309,7 @@ def test_conditional_gradient_reaches_context_cell_through_memory_handoff():
 
 def test_conditional_dim_mismatch_is_config_error():
     params = seeded_params("conditional", seed=4)
-    set_cell(params, "c", LSTMCellParams.zeros(EMBED, HIDDEN + 1))
+    set_cell(params, "c", zero_cell(EMBED, HIDDEN + 1))
     with pytest.raises(ConfigError):
         probs_of(params, BASIC, oov_table())
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from convsarc.errors import DomainError, NumericError, ShapeError
-from convsarc.models import AttentionParams, _project
+from convsarc.models import AttentionParams, _project, init_params
 from convsarc.nn import (LSTMCache, LSTMCellParams, LSTMState, _pack,
                          _sorted_rows, cross_entropy, dropout_mask,
                          finite_diff_grad, lstm_backward, lstm_forward,
@@ -18,9 +18,18 @@ def sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def zero_cell(input_dim, hidden_dim):
+    return init_params("reply_only", input_dim, hidden_dim).cell("r")
+
+
+def seeded_cell(input_dim, hidden_dim, rng):
+    """A cell as init_params draws it: the reply cell is its first block."""
+    return init_params("reply_only", input_dim, hidden_dim, rng=rng).cell("r")
+
+
 def rand_cell(input_dim, hidden_dim, seed=0, scale=0.5):
     rng = new_rng(seed)
-    t = LSTMCellParams.zeros(input_dim, hidden_dim).tensors()
+    t = zero_cell(input_dim, hidden_dim)._asdict()
     return LSTMCellParams(*(rng.uniform(-scale, scale, v.shape) for v in t.values()))
 
 
@@ -53,7 +62,7 @@ def reference_step(p, x, h_prev, c_prev):
 # ------------------------------------------------------- one-step lstm_forward
 
 def test_lstm_step_all_zero():
-    p = LSTMCellParams.zeros(3, 2)
+    p = zero_cell(3, 2)
     out = one_step(p, np.zeros(3), zero_state(2))
     # sigmoid(0)=0.5 and tanh(0)=0 force both outputs to zero
     assert np.allclose(out.h, 0.0)
@@ -61,7 +70,7 @@ def test_lstm_step_all_zero():
 
 
 def test_lstm_step_saturated_forget_gate_wipes_memory():
-    p = LSTMCellParams.zeros(1, 1)
+    p = zero_cell(1, 1)
     p.b[:] = [100.0, -100.0, 100.0, 0.0]  # i, f, o, g
     out = one_step(p, np.zeros(1), LSTMState(np.zeros((1, 1)), np.array([[5.0]])))
     assert abs(out.c[0, 0]) < 1e-12
@@ -82,7 +91,7 @@ def test_lstm_step_matches_independent_gate_equations():
 
 
 def test_lstm_step_shape_error_names_tensor():
-    p = LSTMCellParams.zeros(3, 2)
+    p = zero_cell(3, 2)
     with pytest.raises(ShapeError, match="x"):
         one_step(p, np.zeros(4), zero_state(2))
     with pytest.raises(ShapeError, match="init.h"):
@@ -103,13 +112,13 @@ def test_lstm_step_hidden_state_strictly_bounded(seed):
 def test_lstm_init_matches_per_gate_draws():
     # stacking the gates must not change the seeded initial weights: the
     # stacked draws equal twelve per-gate draws in i, f, o, g order
-    p = LSTMCellParams.init(3, 2, new_rng(4))
+    p = seeded_cell(3, 2, new_rng(4))
     rng = new_rng(4)
     for name, shape in (("W", (2, 3)), ("U", (2, 2)), ("b", (2,))):
         per_gate = [rng.uniform(-0.05, 0.05, shape) for _ in range(4)]
         if name == "b":
             per_gate[1] = np.ones(2)
-        assert np.array_equal(p.tensors()[name], np.concatenate(per_gate)), name
+        assert np.array_equal(p._asdict()[name], np.concatenate(per_gate)), name
 
 
 # ------------------------------------------------------------- lstm_forward
@@ -136,7 +145,7 @@ def test_lstm_run_single_input_equals_step():
 
 
 def test_lstm_run_zero_params_all_zero_states():
-    p = LSTMCellParams.zeros(3, 2)
+    p = zero_cell(3, 2)
     hs, final, _ = lstm_forward(p, np.ones((3, 3)), [3])
     assert all(np.allclose(h, 0.0) for h in hs)
     assert np.allclose(final.h, 0.0)
@@ -145,7 +154,7 @@ def test_lstm_run_zero_params_all_zero_states():
 def test_lstm_run_reports_bad_step_index():
     # the steps are the rows of one matrix, so a step of the wrong width is
     # a matrix of the wrong width
-    p = LSTMCellParams.zeros(3, 2)
+    p = zero_cell(3, 2)
     with pytest.raises(ShapeError, match=r"x has shape \(2, 4\), expected \(steps, 3\)"):
         lstm_forward(p, np.zeros((2, 4)), [2])
 
@@ -180,7 +189,7 @@ def test_lstm_backward_matches_finite_differences():
     _, _, cache = lstm_forward(p, xs, [4], LSTMState(np.zeros((1, 2)), c0))
     grads, dx, (_, dc0) = lstm_backward(p, cache, dh_steps=w_steps,
                                         dh_final=w_h, dc_final=w_c)
-    numeric = finite_diff_grad(loss, {**p.tensors(), "x": xs, "c0": c0})
+    numeric = finite_diff_grad(loss, {**p._asdict(), "x": xs, "c0": c0})
     for name in ("W", "U", "b"):
         assert np.allclose(grads[name], numeric[name], atol=1e-8, rtol=0), name
     assert np.allclose(dx, numeric["x"], atol=1e-8, rtol=0)
@@ -236,7 +245,7 @@ def test_lstm_backward_without_dx_gives_the_same_other_gradients():
 
 
 def test_lstm_forward_rejects_lengths_that_do_not_cover_the_inputs():
-    p = LSTMCellParams.zeros(3, 2)
+    p = zero_cell(3, 2)
     with pytest.raises(ShapeError, match="lengths"):
         lstm_forward(p, np.zeros((4, 3)), [2, 1])
     with pytest.raises(ShapeError, match="lengths"):
@@ -382,7 +391,7 @@ def ref_lstm_backward(params, cache, dh_steps=None, dh_final=None, dc_final=None
 
 @st.composite
 def lstm_cases(draw, max_batch=8):
-    """A cell at LSTMCellParams.init scale, a batch of sequences and the
+    """A cell as init_params draws it, a batch of sequences and the
     gradients flowing into it; each optional input is sometimes absent."""
     D, H = draw(st.integers(1, 130)), draw(st.integers(1, 130))
     lengths = draw(st.lists(st.integers(0, 39), min_size=1, max_size=max_batch))
@@ -390,7 +399,7 @@ def lstm_cases(draw, max_batch=8):
     B, N = len(lengths), sum(lengths)
     maybe = st.booleans()
     return dict(
-        params=LSTMCellParams.init(D, H, rng), lengths=lengths,
+        params=seeded_cell(D, H, rng), lengths=lengths,
         inputs=rng.uniform(-1, 1, (N, D)),
         init=LSTMState(rng.uniform(-1, 1, (B, H)), rng.uniform(-1, 1, (B, H)))
         if draw(maybe) else None,
@@ -450,7 +459,7 @@ def test_lstm_batched_pass_agrees_with_reference(case):
 @pytest.mark.parametrize("lengths", [[0, 0, 0], [0, 3, 0, 1, 0], [1, 1, 1], [1], [4, 0]])
 def test_lstm_edge_batches_match_reference(lengths):
     # every sequence empty, empty ones among non-empty ones, and T = 1
-    p = LSTMCellParams.init(5, 4, new_rng(15))
+    p = seeded_cell(5, 4, new_rng(15))
     rng = new_rng(16)
     B, N = len(lengths), sum(lengths)
     case = dict(params=p, lengths=lengths, inputs=rng.uniform(-1, 1, (N, 5)),
