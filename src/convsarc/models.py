@@ -177,8 +177,8 @@ def _attend_backward(ap: AttentionParams, cache, dv: np.ndarray):
     hidden states are released before dH is built."""
     H, alpha, starts, lengths = cache
     del cache
-    run = np.repeat(np.arange(len(lengths)), lengths)
-    dalpha = (H @ dv.T)[np.arange(H.shape[0]), run]  # h_i . dv of its run
+    # h_i . dv of its run, built before da so that the two are never both held
+    dalpha = np.einsum("ij,ij->i", H, np.repeat(dv, lengths, axis=0))
     # softmax jacobian within each run
     ds = alpha * (dalpha - np.repeat(np.add.reduceat(alpha * dalpha, starts), lengths))
     da = _project(H, ap)  # U, recomputed rather than cached
@@ -378,20 +378,37 @@ class TrainResult:
 # instance larger than the cap, which bounds the cached activations whatever
 # the batch size. A row is one LSTM step or one attention input: reply_only
 # steps over reply tokens only and never reads the context; sent_attn steps
-# over sentences, whose word averages cache nothing per token; the other
-# variants cache a row per token of both sides (hier_attn's word attention
-# does so before its sentence LSTM).
+# over sentences, whose word averages cache nothing per token; concat,
+# conditional and word_attn cache a row per token of both sides. hier_attn
+# steps over sentences, and each of its tokens is only a word-attention
+# input, so TOKENS_PER_WORD_ATTENTION_ROW of them count as one row; a
+# 16-thread Twitter batch (1,248 tokens in 96 sentences) is then one pass of
+# 352 rows, where concat, conditional and word_attn take three. The passes
+# of a batch scale their gradients in place and add them into the first's.
 MAX_PASS_ROWS = 500
+
+# Word-attention inputs of hier_attn that cache no more than one token row
+# of word_attn or concat. Per extra token, the tracemalloc peak of one
+# labelled _forward pass (16 instances of 5 context tweets and a reply,
+# tokens per tweet 13 -> 26) grows by 1,480 B for hier_attn, 8,697 B for
+# word_attn and 8,022 B for concat at D=H=att_dim=100, and by 4,422, 26,030
+# and 24,022 B at 300: 5.4-5.9 times as much. A test in test_models keeps
+# the ratio at 5 or more.
+TOKENS_PER_WORD_ATTENTION_ROW = 5
 
 
 def _rows(seg: SegmentedInstance, variant: str) -> int:
     """The rows a pass of variant caches for seg."""
+    sentences = len(seg.context_sentences) + len(seg.reply_sentences)
     if variant == "sent_attn":
-        return len(seg.context_sentences) + len(seg.reply_sentences)
+        return sentences
     reply = sum(map(len, seg.reply_sentences))
     if variant == "reply_only":
         return reply
-    return sum(map(len, seg.context_sentences)) + reply
+    tokens = sum(map(len, seg.context_sentences)) + reply
+    if variant == "hier_attn":
+        return sentences - (-tokens // TOKENS_PER_WORD_ATTENTION_ROW)  # tokens / 5, rounded up
+    return tokens
 
 
 def _sub_batches(segs: Sequence[SegmentedInstance], variant: str) -> list[list[int]]:
@@ -428,16 +445,20 @@ def _batch_grads(params, segs, labels, table, mask=None):
     as the passes of _sub_batches whose gradients are summed; each pass
     takes its instances' rows of the batch's dropout mask (B x out_dim)."""
     losses, grads = np.empty(len(segs)), None
-    for run in _sub_batches(segs, params.variant):
+    plan = _sub_batches(segs, params.variant)
+    for run in plan:
         _, _, losses[run], run_grads = _forward(
             params, [segs[i] for i in run], table, labels=[labels[i] for i in run],
             mask=None if mask is None else mask[run])
-        share = len(run) / len(segs)  # run_grads are the run's mean
+        if len(plan) > 1:
+            share = len(run) / len(segs)  # run_grads are the run's mean
+            for g in run_grads.values():
+                g *= share
         if grads is None:
-            grads = {name: share * g for name, g in run_grads.items()}
+            grads = run_grads
         else:
             for name, g in run_grads.items():
-                grads[name] += share * g
+                grads[name] += g
     return losses, grads
 
 

@@ -1,6 +1,7 @@
 import ast
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,11 +16,11 @@ from convsarc.errors import ConfigError, DomainError, NumericError
 from convsarc.nn import (dropout_mask, finite_diff_grad, lstm_forward,
                          max_relative_error, new_rng, softmax)
 from convsarc.models import (ATTENTION_VARIANTS, AttentionParams, AttentionRecord,
-                             LABEL_TO_INDEX, MAX_PASS_ROWS, VARIANTS,
-                             gradient_check_variant, init_params, load_checkpoint,
+                             LABEL_TO_INDEX, MAX_PASS_ROWS, TOKENS_PER_WORD_ATTENTION_ROW,
+                             VARIANTS, gradient_check_variant, init_params, load_checkpoint,
                              loss_and_grads, predict, save_checkpoint, score,
-                             train_model, TrainSettings, _attend_forward, _batch_grads,
-                             _forward, _rows, _sub_batches)
+                             train_model, TrainSettings, _attend_backward, _attend_forward,
+                             _batch_grads, _forward, _rows, _sub_batches)
 from convsarc.synthetic import make_separable_corpus
 
 EMBED = 6
@@ -168,6 +169,34 @@ def test_attend_empty_sequence_is_domain_error():
     ap = attention_block(2, seed=0)
     with pytest.raises(DomainError):
         attend(np.zeros((0, 2)), ap)
+
+
+def quadratic_attend_backward(ap, cache, dv):
+    """_attend_backward with each row's h_i . dv read from the full
+    rows x runs matrix H dv^T, as it was computed before."""
+    H, alpha, starts, lengths = cache
+    run = np.repeat(np.arange(len(lengths)), lengths)
+    dalpha = (H @ dv.T)[np.arange(H.shape[0]), run]
+    ds = alpha * (dalpha - np.repeat(np.add.reduceat(alpha * dalpha, starts), lengths))
+    U = np.tanh(H @ ap.W_a.T + ap.b_a)
+    da = (ds[:, None] * ap.u_s) * (1.0 - U * U)
+    grads = {"W_a": da.T @ H, "b_a": da.sum(axis=0), "u_s": U.T @ ds}
+    return grads, da @ ap.W_a + alpha[:, None] * np.repeat(dv, lengths, axis=0)
+
+
+@pytest.mark.parametrize("width", [HIDDEN, EMBED])  # sentence-level, word-level
+@pytest.mark.parametrize("lengths", [[1], [1, 1, 1], [6], [3, 1, 5, 2, 1, 7, 4]])
+def test_attend_backward_equals_the_quadratic_form(width, lengths):
+    rng = new_rng(sum(lengths) + width)
+    ap = AttentionParams(rng.uniform(-1, 1, (HIDDEN, width)), rng.uniform(-1, 1, HIDDEN),
+                         rng.uniform(-1, 1, HIDDEN))
+    H = rng.uniform(-1, 1, (sum(lengths), width))
+    dv = rng.uniform(-1, 1, (len(lengths), width))
+    _, _, cache = _attend_forward(H, ap, lengths)
+    want_grads, want_dH = quadratic_attend_backward(ap, cache, dv)
+    grads, dH = _attend_backward(ap, cache, dv)
+    assert_grads_close(grads, want_grads, atol=1e-12)
+    assert np.allclose(dH, want_dH, atol=1e-12, rtol=0)
 
 
 # ------------------------------------------------------------- reply_only
@@ -640,6 +669,47 @@ def test_batched_gradients_match_finite_differences(variant):
     assert max(max_relative_error(analytic, numeric).values()) < 1e-4
 
 
+def scaled_copy_sum(params, segs, labels, table, mask):
+    """_batch_grads as it summed passes before: a scaled copy of each pass's
+    gradients, added into a new dict."""
+    losses, grads = np.empty(len(segs)), None
+    for run in _sub_batches(segs, params.variant):
+        _, _, losses[run], run_grads = _forward(
+            params, [segs[i] for i in run], table, labels=[labels[i] for i in run],
+            mask=mask[run])
+        share = len(run) / len(segs)
+        if grads is None:
+            grads = {name: share * g for name, g in run_grads.items()}
+        else:
+            for name, g in run_grads.items():
+                grads[name] += share * g
+    return losses, grads
+
+
+def assert_same_bits(got, want):
+    """Two (losses, gradients) pairs are bit-identical."""
+    assert np.array_equal(got[0], want[0])
+    assert set(got[1]) == set(want[1])
+    for name in want[1]:
+        assert np.array_equal(got[1][name], want[1][name]), name
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_passes_add_their_gradients_in_place_with_the_same_bits(variant, monkeypatch):
+    params, table = batch_setup(variant, seed=8)
+    labels = [LABEL_TO_INDEX[s.label] for s in BATCH]
+    # one pass: its gradients as they are, unscaled
+    _, _, want_losses, want_grads = _forward(params, BATCH, table, labels=labels)
+    assert_same_bits(_batch_grads(params, BATCH, labels, table), (want_losses, want_grads))
+    monkeypatch.setattr("convsarc.models.MAX_PASS_ROWS", 9)
+    segs = BATCH * 2
+    assert len(_sub_batches(segs, variant)) > 2
+    labels = [LABEL_TO_INDEX[s.label] for s in segs]
+    mask = dropout_mask((len(segs), out_dim(params)), 0.5, new_rng(13))
+    assert_same_bits(_batch_grads(params, segs, labels, table, mask),
+                     scaled_copy_sum(params, segs, labels, table, mask))
+
+
 def test_scoring_runs_in_sub_batches_with_the_same_labels(monkeypatch):
     # probabilities and attention records too, each at its caller's position
     # although the passes are not in the batch's order
@@ -677,11 +747,12 @@ def token_runs(indices, segs, cap=500):
 
 
 def test_reply_only_and_sent_attn_run_a_twitter_batch_as_one_pass():
+    # hier_attn too: 96 sentences plus a fifth of 1,248 tokens is 352 rows
     segs = twitter_batch()
     assert len(token_runs(range(16), segs)) == 3
-    for variant in ("reply_only", "sent_attn"):
+    for variant in ("reply_only", "sent_attn", "hier_attn"):
         assert _sub_batches(segs, variant) == [list(range(16))]
-    for variant in ("concat", "conditional", "word_attn", "hier_attn"):
+    for variant in ("concat", "conditional", "word_attn"):
         assert len(_sub_batches(segs, variant)) == 3
 
 
@@ -710,8 +781,42 @@ def test_uneven_instances_keep_the_cap():
     # instances of 301, 301, 10 and 10 rows: an equal-count split into two
     # passes puts 602 rows in the first
     segs = [seg([["c"] * n], [["r"]]) for n in (300, 300, 9, 9)]
-    for variant in ("concat", "conditional", "word_attn", "hier_attn"):
+    for variant in ("concat", "conditional", "word_attn"):
         assert _sub_batches(segs, variant) == [[0, 2, 3], [1]]
+    # hier_attn at five times the tokens: 303, 303, 12 and 12 rows
+    segs = [seg([["c"] * n], [["r"]]) for n in (1500, 1500, 45, 45)]
+    assert [_rows(s, "hier_attn") for s in segs] == [303, 303, 12, 12]
+    assert _sub_batches(segs, "hier_attn") == [[0, 2, 3], [1]]
+
+
+def peak_bytes_per_token(variant, dim=100):
+    """Growth per extra token of the tracemalloc peak of one labelled
+    _forward pass over a twitter-shaped batch, from 13 to 26 tokens per
+    tweet, at D = H = att_dim = dim."""
+    rng = new_rng(0)
+    table = EmbeddingTable(dim=dim, vocab={f"w{k}": rng.uniform(-1, 1, dim) for k in range(26)},
+                           seed=0)
+    params = init_params(variant, dim, dim, rng=rng)
+    peaks = []
+    for n in (13, 26):
+        tweet = [f"w{k}" for k in range(n)]
+        segs = [seg([tweet] * 5, [tweet]) for _ in range(16)]
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            _forward(params, segs, table, labels=[0] * len(segs))
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    return (peaks[1] - peaks[0]) / (16 * 6 * 13)
+
+
+def test_word_attention_token_caches_at_most_its_share_of_a_token_row():
+    # hier_attn counts TOKENS_PER_WORD_ATTENTION_ROW tokens as one row
+    per = {v: peak_bytes_per_token(v) for v in ("hier_attn", "word_attn", "concat")}
+    assert per["hier_attn"] > 0
+    assert TOKENS_PER_WORD_ATTENTION_ROW * per["hier_attn"] <= min(per["word_attn"],
+                                                                   per["concat"]), per
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
