@@ -127,9 +127,7 @@ def _train_svm(cfg: RunConfig, train_i, dev_i) -> None:
     lex = _load_lexicon_dir(cfg.lexicons)
     pairs = [(features.assemble(i, cfg.task, lex, cfg.max_context), i.label)
              for i in train_i]
-    model = features.svm_train(pairs, features.SvmConfig(
-        epochs=cfg.epochs, l2=cfg.l2, seed=cfg.seed,
-        min_ngram_count=cfg.min_ngram_count))
+    model = features.svm_train(pairs, cfg)
     out = _prepare_outdir(cfg)
     features.save_svm_checkpoint(model, cfg.task, cfg.max_context,
                                  out / "checkpoint.json")

@@ -36,7 +36,6 @@ class RunConfig(TrainSettings):
     outdir: str | None = None
     embed_dim: int | None = None    # default: 100 twitter / 300 forum
     patience: int = 10              # no None: the CLI always stops early
-    min_ngram_count: int = 2
 
     # ---- resolved defaults ----
 

@@ -257,12 +257,10 @@ def build_twitter_instances(records: Sequence[dict]) -> list[ConversationInstanc
     not pass the label filter themselves); tweets without any resolvable
     context are dropped, matching a conversation-only corpus.
     """
-    by_id: dict[str, tuple[str, str | None]] = {}
-    for pos, rec in enumerate(records):
-        rid, text, _, _, reply_to = _validate_tweet_record(rec, pos)
-        by_id[rid] = (_normalize_ws(text), reply_to)
+    labeled = twitter_filter(records)  # validates every record
+    by_id = {r["id"]: (_normalize_ws(r["text"]), r.get("reply_to")) for r in records}
     instances = []
-    for tweet in twitter_filter(records):
+    for tweet in labeled:
         chain: list[str] = []
         visited = {tweet.id}
         cur = tweet.reply_to

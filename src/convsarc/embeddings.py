@@ -40,8 +40,9 @@ def load_embeddings(path, expected_dim: int) -> EmbeddingTable:
 
     Lines are read in blocks of about BLOCK_CHARS characters, and numpy's C
     parser reads each block's values in one call. A block it does not take
-    whole is parsed again line by line, so every vector equals float() of
-    its text and every error names the path and line.
+    whole, or that repeats a token, is parsed again line by line, so every
+    vector equals float() of its text and every error, a repeated token
+    included, names the path and line.
     """
     vocab: dict[str, np.ndarray] = {}
     # surrogateescape keeps each byte that is not UTF-8 as a lone surrogate,
@@ -62,8 +63,10 @@ def load_embeddings(path, expected_dim: int) -> EmbeddingTable:
         lineno = 2
         while lines := fh.readlines(BLOCK_CHARS):
             block = _parse_block(lines, dim)
-            if block is None:
-                block = filter(None, (_parse_line(path, n, line, dim)
+            if block is None or not vocab.keys().isdisjoint(block):
+                # line by line, each line's token checked against vocab as
+                # update fills it, so that an error names the first bad line
+                block = filter(None, (_parse_line(path, n, line, dim, vocab)
                                       for n, line in enumerate(lines, start=lineno)))
             vocab.update(block)
             lineno += len(lines)
@@ -74,9 +77,9 @@ def load_embeddings(path, expected_dim: int) -> EmbeddingTable:
 
 
 def _parse_block(lines: list[str], dim: int):
-    """(token, vector) pairs of a block whose every line numpy parses as
+    """{token: vector} of a block whose every line numpy parses as
     _parse_line would, the vectors read-only rows of one matrix; None when
-    any line needs _parse_line."""
+    any line needs _parse_line, as one whose token repeats does."""
     rows = [line.partition(" ") for line in lines if not line.isspace()]
     if not rows:
         return ()
@@ -96,12 +99,13 @@ def _parse_block(lines: list[str], dim: int):
         return None
     if mat.shape != (len(rows), dim) or not np.isfinite(mat).all():
         return None
-    return zip(tokens, _freeze(mat))
+    block = dict(zip(tokens, _freeze(mat)))
+    return block if len(block) == len(rows) else None
 
 
-def _parse_line(path, lineno: int, line: str, dim: int):
-    """(token, vector) of one line, None for a blank line; a malformed line
-    raises ParseError naming the path and line."""
+def _parse_line(path, lineno: int, line: str, dim: int, vocab: dict[str, np.ndarray]):
+    """(token, vector) of one line, None for a blank line; a malformed line,
+    or one whose token is in vocab, raises ParseError naming the path and line."""
     _check_utf8(path, lineno, line)
     if line.isspace():
         return None
@@ -116,6 +120,8 @@ def _parse_line(path, lineno: int, line: str, dim: int):
         raise ParseError(f"{path}: line {lineno}: non-numeric value") from None
     if not np.isfinite(vec).all():
         raise ParseError(f"{path}: line {lineno}: non-finite value")
+    if fields[0] in vocab:
+        raise ParseError(f"{path}: line {lineno}: token {fields[0]!r} repeats an earlier line")
     return fields[0], _freeze(vec)
 
 

@@ -23,6 +23,7 @@ import numpy as np
 from .data import (ConversationInstance, EMOTICONS, load_resource_list, read_text,
                    segment_instance)
 from .errors import ConfigError, DomainError, ParseError
+from .models import TrainSettings
 from .nn import new_rng
 from . import checkpoint
 
@@ -215,13 +216,12 @@ class FeatureRegistry:
             self._names.append(name)
         return fid
 
-    def id_of(self, name: str) -> int | None:
-        return self._ids.get(name)
-
-    def vectorize(self, fv: FeatureVector) -> dict[int, float]:
-        """fv keyed by feature id, in fv's order, without unregistered names."""
+    def vectorize(self, fv: FeatureVector) -> tuple[np.ndarray, np.ndarray]:
+        """Feature ids and values of fv's registered names, in fv's order."""
         ids = self._ids
-        return {ids[name]: value for name, value in fv.items() if name in ids}
+        names = [name for name in fv if name in ids]
+        return (np.fromiter(map(ids.__getitem__, names), dtype=np.intp, count=len(names)),
+                np.fromiter(map(fv.__getitem__, names), dtype=np.float64, count=len(names)))
 
     @property
     def names(self) -> list[str]:
@@ -255,14 +255,6 @@ def _is_ngram(name: str) -> bool:
 
 
 @dataclass
-class SvmConfig:
-    epochs: int = 50
-    l2: float = 1e-4
-    seed: int = 0
-    min_ngram_count: int = 2
-
-
-@dataclass
 class SvmModel:
     registry: FeatureRegistry
     weights: np.ndarray  # indexed by feature id
@@ -271,18 +263,13 @@ class SvmModel:
     objective_history: list[float] = field(default_factory=list)
 
 
-def _arrays(x: dict[int, float]) -> tuple[np.ndarray, np.ndarray]:
-    """Feature ids and values of a vectorized instance, in the dict's order."""
-    return (np.fromiter(x.keys(), dtype=np.intp, count=len(x)),
-            np.fromiter(x.values(), dtype=np.float64, count=len(x)))
-
-
-# w.x is summed left to right from zero in the vector's order, so the
-# rounding of every margin, and with it the whole SGD trajectory, does not
-# depend on the numpy build: np.dot and np.sum add in pairwise or SIMD
-# order, and Python's sum() compensates float sums from 3.12 on. A cumulative
-# sum adds in order; the trailing + 0.0 turns an all -0.0 total into the
-# +0.0 that a sum starting from 0 gives.
+# w.x and ||x||^2 are summed left to right from zero in the vector's order,
+# so the rounding of every margin and of the step bound, and with them the
+# whole SGD trajectory, depends on neither the numpy nor the Python version:
+# np.dot and np.sum add in pairwise or SIMD order, and Python's sum()
+# compensates float sums from 3.12 on. A cumulative sum adds in order; the
+# trailing + 0.0 turns an all -0.0 total into the +0.0 that a sum starting
+# from 0 gives.
 def _ordered_sums(products: np.ndarray) -> np.ndarray:
     """Sums over the last axis, each added left to right from zero."""
     if not products.shape[-1]:
@@ -333,10 +320,10 @@ def _objective(w: np.ndarray, b: float,
 
 
 def hinge_objective(weights: np.ndarray, bias: float,
-                    data: Sequence[tuple[dict[int, float], float, float]],
+                    data: Sequence[tuple[tuple[np.ndarray, np.ndarray], float, float]],
                     l2: float) -> float:
-    """(l2/2)||w||^2 + mean_i cw_i * max(0, 1 - y_i (w.x_i + b))."""
-    groups = _padded([_arrays(x) for x, _, _ in data], len(weights))
+    """(l2/2)||w||^2 + mean_i cw_i * max(0, 1 - y_i (w.x_i + b)), x_i as (ids, values)."""
+    groups = _padded([x for x, _, _ in data], len(weights))
     return _objective(weights, bias, groups,
                       np.array([y for _, y, _ in data], dtype=np.float64),
                       np.array([cw for _, _, cw in data], dtype=np.float64), l2)
@@ -355,33 +342,32 @@ def class_weight_map(labels: Iterable[str]) -> dict[str, Fraction]:
 
 
 def svm_train(train: Sequence[tuple[FeatureVector, str]],
-              config: SvmConfig | None = None) -> SvmModel:
-    """Class-weighted primal hinge-loss SVM via seeded epoch-wise
-    subgradient descent. The bias is not regularized. Each instance is held
-    as arrays of feature ids and values, and each step updates only its
-    features' weights after the decay."""
-    config = config or SvmConfig()
+              settings: TrainSettings | None = None) -> SvmModel:
+    """Class-weighted primal hinge-loss SVM via seeded epoch-wise subgradient
+    descent, as settings' epochs, l2, seed and min_ngram_count say. The bias
+    is not regularized. Each instance is held as arrays of feature ids and
+    values, and each step updates only its features' weights after the decay."""
+    settings = settings or TrainSettings()
     if not train:
         raise ConfigError("empty training set")
     registry = FeatureRegistry.build((fv for fv, _ in train),
-                                     config.min_ngram_count)
+                                     settings.min_ngram_count)
     class_weights = class_weight_map(label for _, label in train)
-    xs = [registry.vectorize(fv) for fv, _ in train]
-    max_norm2 = max((sum(v * v for v in x.values()) for x in xs), default=0.0)
-    lr = 1.0 / (config.l2 + max(max_norm2, 1e-12))  # the stable step bound
-    arrays = [_arrays(x) for x in xs]
+    arrays = [registry.vectorize(fv) for fv, _ in train]
+    max_norm2 = max((float(_ordered_sums(v * v)) for _, v in arrays), default=0.0)
+    lr = 1.0 / (settings.l2 + max(max_norm2, 1e-12))  # the stable step bound
     ys = [1.0 if label == "S" else -1.0 for _, label in train]
     cws = [float(class_weights[label]) for _, label in train]
     # (lr * cw) * y, grouped as the per-feature update always grouped it
     steps = [lr * cw * y for cw, y in zip(cws, ys)]
-    decay = 1.0 - lr * config.l2
+    decay = 1.0 - lr * settings.l2
     groups = _padded(arrays, len(registry))
     y_arr, cw_arr = np.array(ys), np.array(cws)
     w = np.zeros(len(registry))
     b = 0.0
-    rng = new_rng(config.seed)
+    rng = new_rng(settings.seed)
     history = []
-    for _ in range(config.epochs):
+    for _ in range(settings.epochs):
         for idx in rng.permutation(len(arrays)).tolist():
             ids, vals = arrays[idx]
             margin = ys[idx] * (_ordered_dot(w, ids, vals) + b)
@@ -389,13 +375,13 @@ def svm_train(train: Sequence[tuple[FeatureVector, str]],
             if margin < 1.0:
                 w[ids] += steps[idx] * vals
                 b += steps[idx]
-        history.append(_objective(w, b, groups, y_arr, cw_arr, config.l2))
+        history.append(_objective(w, b, groups, y_arr, cw_arr, settings.l2))
     return SvmModel(registry, w, b, class_weights, history)
 
 
 def svm_predict(model: SvmModel, fv: FeatureVector) -> tuple[str, float]:
     """Sign of w.x + b; a score of exactly 0 resolves to NS."""
-    score = _ordered_dot(model.weights, *_arrays(model.registry.vectorize(fv))) + model.bias
+    score = _ordered_dot(model.weights, *model.registry.vectorize(fv)) + model.bias
     return ("S" if score > 0.0 else "NS"), score
 
 

@@ -350,7 +350,8 @@ def loss_and_grads(params, seg, table, label: str, mask: np.ndarray | None = Non
 
 @dataclass
 class TrainSettings:
-    """How train_model trains: one declaration of each setting and its default."""
+    """How train_model and features.svm_train train: one declaration of each
+    setting and its default."""
     variant: str = "sent_attn"
     hidden_dim: int | None = None   # None: the embedding dim
     att_dim: int | None = None      # None: hidden_dim
@@ -363,6 +364,7 @@ class TrainSettings:
     seed: int = 13
     max_context: int | None = None  # None: 10 forum / 5 twitter, per instance
     conditional_reply_head_only: bool = False
+    min_ngram_count: int = 2        # the SVM's n-gram cutoff
 
 
 @dataclass

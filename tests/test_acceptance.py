@@ -19,7 +19,7 @@ from convsarc.data import (ConversationInstance, SegmentedInstance,
                            twitter_filter)
 from convsarc.embeddings import EmbeddingTable, load_embeddings
 from convsarc.evaluate import attention_overlap, f1_score, prf1
-from convsarc.features import SvmConfig, class_weight_map, svm_predict, svm_train
+from convsarc.features import class_weight_map, svm_predict, svm_train
 from convsarc.models import (VARIANTS, TrainSettings, _forward,
                              gradient_check_variant, init_params, predict,
                              score, train_model)
@@ -195,7 +195,7 @@ def test_c7_svm_baseline():
     train.append(({"big_s": 2.0}, "S"))
     train.append(({"big_n": 2.0}, "NS"))
     # lr defaults to the stable bound 1 / (l2 + max ||x||^2) = 0.25
-    model = svm_train(train, SvmConfig(epochs=30, l2=0.0, seed=0))
+    model = svm_train(train, TrainSettings(epochs=30, l2=0.0, seed=0))
     acc = sum(1 for fv, lab in train if svm_predict(model, fv)[0] == lab) / len(train)
     assert acc == 1.0
     hist = model.objective_history

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from convsarc import data
 from convsarc.data import (ConversationInstance, build_twitter_instances,
                            casefold_selective, largest_remainder_counts,
                            load_corpus, save_corpus, segment_instance,
@@ -195,6 +196,22 @@ def test_build_twitter_instances_walks_reply_chain():
                             "a middle message replying first"]
     assert inst.label == "S"
     assert inst.reply == "one more reason to feel really great"
+
+
+def test_build_twitter_instances_validates_each_record_once(monkeypatch):
+    validate, positions = data._validate_tweet_record, []
+
+    def spy(rec, pos):
+        positions.append(pos)
+        return validate(rec, pos)
+    monkeypatch.setattr(data, "_validate_tweet_record", spy)
+    records = [
+        tweet("a", "the oldest message in this thread"),
+        tweet("b", "a middle message replying first", reply_to="a"),
+        tweet("c", "a retweet of the middle message", retweet=True, reply_to="b"),
+    ]
+    assert [i.id for i in build_twitter_instances(records)] == ["b"]
+    assert positions == list(range(len(records)))
 
 
 def test_build_twitter_instances_survives_cycles():

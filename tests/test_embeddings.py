@@ -226,6 +226,37 @@ def test_lines_numpy_would_misread_fail_as_before(tmp_path, lines, message):
         load_embeddings(path, 2)
 
 
+REPEAT_AT_4 = r"vecs\.txt: line 4: token 'a' repeats an earlier line$"
+
+
+@pytest.mark.parametrize("header", ["2 2", "3 2"])
+def test_repeated_token_names_its_line(tmp_path, header):
+    # "2 2" used to load with a = [5, 6]; "3 2" failed on the count, naming no line
+    with pytest.raises(ParseError, match=REPEAT_AT_4):
+        load_embeddings(write(tmp_path, f"{header}\na 1 2\nb 3 4\na 5 6\n"), 2)
+
+
+@pytest.mark.parametrize("lines, message", [
+    (["a 1 2", "b 1_0 4", "a 5 6"], REPEAT_AT_4),
+    # the repeat comes before the malformed line, so it is the error
+    (["b 1 2", "b 3 4", "a x 6"], r"vecs\.txt: line 3: token 'b' repeats an earlier line$"),
+    (["a 1 2", "b 3 4", "b x 6"], r"vecs\.txt: line 4: non-numeric value$"),
+], ids=["after a value only float reads", "before a malformed line", "on a malformed line"])
+def test_repeated_token_in_a_line_by_line_block(tmp_path, monkeypatch, lines, message):
+    sizes = block_sizes(monkeypatch, 1 << 18)
+    with pytest.raises(ParseError, match=message):
+        load_embeddings(write(tmp_path, "3 2\n" + "\n".join(lines) + "\n"), 2)
+    assert sizes == [3]
+
+
+def test_repeated_token_across_blocks(tmp_path, monkeypatch):
+    # a block ends once it holds more than 11 characters: two 6-character lines
+    sizes = block_sizes(monkeypatch, 11)
+    with pytest.raises(ParseError, match=REPEAT_AT_4):
+        load_embeddings(write(tmp_path, "3 2\na 1 2\nb 3 4\na 5 6\n"), 2)
+    assert sizes == [2, 1]
+
+
 def test_non_utf8_bytes_name_their_line(tmp_path):
     path = tmp_path / "vecs.txt"
     path.write_bytes(b"3 2\na 1 2\nb 3 4\n\xff\xfec 5 6\n")
@@ -288,6 +319,9 @@ def per_line_load_embeddings(path, expected_dim):
             raise ParseError(f"{path}: line {lineno}: non-numeric value") from None
         if not np.isfinite(vec).all():
             raise ParseError(f"{path}: line {lineno}: non-finite value")
+        if fields[0] in vocab:
+            raise ParseError(
+                f"{path}: line {lineno}: token {fields[0]!r} repeats an earlier line")
         vocab[fields[0]] = vec
     if len(vocab) != count:
         raise ParseError(

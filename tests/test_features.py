@@ -9,12 +9,13 @@ import hypothesis.strategies as st
 from convsarc import checkpoint
 from convsarc.data import ConversationInstance
 from convsarc.errors import ConfigError, ParseError
-from convsarc.features import (FeatureRegistry, SvmConfig, assemble,
+from convsarc.features import (FeatureRegistry, assemble,
                                class_weight_map, hinge_objective,
                                indicator_features, lexicon_features,
                                load_lexicons, ngram_features,
                                load_svm_checkpoint, save_svm_checkpoint,
                                svm_predict, svm_train)
+from convsarc.models import TrainSettings
 
 # -- n-grams -----------------------------------------------------------------
 
@@ -176,7 +177,7 @@ def test_registry_assigns_stable_ids():
     a = reg.add("x")
     b = reg.add("y")
     assert reg.add("x") == a
-    assert reg.id_of("y") == b
+    assert reg.names.index("y") == b
     assert len(reg) == 2
 
 
@@ -184,14 +185,16 @@ def test_registry_build_applies_ngram_cutoff():
     vectors = [{"ng1:rare": 1.0, "ng1:common": 1.0, "ind:exclamation": 2.0},
                {"ng1:common": 1.0}]
     reg = FeatureRegistry.build(vectors, min_ngram_count=2)
-    assert reg.id_of("ng1:common") is not None
-    assert reg.id_of("ng1:rare") is None  # below the cutoff
-    assert reg.id_of("ind:exclamation") is not None  # non-ngram always kept
+    assert "ng1:common" in reg.names
+    assert "ng1:rare" not in reg.names  # below the cutoff
+    assert "ind:exclamation" in reg.names  # non-ngram always kept
 
 
 def test_vectorize_skips_unregistered():
     reg = FeatureRegistry(["a"])
-    assert reg.vectorize({"a": 1.0, "b": 2.0}) == {0: 1.0}
+    ids, vals = reg.vectorize({"a": 1.0, "b": 2.0})
+    assert ids.tolist() == [0]
+    assert vals.tolist() == [1.0]
 
 
 # -- lexicon loading ---------------------------------------------------------------
@@ -239,13 +242,13 @@ def test_class_weights_inverse_proportional():
 
 def test_separable_toy_reaches_perfect_accuracy():
     train = slow_toy()
-    model = svm_train(train, SvmConfig(epochs=30, l2=0.0, seed=0))
+    model = svm_train(train, TrainSettings(epochs=30, l2=0.0, seed=0))
     acc = sum(1 for fv, lab in train if svm_predict(model, fv)[0] == lab)
     assert acc == len(train)
 
 
 def test_hinge_objective_non_increasing_at_bound_step():
-    model = svm_train(slow_toy(), SvmConfig(epochs=30, l2=0.0, seed=0))
+    model = svm_train(slow_toy(), TrainSettings(epochs=30, l2=0.0, seed=0))
     hist = model.objective_history
     assert hist[0] > 0.0  # the toy really takes several epochs
     assert all(hist[i + 1] <= hist[i] for i in range(len(hist) - 1))
@@ -254,13 +257,13 @@ def test_hinge_objective_non_increasing_at_bound_step():
 
 def test_zero_features_leave_weights_zero():
     train = [({}, "S")] * 5 + [({}, "NS")] * 5
-    model = svm_train(train, SvmConfig(epochs=5, l2=0.0, seed=1))
+    model = svm_train(train, TrainSettings(epochs=5, l2=0.0, seed=1))
     assert np.all(model.weights == 0.0)
 
 
 def test_single_class_is_config_error():
     with pytest.raises(ConfigError):
-        svm_train([({"a": 1.0}, "S")] * 5, SvmConfig())
+        svm_train([({"a": 1.0}, "S")] * 5, TrainSettings())
 
 
 def test_predict_sign_and_tie_rule():
@@ -274,7 +277,7 @@ def test_predict_sign_and_tie_rule():
 
 def test_svm_checkpoint_roundtrip(tmp_path):
     train = slow_toy()
-    model = svm_train(train, SvmConfig(epochs=10, l2=0.0, seed=0))
+    model = svm_train(train, TrainSettings(epochs=10, l2=0.0, seed=0))
     path = tmp_path / "svm.json"
     save_svm_checkpoint(model, "reply_only", 10, path)
     loaded, task, max_context = load_svm_checkpoint(path)
@@ -288,7 +291,7 @@ def test_svm_checkpoint_roundtrip(tmp_path):
 
 def test_svm_checkpoint_version_mismatch(tmp_path):
     path = tmp_path / "svm.json"
-    model = svm_train(slow_toy(), SvmConfig(epochs=2, l2=0.0, seed=0))
+    model = svm_train(slow_toy(), TrainSettings(epochs=2, l2=0.0, seed=0))
     save_svm_checkpoint(model, "reply_only", None, path)
     doc = path.read_text(encoding="utf-8").replace('"format_version": 1',
                                                    '"format_version": 99')
@@ -299,7 +302,7 @@ def test_svm_checkpoint_version_mismatch(tmp_path):
 
 def saved_svm_doc(tmp_path):
     path = tmp_path / "svm.json"
-    model = svm_train(slow_toy(), SvmConfig(epochs=2, l2=0.0, seed=0))
+    model = svm_train(slow_toy(), TrainSettings(epochs=2, l2=0.0, seed=0))
     save_svm_checkpoint(model, "reply_only", None, path)
     return path, json.loads(path.read_text(encoding="utf-8"))
 
@@ -367,5 +370,6 @@ def test_class_weight_identity_exact(n_s, n_ns):
 
 
 def test_hinge_objective_of_zero_model():
-    data = [({0: 1.0}, 1.0, 1.0), ({1: 1.0}, -1.0, 1.0)]
+    data = [((np.array([0]), np.array([1.0])), 1.0, 1.0),
+            ((np.array([1]), np.array([1.0])), -1.0, 1.0)]
     assert hinge_objective(np.zeros(2), 0.0, data, l2=0.0) == pytest.approx(1.0)

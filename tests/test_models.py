@@ -1,4 +1,6 @@
 import ast
+import dataclasses
+import importlib
 import json
 import math
 import tracemalloc
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+import convsarc
 from convsarc import checkpoint, nn
 from convsarc.data import SegmentedInstance
 from convsarc.embeddings import EmbeddingTable, lookup, sentence_avg
@@ -516,6 +519,25 @@ def test_train_rejects_empty_splits():
     with pytest.raises(ConfigError):
         train_model(corpus, [], table, TrainSettings(variant="reply_only",
                                                      hidden_dim=4))
+
+
+def test_only_train_settings_declares_the_training_settings():
+    owned = {f.name for f in dataclasses.fields(TrainSettings)}
+    allowed = {
+        # narrows the library's None-or-int to an int: the CLI always stops early
+        "RunConfig": {"patience"},
+        # what a trained model was built with, read back from its checkpoint
+        "ModelParams": {"variant", "conditional_reply_head_only", "max_context"},
+        # the seed of the table's out-of-vocabulary vectors
+        "EmbeddingTable": {"seed"},
+    }
+    for f in sorted(Path(convsarc.__file__).parent.glob("*.py")):
+        module = importlib.import_module(f"convsarc.{f.stem}")
+        for cls in vars(module).values():
+            if (isinstance(cls, type) and dataclasses.is_dataclass(cls)
+                    and cls.__module__ == module.__name__ and cls is not TrainSettings):
+                own = set(vars(cls).get("__annotations__", {}))
+                assert own & owned <= allowed.get(cls.__name__, set()), cls.__name__
 
 
 def test_train_nonfinite_loss_reports_coordinates(monkeypatch):
