@@ -97,7 +97,11 @@ def lexicon_features(tokens: Sequence[str], side: str,
                      lex: LexiconSet) -> FeatureVector:
     """Category booleans plus positive/negative/negation counts; the reply
     side also gets a both-polarities flag."""
-    lowered = [t.lower() for t in tokens]
+    return _lexicon_features([t.lower() for t in tokens], side, lex)
+
+
+def _lexicon_features(lowered: list[str], side: str, lex: LexiconSet) -> FeatureVector:
+    """lexicon_features of tokens already lowercased."""
     fv: FeatureVector = {}
     for name, words in sorted(lex.categories.items()):
         if not words.isdisjoint(lowered):
@@ -149,7 +153,12 @@ def indicator_features(tokens: Sequence[str], raw_text: str) -> FeatureVector:
     """Surface sarcasm indicator counts. tokens are the casefolded token
     list; raw_text is the pre-casefold original so capitalization and
     punctuation survive."""
-    lowered = [t.lower() for t in tokens]
+    return _indicator_features(tokens, [t.lower() for t in tokens], raw_text)
+
+
+def _indicator_features(tokens: Sequence[str], lowered: list[str],
+                        raw_text: str) -> FeatureVector:
+    """indicator_features, given the tokens lowercased too."""
     counts = {
         "ind:interjection": sum(1 for t in lowered if t in INTERJECTIONS),
         "ind:tag_question": _count_tag_questions(lowered),
@@ -172,6 +181,16 @@ def _namespace(prefix: str, fv: FeatureVector) -> FeatureVector:
     return {f"{prefix}|{k}": v for k, v in fv.items()}
 
 
+def _side_features(tokens: Sequence[str], raw_text: str, side: str,
+                   lex: LexiconSet) -> tuple[FeatureVector, FeatureVector]:
+    """One side's n-gram, lexicon and indicator features, and its lexicon
+    features alone; its tokens are lowercased once for both feature sets."""
+    lowered = [t.lower() for t in tokens]
+    lex_fv = _lexicon_features(lowered, side, lex)
+    return ({**ngram_features(tokens), **lex_fv,
+             **_indicator_features(tokens, lowered, raw_text)}, lex_fv)
+
+
 def assemble(inst: ConversationInstance, mode: str, lex: LexiconSet,
              max_context: int | None = None) -> FeatureVector:
     """Full feature vector for one instance. reply_only uses reply-side
@@ -180,19 +199,14 @@ def assemble(inst: ConversationInstance, mode: str, lex: LexiconSet,
     if mode not in TASKS:
         raise DomainError(f"unknown task mode '{mode}'")
     seg = segment_instance(inst, max_context)
-    reply_tokens = [t for s in seg.reply_sentences for t in s]
-    reply_lex = lexicon_features(reply_tokens, "reply", lex)
-    fv: FeatureVector = {}
-    fv.update(_namespace("r", ngram_features(reply_tokens)))
-    fv.update(_namespace("r", reply_lex))
-    fv.update(_namespace("r", indicator_features(reply_tokens, inst.reply)))
+    reply_fv, reply_lex = _side_features([t for s in seg.reply_sentences for t in s],
+                                         inst.reply, "reply", lex)
+    fv = _namespace("r", reply_fv)
     if mode == "context_and_reply":
-        context_tokens = [t for s in seg.context_sentences for t in s]
-        context_raw = " ".join(seg.context_texts)
-        context_lex = lexicon_features(context_tokens, "context", lex)
-        fv.update(_namespace("c", ngram_features(context_tokens)))
-        fv.update(_namespace("c", context_lex))
-        fv.update(_namespace("c", indicator_features(context_tokens, context_raw)))
+        context_fv, context_lex = _side_features(
+            [t for s in seg.context_sentences for t in s], " ".join(seg.context_texts),
+            "context", lex)
+        fv.update(_namespace("c", context_fv))
         c, r = (f.get("pos_count", 0.0) - f.get("neg_count", 0.0) for f in (context_lex, reply_lex))
         if c * r < 0:  # both sides have net polarity, of opposite signs
             fv["incongruity"] = 1.0

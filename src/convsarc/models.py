@@ -171,10 +171,10 @@ def _attend_forward(H: np.ndarray, ap: AttentionParams, lengths: Sequence[int]):
     return pooled, alpha, (H, alpha, starts, lengths)
 
 
-def _attend_backward(ap: AttentionParams, cache, dv: np.ndarray):
-    """Grads of the attention parameters (summed over runs) and dH, from dv
-    (one row per run, like the pooled output). The cache is used once: its
-    hidden states are released before dH is built."""
+def _attend_backward(ap: AttentionParams, cache, dv: np.ndarray, need_dH: bool = True):
+    """Grads of the attention parameters (summed over runs) and dH, or None
+    unless need_dH, from dv (one row per run, like the pooled output). The
+    cache is used once: its hidden states are released before dH is built."""
     H, alpha, starts, lengths = cache
     del cache
     # h_i . dv of its run, built before da so that the two are never both held
@@ -188,6 +188,8 @@ def _attend_backward(ap: AttentionParams, cache, dv: np.ndarray):
     da *= ds[:, None]
     da *= ap.u_s
     grads = {"W_a": da.T @ H, "b_a": da.sum(axis=0), "u_s": du_s}
+    if not need_dH:
+        return grads, None
     del H
     dH = da @ ap.W_a
     del da
@@ -320,7 +322,7 @@ def _forward(params: ModelParams, segs: Sequence[SegmentedInstance],
         if variant == "hier_attn":
             # word embeddings are frozen: their gradient is dropped, but the
             # word-attention parameters still learn
-            gw, _ = _attend_backward(wattns[side], word.pop(side)[0], dx)
+            gw, _ = _attend_backward(wattns[side], word.pop(side)[0], dx, need_dH=False)
             grads.update(_prefixed(f"wattn_{side}", gw))
     return probs, records, losses, grads
 
@@ -383,20 +385,27 @@ class TrainResult:
 # over sentences, whose word averages cache nothing per token; concat,
 # conditional and word_attn cache a row per token of both sides. hier_attn
 # steps over sentences, and each of its tokens is only a word-attention
-# input, so TOKENS_PER_WORD_ATTENTION_ROW of them count as one row; a
-# 16-thread Twitter batch (1,248 tokens in 96 sentences) is then one pass of
-# 352 rows, where concat, conditional and word_attn take three. The passes
-# of a batch scale their gradients in place and add them into the first's.
-MAX_PASS_ROWS = 500
+# input, so TOKENS_PER_WORD_ATTENTION_ROW of them count as one row. The cap
+# is the largest at which no variant's pass holds more bytes than a 500-row
+# pass did when nn.lstm_backward kept five steps x hidden scratch arrays;
+# it now keeps two and writes its cell-state factor over the cache's cell
+# states. Per extra token of a labelled 16-thread Twitter pass, word_attn's
+# tracemalloc peak fell from 8,697 to 6,021 B at D=H=att_dim=100 and from
+# 26,030 to 18,022 B at 300, which allows 722 rows, rounded down here. A
+# 16-thread Twitter batch (1,248 tokens in 96 sentences) is one pass of 512
+# rows for hier_attn, and two for concat, conditional and word_attn. The
+# passes of a batch scale their gradients in place and add them into the
+# first's.
+MAX_PASS_ROWS = 720
 
-# Word-attention inputs of hier_attn that cache no more than one token row
-# of word_attn or concat. Per extra token, the tracemalloc peak of one
-# labelled _forward pass (16 instances of 5 context tweets and a reply,
-# tokens per tweet 13 -> 26) grows by 1,480 B for hier_attn, 8,697 B for
-# word_attn and 8,022 B for concat at D=H=att_dim=100, and by 4,422, 26,030
-# and 24,022 B at 300: 5.4-5.9 times as much. A test in test_models keeps
-# the ratio at 5 or more.
-TOKENS_PER_WORD_ATTENTION_ROW = 5
+# Word-attention inputs of hier_attn that count as one row. Per extra token,
+# the tracemalloc peak of one labelled _forward pass (16 instances of 5
+# context tweets and a reply, tokens per tweet 13 -> 26) grows by 1,487 B
+# for hier_attn at D=H=att_dim=100 and by 4,421 B at 300, so three tokens
+# at the cap of 720 rows hold no more than five did at 500 rows, and no
+# more than one token row of word_attn (6,021 and 18,022 B) or concat
+# (5,344 and 14,845 B). Tests in test_models keep both bounds.
+TOKENS_PER_WORD_ATTENTION_ROW = 3
 
 
 def _rows(seg: SegmentedInstance, variant: str) -> int:
@@ -409,7 +418,7 @@ def _rows(seg: SegmentedInstance, variant: str) -> int:
         return reply
     tokens = sum(map(len, seg.context_sentences)) + reply
     if variant == "hier_attn":
-        return sentences - (-tokens // TOKENS_PER_WORD_ATTENTION_ROW)  # tokens / 5, rounded up
+        return sentences - (-tokens // TOKENS_PER_WORD_ATTENTION_ROW)  # rounded up
     return tokens
 
 

@@ -25,6 +25,10 @@ Array = np.ndarray
 
 PROB_FLOOR = 1e-12
 
+# Rows lstm_backward turns into gate factors at a time: its two per-block
+# scratch arrays hold 2 x BACKWARD_BLOCK_ROWS x hidden floats.
+BACKWARD_BLOCK_ROWS = 256
+
 
 def new_rng(seed: int) -> np.random.Generator:
     """Seeded generator; identical seed + call sequence gives identical streams."""
@@ -69,7 +73,7 @@ class LSTMCache:
     sizes: list[int]  # n_t; step t's previous states are the first n_t rows of step t-1's
     order: Array  # order[j] is the caller's index of the j-th sorted sequence
     perm: Array | None  # packed row r came from the caller's row perm[r]; None: same order
-    used: bool = False  # lstm_backward has overwritten gates
+    used: bool = False  # lstm_backward has overwritten gates and c
 
     def __len__(self) -> int:
         return self.x.shape[0]
@@ -191,8 +195,10 @@ def lstm_backward(params: LSTMCellParams, cache: LSTMCache,
                   need_dx: bool = True
                   ) -> tuple[dict[str, Array], Array | None, tuple[Array, Array]]:
     """Backprop through time over a cached forward pass; it overwrites the
-    cache's gate buffer, so each cache is used once: a second call raises
-    DomainError.
+    cache's gates and cell states, so each cache is used once: a second call
+    raises DomainError. Besides the cache it holds two steps x hidden
+    arrays, the forget gates and the previous hidden states, and the scratch
+    of one block of BACKWARD_BLOCK_ROWS rows.
 
     dh_steps (steps x hidden, in the forward inputs' row order) is the
     gradient flowing into each h_t from outside the recurrence (e.g.
@@ -204,8 +210,8 @@ def lstm_backward(params: LSTMCellParams, cache: LSTMCache,
     state, B x hidden).
     """
     if cache.used:
-        raise DomainError("lstm_backward overwrote this cache's gates already; "
-                          "run lstm_forward again")
+        raise DomainError("lstm_backward overwrote this cache's gates and cell states "
+                          "already; run lstm_forward again")
     H = params.hidden_dim
     B, N = len(cache.order), len(cache)
     if dh_steps is not None and np.shape(dh_steps) != (N, H):
@@ -216,45 +222,58 @@ def lstm_backward(params: LSTMCellParams, cache: LSTMCache,
     c, perm, sizes = cache.c, cache.perm, np.array(cache.sizes, dtype=np.intp)
     dA = cache.gates  # activated gates, turned into dA (steps x 4*hidden) in place
     i, f, o, g = (dA[:, k * H:(k + 1) * H] for k in range(4))
-    # Everything that does not depend on the recurrence is computed for all
-    # rows at once, before the loop. prev[r] is the state row (initial
-    # states first, then the packed steps) that packed row r continued from;
-    # the rows of step 0 come first and continue from the initial states.
+    # Everything that does not depend on the recurrence is computed before
+    # the loop. prev[r] is the state row (initial states first, then the
+    # packed steps) that packed row r continued from; the rows of step 0
+    # come first and continue from the initial states.
     starts = np.cumsum(sizes) - sizes
     step = np.repeat(np.arange(len(sizes)), sizes)
     prev = np.arange(N) - starts[step]  # each row's rank in its step
     n0 = int(sizes[0]) if N else 0
     prev[n0:] += B + starts[step[n0:] - 1]
-    tanh_c = np.tanh(c[B:])
-    tmp = tanh_c * o  # each row's h, as the forward pass computed it
+    del step
+    f_keep = f.copy()  # dc_next = dc f
     h_prev = np.empty((N, H))  # each row's previous hidden state, for dU
     h_prev[:n0] = cache.h0[:n0]
-    np.take(tmp, prev[n0:] - B, axis=0, out=h_prev[n0:])
-    k_c = np.square(tanh_c)  # dc = k_c dh + dc_next
-    np.subtract(1.0, k_c, out=k_c)
-    k_c *= o
-    f_keep = f.copy()  # dc_next = dc f
-    # each gate pre-activation's derivative over the factor dc (dh for o),
-    # written over the gates: i(1-i) g, f(1-f) c_prev, o(1-o) tanh(c), (1-g^2) i;
-    # tmp and then tanh_c serve as scratch
-    o *= np.subtract(1.0, o, out=tmp)
-    o *= tanh_c
-    k_g = np.square(g, out=tmp)
-    np.subtract(1.0, k_g, out=k_g)
-    k_g *= i
-    i *= np.subtract(1.0, i, out=tanh_c)
-    i *= g
-    g[:] = k_g
-    f *= np.subtract(1.0, f, out=tanh_c)
-    f *= np.take(c, prev, axis=0, out=tanh_c)
-    del tanh_c, tmp, k_g  # free the scratch before the loop
-    if dh_steps is not None and perm is not None:
-        dh_steps = dh_steps[perm]
+    k_c = c[B:]  # dc = k_c dh + dc_next, written over the cell states
+    # Each gate pre-activation's derivative over the factor dc (dh for o) is
+    # written over the gates: i(1-i) g, f(1-f) c_prev, o(1-o) tanh(c),
+    # (1-g^2) i. The rows go in blocks, last block first, so a block still
+    # reads the unchanged c of earlier rows; its own c and o are read before
+    # they are overwritten. Only tanh_c and tmp are per-block scratch.
+    for r0 in reversed(range(0, N, BACKWARD_BLOCK_ROWS)):
+        r1 = min(r0 + BACKWARD_BLOCK_ROWS, N)
+        ib, fb, ob, gb, cb = i[r0:r1], f[r0:r1], o[r0:r1], g[r0:r1], k_c[r0:r1]
+        tanh_c = np.tanh(cb)
+        tmp = tanh_c * ob  # each row's h, as the forward pass computed it
+        # the rows that continue from this block's rows are consecutive; an
+        # out= take buffers a copy unless told the indices are in range
+        lo, hi = np.searchsorted(prev[n0:], (B + r0, B + r1)) + n0
+        np.take(tmp, prev[lo:hi] - (B + r0), axis=0, out=h_prev[lo:hi], mode="clip")
+        fb *= np.subtract(1.0, fb, out=tmp)
+        fb *= np.take(c, prev[r0:r1], axis=0, out=tmp, mode="clip")
+        np.square(tanh_c, out=cb)
+        np.subtract(1.0, cb, out=cb)
+        cb *= ob
+        ob *= np.subtract(1.0, ob, out=tmp)
+        ob *= tanh_c
+        k_g = np.square(gb, out=tmp)
+        np.subtract(1.0, k_g, out=k_g)
+        k_g *= ib
+        ib *= np.subtract(1.0, ib, out=tanh_c)
+        ib *= gb
+        gb[:] = k_g
+        del tanh_c, tmp, k_g  # before the next block allocates its own
+    del prev
     for n, r in zip(reversed(cache.sizes), reversed(starts.tolist())):
         a = dA[r:r + n].reshape(n, 4, H)
-        dh = dh_next[:n]
-        if dh_steps is not None:
-            dh = dh + dh_steps[r:r + n]
+        if dh_steps is None:
+            dh = dh_next[:n]
+        elif perm is None:
+            dh = dh_next[:n] + dh_steps[r:r + n]
+        else:  # gathered a step at a time, not copied into packed order
+            dh = np.take(dh_steps, perm[r:r + n], axis=0)
+            dh += dh_next[:n]
         dc = k_c[r:r + n] * dh
         dc += dc_next[:n]
         np.multiply(dc, f_keep[r:r + n], out=dc_next[:n])
@@ -262,7 +281,7 @@ def lstm_backward(params: LSTMCellParams, cache: LSTMCache,
         a[:, 2] *= dh
         a[:, 3] *= dc
         np.matmul(dA[r:r + n], params.U, out=dh_next[:n])
-    del dh_steps
+    del dh_steps, f_keep
     grads = {"W": dA.T @ cache.x, "U": dA.T @ h_prev, "b": dA.sum(axis=0)}
     del h_prev
     dX = None

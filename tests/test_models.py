@@ -3,7 +3,6 @@ import dataclasses
 import importlib
 import json
 import math
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +24,7 @@ from convsarc.models import (ATTENTION_VARIANTS, AttentionParams, AttentionRecor
                              train_model, TrainSettings, _attend_backward, _attend_forward,
                              _batch_grads, _forward, _rows, _sub_batches)
 from convsarc.synthetic import make_separable_corpus
+from pass_memory import peak_bytes_per_token
 
 EMBED = 6
 HIDDEN = 4
@@ -769,13 +769,13 @@ def token_runs(indices, segs, cap=500):
 
 
 def test_reply_only_and_sent_attn_run_a_twitter_batch_as_one_pass():
-    # hier_attn too: 96 sentences plus a fifth of 1,248 tokens is 352 rows
+    # hier_attn too: 96 sentences plus a third of 1,248 tokens is 512 rows
     segs = twitter_batch()
     assert len(token_runs(range(16), segs)) == 3
     for variant in ("reply_only", "sent_attn", "hier_attn"):
         assert _sub_batches(segs, variant) == [list(range(16))]
     for variant in ("concat", "conditional", "word_attn"):
-        assert len(_sub_batches(segs, variant)) == 3
+        assert len(_sub_batches(segs, variant)) == 2
 
 
 # a batch of up to 24 instances, each (context sentence lengths, reply
@@ -800,45 +800,43 @@ def test_pass_plan_keeps_the_cap_and_partitions_the_batch(shapes, variant):
 
 
 def test_uneven_instances_keep_the_cap():
-    # instances of 301, 301, 10 and 10 rows: an equal-count split into two
-    # passes puts 602 rows in the first
-    segs = [seg([["c"] * n], [["r"]]) for n in (300, 300, 9, 9)]
+    # instances of 401, 401, 10 and 10 rows: an equal-count split into two
+    # passes puts 802 rows in the first
+    segs = [seg([["c"] * n], [["r"]]) for n in (400, 400, 9, 9)]
     for variant in ("concat", "conditional", "word_attn"):
         assert _sub_batches(segs, variant) == [[0, 2, 3], [1]]
-    # hier_attn at five times the tokens: 303, 303, 12 and 12 rows
-    segs = [seg([["c"] * n], [["r"]]) for n in (1500, 1500, 45, 45)]
-    assert [_rows(s, "hier_attn") for s in segs] == [303, 303, 12, 12]
+    # hier_attn at three times the tokens: 403, 403, 12 and 12 rows
+    segs = [seg([["c"] * n], [["r"]]) for n in (1200, 1200, 27, 27)]
+    assert [_rows(s, "hier_attn") for s in segs] == [403, 403, 12, 12]
     assert _sub_batches(segs, "hier_attn") == [[0, 2, 3], [1]]
 
 
-def peak_bytes_per_token(variant, dim=100):
-    """Growth per extra token of the tracemalloc peak of one labelled
-    _forward pass over a twitter-shaped batch, from 13 to 26 tokens per
-    tweet, at D = H = att_dim = dim."""
-    rng = new_rng(0)
-    table = EmbeddingTable(dim=dim, vocab={f"w{k}": rng.uniform(-1, 1, dim) for k in range(26)},
-                           seed=0)
-    params = init_params(variant, dim, dim, rng=rng)
-    peaks = []
-    for n in (13, 26):
-        tweet = [f"w{k}" for k in range(n)]
-        segs = [seg([tweet] * 5, [tweet]) for _ in range(16)]
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            _forward(params, segs, table, labels=[0] * len(segs))
-            peaks.append(tracemalloc.get_traced_memory()[1] - base)
-        finally:
-            tracemalloc.stop()
-    return (peaks[1] - peaks[0]) / (16 * 6 * 13)
+# Per extra token, the growth of the peak of a labelled 16-thread Twitter
+# pass when MAX_PASS_ROWS was 500 and nn.lstm_backward kept five steps x
+# hidden scratch arrays; hier_attn's row was five tokens then.
+BYTES_PER_ROW_AT_500 = {
+    100: {"concat": 8022, "conditional": 8021, "word_attn": 8697, "hier_attn": 5 * 1480},
+    300: {"concat": 24022, "conditional": 24021, "word_attn": 26030, "hier_attn": 5 * 4422},
+}
+
+
+@pytest.mark.parametrize("dim", [100, 300])
+@pytest.mark.parametrize("variant", ["concat", "conditional", "word_attn", "hier_attn"])
+def test_a_pass_at_the_cap_holds_no_more_than_a_500_row_pass_did(variant, dim):
+    per_row = peak_bytes_per_token(variant, dim)
+    if variant == "hier_attn":
+        per_row *= TOKENS_PER_WORD_ATTENTION_ROW
+    assert per_row > 0
+    assert MAX_PASS_ROWS * per_row <= 500 * BYTES_PER_ROW_AT_500[dim][variant], per_row
 
 
 def test_word_attention_token_caches_at_most_its_share_of_a_token_row():
     # hier_attn counts TOKENS_PER_WORD_ATTENTION_ROW tokens as one row
-    per = {v: peak_bytes_per_token(v) for v in ("hier_attn", "word_attn", "concat")}
-    assert per["hier_attn"] > 0
-    assert TOKENS_PER_WORD_ATTENTION_ROW * per["hier_attn"] <= min(per["word_attn"],
-                                                                   per["concat"]), per
+    for dim in (100, 300):
+        per = {v: peak_bytes_per_token(v, dim) for v in ("hier_attn", "word_attn", "concat")}
+        assert per["hier_attn"] > 0
+        assert TOKENS_PER_WORD_ATTENTION_ROW * per["hier_attn"] <= min(per["word_attn"],
+                                                                       per["concat"]), (dim, per)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

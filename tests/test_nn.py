@@ -8,10 +8,11 @@ import hypothesis.strategies as st
 
 from convsarc.errors import DomainError, NumericError, ShapeError
 from convsarc.models import AttentionParams, _project, init_params
-from convsarc.nn import (LSTMCache, LSTMCellParams, LSTMState, _pack,
+from convsarc.nn import (BACKWARD_BLOCK_ROWS, LSTMCache, LSTMCellParams, LSTMState, _pack,
                          _sorted_rows, cross_entropy, dropout_mask,
                          finite_diff_grad, lstm_backward, lstm_forward,
                          new_rng, sgd_step, softmax)
+from pass_memory import traced_peak
 
 
 def sigmoid(x):
@@ -273,6 +274,29 @@ def test_lstm_backward_rejects_dh_steps_of_the_wrong_shape(shape):
             f"dh_steps has shape {shape}, expected (6, 2)")):
         lstm_backward(p, cache, dh_steps=np.ones(shape))
     lstm_backward(p, cache, dh_steps=np.ones((6, 2)))  # the refusal left the cache unused
+
+
+@pytest.mark.parametrize("need_dx", [False, True])
+def test_lstm_backward_holds_two_hidden_rows_per_step_and_one_block(need_dx):
+    # besides the cache and what it returns: the forget gates and previous
+    # hidden states (steps x hidden each), one index per step, the scratch
+    # of one block, a few B x hidden rows of state gradients, and numpy's
+    # buffers for the strided gate columns, np.getbufsize() floats each
+    D = H = 50
+    lengths = [60 + 7 * k for k in range(16)]  # unsorted, several blocks of steps
+    B, N = len(lengths), sum(lengths)
+    assert N > 3 * BACKWARD_BLOCK_ROWS
+    p = seeded_cell(D, H, new_rng(18))
+    rng = new_rng(19)
+    xs, dh_steps = rng.uniform(-1, 1, (N, D)), rng.uniform(-1, 1, (N, H))
+    dh_final, dc_final = rng.uniform(-1, 1, (B, H)), rng.uniform(-1, 1, (B, H))
+    _, _, cache = lstm_forward(p, xs, lengths)
+    (grads, dx, state), peak = traced_peak(lstm_backward, p, cache, dh_steps, dh_final,
+                                           dc_final, need_dx)
+    returned = sum(a.nbytes for a in [*grads.values(), *state, *([dx] if need_dx else [])])
+    scratch = 8 * (N * (2 * H + 1) + 2 * BACKWARD_BLOCK_ROWS * H + 4 * B * H
+                   + 3 * np.getbufsize())
+    assert peak <= returned + scratch + 16 * 1024, (peak - returned) / (8 * N)
 
 
 # ------------------------------------ lstm_forward/lstm_backward vs reference
