@@ -32,8 +32,12 @@ TWITTER_CONTEXT_CUTOFF = 5  # tweets
 SPLIT_FRACTIONS = (0.8, 0.1, 0.1)  # train / dev / test
 
 _TERMINAL_PUNCT = ".,!?;:"
-_SENTENCE_ENDS = ".!?"
 _QUOTE_CHARS = "\"'“”‘’«»"
+# A run of sentence marks, the whitespace after it (group 2) and one more
+# character; group 1 is the run's word, from its start to the run's first
+# mark. A match starts only at a word and its group 1 ends only at the start
+# of a run, so no run is rescanned: the regex takes linear time on any text.
+_BOUNDARY_RE = re.compile(r"(?<!\S)(\S*?(?<![.!?])[.!?])[.!?]*(\s+)(?=\S)")
 _URL_RE = re.compile(r"^(?:https?://|www\.)", re.IGNORECASE)
 _JSON_STRING_RE = re.compile(r'"(?:[^"\\]|\\.)*"')
 
@@ -111,9 +115,7 @@ def _split_chunk(chunk: str) -> list[str]:
     while len(body) > 1 and body[-1] in _TERMINAL_PUNCT and body not in EMOTICONS:
         trail.append(body[-1])
         body = body[:-1]
-    tokens = [body] if body else []
-    tokens.extend(reversed(trail))
-    return tokens
+    return [body, *reversed(trail)]
 
 
 def split_sentences(text: str) -> list[str]:
@@ -123,58 +125,21 @@ def split_sentences(text: str) -> list[str]:
     """
     sentences: list[str] = []
     start = 0
-    i = 0
-    n = len(text)
-    while i < n:
-        if text[i] not in _SENTENCE_ENDS:
-            i += 1
-            continue
-        run_end = i
-        while run_end + 1 < n and text[run_end + 1] in _SENTENCE_ENDS:
-            run_end += 1
-        nxt = run_end + 1
-        if nxt < n and text[nxt].isspace():
-            m = nxt
-            while m < n and text[m].isspace():
-                m += 1
-            if m < n and (text[m].isupper() or text[m].isdigit() or text[m] in _QUOTE_CHARS) \
-                    and not _is_abbreviation(text, start, i):
-                piece = text[start:run_end + 1].strip()
-                if piece:
-                    sentences.append(piece)
-                start = m
-                i = m
-                continue
-        i = run_end + 1
-    tail = text[start:].strip()
-    if tail:
-        sentences.append(tail)
-    return sentences
-
-
-def _is_abbreviation(text: str, start: int, dot_pos: int) -> bool:
-    w_start = dot_pos
-    while w_start > start and not text[w_start - 1].isspace():
-        w_start -= 1
-    return text[w_start:dot_pos + 1].lower() in ABBREVIATIONS
+    for m in _BOUNDARY_RE.finditer(text):
+        nxt = text[m.end()]
+        if (nxt.isupper() or nxt.isdigit() or nxt in _QUOTE_CHARS) \
+                and m[1].lower() not in ABBREVIATIONS:
+            sentences.append(text[start:m.start(2)].strip())
+            start = m.end()
+    sentences.append(text[start:].strip())
+    return [s for s in sentences if s]
 
 
 def casefold_selective(tokens: Sequence[str]) -> list[str]:
     """Lowercase every token except those whose alphabetic characters are
     all uppercase; tokens with no alphabetic characters pass through."""
-    out = []
-    for t in tokens:
-        if t == t.lower():  # every rule below gives t back unchanged
-            out.append(t)
-            continue
-        alpha = [c for c in t if c.isalpha()]
-        if not alpha:
-            out.append(t)
-        elif all(c.isupper() for c in alpha):
-            out.append(t)
-        else:
-            out.append(t.lower())
-    return out
+    return [t if t == t.lower() or all(c.isupper() for c in t if c.isalpha()) else t.lower()
+            for t in tokens]
 
 
 def _normalize_ws(text: str) -> str:
@@ -185,9 +150,8 @@ def _validate_tweet_record(rec, pos: int) -> tuple[str, str, bool, bool, str | N
     if not isinstance(rec, dict):
         raise ParseError(f"tweet record {pos}: expected an object")
     rid = rec.get("id")
-    label = rid if isinstance(rid, str) and rid else f"record {pos}"
     if not isinstance(rid, str) or not rid:
-        raise ParseError(f"tweet {label}: field 'id' must be a nonempty string")
+        raise ParseError(f"tweet record {pos}: field 'id' must be a nonempty string")
     text = rec.get("text")
     if not isinstance(text, str) or not text.strip():
         raise ParseError(f"tweet {rid}: field 'text' must be a nonempty string")
@@ -206,15 +170,20 @@ def twitter_filter(records: Iterable[dict]) -> list[LabeledTweet]:
 
     Rejects retweets, quotes, exact duplicates (after whitespace
     normalization), and tweets with fewer than three non-hashtag non-URL
-    tokens. A tweet is sarcastic only if a sarcasm hashtag (#sarcasm,
-    #sarcastic, #irony) is its final token; tweets with a sarcasm hashtag
-    anywhere else are dropped. Label hashtags are stripped from the stored
+    tokens. A tweet is sarcastic only if it ends in a run of sarcasm
+    hashtags (#sarcasm, #sarcastic, #irony); one with a sarcasm hashtag
+    anywhere else is dropped. Label hashtags are stripped from the stored
     text; non-sarcastic tweets keep any other hashtag (#happy, #love, ...).
+    An id repeated with any field changed raises ParseError.
     """
     seen: set[str] = set()
+    first: dict[str, tuple[int, tuple]] = {}  # id -> (position, fields) of its first record
     accepted: list[LabeledTweet] = []
     for pos, rec in enumerate(records):
-        rid, text, retweet, quote, reply_to = _validate_tweet_record(rec, pos)
+        rid, text, retweet, quote, reply_to = fields = _validate_tweet_record(rec, pos)
+        first_pos, first_fields = first.setdefault(rid, (pos, fields))
+        if first_fields != fields:
+            raise ParseError(f"tweet {rid}: records {first_pos} and {pos} share the id but differ")
         if retweet or quote:
             continue
         norm = _normalize_ws(text)
@@ -226,29 +195,15 @@ def twitter_filter(records: Iterable[dict]) -> list[LabeledTweet]:
                    if not t.startswith("#") and not _URL_RE.match(t)]
         if len(content) < 3:
             continue
-        lowered = [t.lower() for t in tokens]
-        tag_positions = [i for i, t in enumerate(lowered) if t in SARCASM_HASHTAGS]
-        if tag_positions:
-            if tag_positions[-1] != len(tokens) - 1:
-                continue
-            run_start = len(tokens)
-            while run_start > 0 and lowered[run_start - 1] in SARCASM_HASHTAGS:
-                run_start -= 1
-            if any(p < run_start for p in tag_positions):
-                continue
-            accepted.append(LabeledTweet(rid, _strip_trailing_tags(norm), "S", reply_to))
-        else:
+        tags = [t.lower() in SARCASM_HASHTAGS for t in tokens]
+        n = sum(tags)
+        if n == 0:
             accepted.append(LabeledTweet(rid, norm, "NS", reply_to))
+        elif all(tags[-n:]):
+            # tokenize splits only trailing punctuation off a chunk, so each
+            # tag of the final run is a whole chunk of the single-spaced norm
+            accepted.append(LabeledTweet(rid, norm.rsplit(" ", n)[0], "S", reply_to))
     return accepted
-
-
-def _strip_trailing_tags(norm: str) -> str:
-    while True:
-        head, _, last = norm.rpartition(" ")
-        if last.lower() in SARCASM_HASHTAGS:
-            norm = head
-        else:
-            return norm
 
 
 def build_twitter_instances(records: Sequence[dict]) -> list[ConversationInstance]:

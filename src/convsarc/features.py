@@ -93,15 +93,9 @@ def ngram_features(tokens: Sequence[str]) -> FeatureVector:
     return dict.fromkeys(names, 1.0)
 
 
-def lexicon_features(tokens: Sequence[str], side: str,
-                     lex: LexiconSet) -> FeatureVector:
-    """Category booleans plus positive/negative/negation counts; the reply
-    side also gets a both-polarities flag."""
-    return _lexicon_features([t.lower() for t in tokens], side, lex)
-
-
-def _lexicon_features(lowered: list[str], side: str, lex: LexiconSet) -> FeatureVector:
-    """lexicon_features of tokens already lowercased."""
+def lexicon_features(lowered: list[str], side: str, lex: LexiconSet) -> FeatureVector:
+    """Category booleans plus positive/negative/negation counts of the
+    lowercased tokens; the reply side also gets a both-polarities flag."""
     fv: FeatureVector = {}
     for name, words in sorted(lex.categories.items()):
         if not words.isdisjoint(lowered):
@@ -149,16 +143,11 @@ def _count_tag_questions(lowered: list[str]) -> int:
     return count
 
 
-def indicator_features(tokens: Sequence[str], raw_text: str) -> FeatureVector:
+def indicator_features(tokens: Sequence[str], lowered: list[str],
+                       raw_text: str) -> FeatureVector:
     """Surface sarcasm indicator counts. tokens are the casefolded token
-    list; raw_text is the pre-casefold original so capitalization and
-    punctuation survive."""
-    return _indicator_features(tokens, [t.lower() for t in tokens], raw_text)
-
-
-def _indicator_features(tokens: Sequence[str], lowered: list[str],
-                        raw_text: str) -> FeatureVector:
-    """indicator_features, given the tokens lowercased too."""
+    list and lowered the same tokens lowercased; raw_text is the
+    pre-casefold original so capitalization and punctuation survive."""
     counts = {
         "ind:interjection": sum(1 for t in lowered if t in INTERJECTIONS),
         "ind:tag_question": _count_tag_questions(lowered),
@@ -186,9 +175,9 @@ def _side_features(tokens: Sequence[str], raw_text: str, side: str,
     """One side's n-gram, lexicon and indicator features, and its lexicon
     features alone; its tokens are lowercased once for both feature sets."""
     lowered = [t.lower() for t in tokens]
-    lex_fv = _lexicon_features(lowered, side, lex)
+    lex_fv = lexicon_features(lowered, side, lex)
     return ({**ngram_features(tokens), **lex_fv,
-             **_indicator_features(tokens, lowered, raw_text)}, lex_fv)
+             **indicator_features(tokens, lowered, raw_text)}, lex_fv)
 
 
 def assemble(inst: ConversationInstance, mode: str, lex: LexiconSet,

@@ -715,6 +715,13 @@ def _refused_input(tmp_path, workdir, lexicon_dir, case):
         bad.write_text('{"epochs": 1,\n "outdir": "o\\ud800"}\n', encoding="utf-8")
         return (train + ("--embeddings", workdir / "emb.txt", "--config", bad), 2,
                 f"{bad}: line 2: string holds a lone surrogate (\\ud800)")
+    if case == "raw-tweets-repeated-id":  # n0, record 3, again with other text
+        make_raw_tweets(bad)
+        with open(bad, "a", encoding="utf-8") as fh:
+            fh.write(json.dumps({"id": "n0", "text": "an answer given twice, differently",
+                                 "reply_to": "q0"}) + "\n")
+        return (("prepare", "--raw-tweets", bad, "--platform", "twitter") + out, 2,
+                "tweet n0: records 3 and 48 share the id but differ")
     if case == "raw-tweets-lone-surrogate":
         make_raw_tweets(bad)
         rows = bad.read_text(encoding="utf-8").split("\n")
@@ -734,7 +741,8 @@ def _refused_input(tmp_path, workdir, lexicon_dir, case):
 @pytest.mark.parametrize("case", ["config-not-utf8", "lexicon-not-utf8", "prepare-corpus-dir",
                                   "prepare-raw-tweets-dir", "train-embeddings-dir",
                                   "train-embed-dim-mismatch", "config-lone-surrogate",
-                                  "raw-tweets-lone-surrogate", "prepare-corpus-lone-surrogate",
+                                  "raw-tweets-lone-surrogate", "raw-tweets-repeated-id",
+                                  "prepare-corpus-lone-surrogate",
                                   "train-corpus-lone-surrogate", "train-blank-context",
                                   "predict-empty-context"])
 def test_refused_input_names_its_path_without_traceback_or_outdir(

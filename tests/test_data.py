@@ -1,7 +1,8 @@
 import json
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 from convsarc import data
@@ -75,6 +76,17 @@ def test_split_before_quote_and_digit():
 
 def test_split_lowercase_continuation_not_split():
     assert split_sentences("version 2.0 shipped today") == ["version 2.0 shipped today"]
+
+
+@pytest.mark.parametrize("text", ["!" * 50_000 + "x", "a." * 50_000 + " B", "Mr. A " * 50_000,
+                                  ("x" + "?" * 40) * 2_000 + " Y"],
+                         ids=["one-run", "dotted-word", "abbreviations", "many-runs"])
+def test_split_takes_linear_time_on_long_runs(text):
+    # a scan that restarts inside a run of marks, or rereads the sentence so
+    # far at each abbreviation, takes seconds on these; one pass takes ms
+    t0 = time.perf_counter()
+    split_sentences(text)
+    assert time.perf_counter() - t0 < 1.0
 
 
 # -- casefold_selective ------------------------------------------------------
@@ -160,6 +172,17 @@ def test_filter_parse_error_names_record():
         twitter_filter([{"id": "t9", "text": 5}])
 
 
+def test_filter_drops_an_exact_repeat_and_refuses_a_changed_one():
+    first = tweet("n0", "just a normal answer here")
+    out = twitter_filter([first, tweet("n1", "another normal answer here"), dict(first)])
+    assert [t.id for t in out] == ["n0", "n1"]
+    changed = tweet("n0", "a different answer here")
+    with pytest.raises(ParseError, match="tweet n0: records 0 and 2 share the id but differ"):
+        twitter_filter([first, tweet("n1", "another normal answer here"), changed])
+    with pytest.raises(ParseError, match="n0: records 0 and 1"):
+        twitter_filter([first, dict(first, retweet=True)])
+
+
 @given(st.lists(st.tuples(
     st.sampled_from(["clear skies ahead today", "more rain again today",
                      "what a great plan #sarcasm", "so #sarcasm goes here",
@@ -222,6 +245,68 @@ def test_build_twitter_instances_survives_cycles():
     out = build_twitter_instances(records)
     assert {i.id for i in out} == {"a", "b"}
     assert all(len(i.context) == 1 for i in out)
+
+
+# sarcasm tags inside the text and in its final run, some followed by
+# punctuation or joined into one chunk; hashtags and URLs that leave too
+# few content tokens
+TWEET_TEXTS = [body + end
+               for body in ("so great a day", "Again @you so", "so #sarcasm a day", "! so #happy",
+                            "http://t.co/x so a day")
+               for end in ("", " #sarcasm", " #Irony #SARCASTIC", " #sarcasm.", " #irony!",
+                           " #sarcasm#irony", " #sarcasm day")]
+BAD_VALUES = [None, 0, 1.5, True, "", "  ", [], {}, "x"]
+
+
+@st.composite
+def raw_tweet_records(draw):
+    """Raw tweet records, some valid, some with a field missing or of the
+    wrong type, some repeating an earlier record exactly or with a change;
+    reply_to links may form cycles."""
+    records = []
+    for _ in range(draw(st.integers(0, 8))):
+        kind = draw(st.sampled_from(["valid"] * 14 + ["repeat"] * 3 + ["bad_field", "junk"]))
+        if kind == "junk":
+            records.append(draw(st.sampled_from([None, 3, "text", ["a"]])))
+            continue
+        if kind == "repeat" and any(isinstance(r, dict) for r in records):
+            rec = dict(draw(st.sampled_from([r for r in records if isinstance(r, dict)])))
+            change = draw(st.sampled_from([None, "text", "retweet", "reply_to"]))
+            if change == "text":  # a reply of the same label under the same id
+                rec["text"] = f"so {rec.get('text')}"
+            elif change:
+                rec[change] = draw(st.sampled_from([False, True, None, "t0"]))
+            records.append(rec)
+            continue
+        rec = {"id": f"t{len(records)}", "text": draw(st.sampled_from(TWEET_TEXTS)),
+               "retweet": draw(st.integers(0, 3)) == 0, "quote": draw(st.integers(0, 5)) == 0,
+               # earlier, later and missing ids: chains, cycles and orphans
+               "reply_to": draw(st.sampled_from(
+                   [None] + [f"t{i}" for i in range(len(records) + 2)]))}
+        if kind == "bad_field":
+            key = draw(st.sampled_from(sorted(rec)))
+            if draw(st.booleans()):
+                del rec[key]
+            else:
+                rec[key] = draw(st.sampled_from(BAD_VALUES))
+        records.append(rec)
+    return records
+
+
+@given(raw_tweet_records())
+@settings(max_examples=200, deadline=None)
+@example([tweet("t0", "so great a day"), tweet("t1", "again a day #sarcasm", reply_to="t0"),
+          tweet("t1", "so again a day #sarcasm", reply_to="t0")])
+def test_raw_tweets_give_distinct_instances_with_context_or_parse_error(records):
+    try:
+        instances = build_twitter_instances(records)
+    except ParseError:
+        return
+    ids = [inst.id for inst in instances]
+    assert len(ids) == len(set(ids))
+    for inst in instances:
+        assert inst.context and all(u.strip() for u in inst.context)
+        assert inst.reply.strip() and inst.label in ("S", "NS")
 
 
 # -- truncation ---------------------------------------------------------------

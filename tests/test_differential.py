@@ -1,5 +1,5 @@
-"""Differential tests: the optimised feature and SVM code against plain-Python
-reference forms of the same functions.
+"""Differential tests: the optimised corpus, feature and SVM code against
+plain-Python reference forms of the same functions.
 
 The references below are the straightforward loops these functions were
 first written as. The optimised code must give exactly their results: the
@@ -54,8 +54,88 @@ def ref_casefold_selective(tokens):
     return out
 
 
+def ref_split_sentences(text):
+    sentences = []
+    start = 0
+    i = 0
+    n = len(text)
+    while i < n:
+        if text[i] not in ".!?":
+            i += 1
+            continue
+        run_end = i
+        while run_end + 1 < n and text[run_end + 1] in ".!?":
+            run_end += 1
+        nxt = run_end + 1
+        if nxt < n and text[nxt].isspace():
+            m = nxt
+            while m < n and text[m].isspace():
+                m += 1
+            if m < n and (text[m].isupper() or text[m].isdigit() or text[m] in data._QUOTE_CHARS) \
+                    and not ref_is_abbreviation(text, start, i):
+                piece = text[start:run_end + 1].strip()
+                if piece:
+                    sentences.append(piece)
+                start = m
+                i = m
+                continue
+        i = run_end + 1
+    tail = text[start:].strip()
+    if tail:
+        sentences.append(tail)
+    return sentences
+
+
+def ref_is_abbreviation(text, start, dot_pos):
+    w_start = dot_pos
+    while w_start > start and not text[w_start - 1].isspace():
+        w_start -= 1
+    return text[w_start:dot_pos + 1].lower() in data.ABBREVIATIONS
+
+
+def ref_twitter_filter(records):
+    seen = set()
+    accepted = []
+    for pos, rec in enumerate(records):
+        rid, text, retweet, quote, reply_to = data._validate_tweet_record(rec, pos)
+        if retweet or quote:
+            continue
+        norm = data._normalize_ws(text)
+        if norm in seen:
+            continue
+        seen.add(norm)
+        tokens = data.tokenize(norm)
+        content = [t for t in tokens
+                   if not t.startswith("#") and not data._URL_RE.match(t)]
+        if len(content) < 3:
+            continue
+        lowered = [t.lower() for t in tokens]
+        tag_positions = [i for i, t in enumerate(lowered) if t in data.SARCASM_HASHTAGS]
+        if tag_positions:
+            if tag_positions[-1] != len(tokens) - 1:
+                continue
+            run_start = len(tokens)
+            while run_start > 0 and lowered[run_start - 1] in data.SARCASM_HASHTAGS:
+                run_start -= 1
+            if any(p < run_start for p in tag_positions):
+                continue
+            accepted.append(data.LabeledTweet(rid, ref_strip_trailing_tags(norm), "S", reply_to))
+        else:
+            accepted.append(data.LabeledTweet(rid, norm, "NS", reply_to))
+    return accepted
+
+
+def ref_strip_trailing_tags(norm):
+    while True:
+        head, _, last = norm.rpartition(" ")
+        if last.lower() in data.SARCASM_HASHTAGS:
+            norm = head
+        else:
+            return norm
+
+
 def ref_sentence_units(text, platform):
-    units = [text] if platform == "twitter" else data.split_sentences(text)
+    units = [text] if platform == "twitter" else ref_split_sentences(text)
     out = []
     for u in units:
         toks = ref_casefold_selective(ref_tokenize(u))
@@ -212,6 +292,53 @@ def test_casefold_matches_reference_on_any_text(tokens):
     assert data.casefold_selective(tokens) == ref_casefold_selective(tokens)
 
 
+# sentence marks, abbreviations, quotes, uppercase and digit starts (Latin,
+# Arabic-Indic) and the whitespace that str.isspace() and a regex's \s both accept,
+# \x1c and \x85 among it
+SENTENCE_PIECES = ["Dr.", "dr.", "e.g.", "Mr", "Smith", "smith", "É", "é", "١", "7", "ǅ", "x",
+                   ".", "!", "?", "?!", "...", "!.", "'", '"', "“", "«", ":)", "a.b"]
+SENTENCE_SPACES = [" ", "  ", "\t", "\n", "\x1c", "\x85", "\xa0", "\u2028", "\u3000", ""]
+sentence_texts = st.lists(st.tuples(st.sampled_from(SENTENCE_PIECES),
+                                    st.sampled_from(SENTENCE_SPACES)), max_size=14).map(
+    lambda pairs: "".join(w + s for w, s in pairs))
+
+
+@given(st.one_of(sentence_texts, texts))
+@settings(max_examples=300, deadline=None)
+@example("Dr. Smith came. Then he left.")
+@example("What?! You did it. no way")
+@example('He left. "Fine," she said. \'Then\' 2 more.')
+@example("Done. Élan here. Then ١ more.")
+@example("The end.   ")
+@example("One.\x1cTwo.\xa0Three.\x1c")
+@example("wow?!. Yes a!!b!! C e.g.. D x.y.z. E ... F")
+def test_split_sentences_matches_reference(text):
+    assert data.split_sentences(text) == ref_split_sentences(text)
+
+
+TWEET_PIECES = ["oh", "Great", "day", "again", "#sarcasm", "#Sarcasm", "#IRONY", "#sarcastic",
+                "#sarcasm.", "#irony!", "#sarcasm#irony", "#happy", "#", "http://t.co/x",
+                "www.x.com.", "!", "?!", ":)", "@you"]
+tweet_texts = st.lists(st.tuples(st.sampled_from(TWEET_PIECES),
+                                 st.sampled_from([" ", "  ", "\t", "\xa0"])),
+                       min_size=1, max_size=9).map(lambda pairs: "".join(w + s for w, s in pairs))
+
+
+@given(st.lists(st.tuples(tweet_texts, st.booleans(), st.booleans()), max_size=8))
+@settings(max_examples=200, deadline=None)
+@example([("thanks for nothing #irony #sarcasm", False, False)])
+@example([("what a day #sarcasm.", False, False)])
+@example([("oh #Sarcasm what a day", False, False)])
+@example([("what a day #sarcasm#irony", False, False)])
+@example([("what a   day #IRONY", False, False), ("what a day  #IRONY", False, False),
+          ("what a day again", True, False)])
+def test_twitter_filter_matches_reference(rows):
+    records = [{"id": f"t{i}", "text": text, "retweet": retweet, "quote": quote,
+                "reply_to": f"t{i - 1}" if i else None}
+               for i, (text, retweet, quote) in enumerate(rows)]
+    assert data.twitter_filter(records) == ref_twitter_filter(records)
+
+
 utterances = st.one_of(texts, st.sampled_from(["", "   ", "\t\n"]),
                        st.lists(st.sampled_from(["Yes.", "no!", "Mr. Smith came.", "A? B",
                                                  "e.g. this", "\"Quoted.\" Then"]),
@@ -278,8 +405,8 @@ def test_ngram_features_match_reference_in_order(tokens):
 
 def test_lexicon_categories_match_any_scan(tiny_lexicons):
     for tokens in (["LOVE", "x"], ["never"], ["x", "y"], [], ["Always", "hate"]):
-        fv = features.lexicon_features(tokens, "reply", tiny_lexicons)
         lowered = [t.lower() for t in tokens]
+        fv = features.lexicon_features(lowered, "reply", tiny_lexicons)
         expected = [f"cat:{name}" for name, words in sorted(tiny_lexicons.categories.items())
                     if any(t in words for t in lowered)]
         assert [k for k in fv if k.startswith("cat:")] == expected
@@ -296,18 +423,21 @@ def ref_assemble(inst, mode, lex, max_context=None):
     lowercased polarity counts."""
     seg = data.segment_instance(inst, max_context)
     reply_tokens = [t for s in seg.reply_sentences for t in s]
+    reply_lowered = [t.lower() for t in reply_tokens]
     fv = {}
     fv.update(features._namespace("r", features.ngram_features(reply_tokens)))
-    fv.update(features._namespace("r", features.lexicon_features(reply_tokens, "reply", lex)))
-    fv.update(features._namespace("r", features.indicator_features(reply_tokens, inst.reply)))
+    fv.update(features._namespace("r", features.lexicon_features(reply_lowered, "reply", lex)))
+    fv.update(features._namespace(
+        "r", features.indicator_features(reply_tokens, reply_lowered, inst.reply)))
     if mode == "context_and_reply":
         context_tokens = [t for s in seg.context_sentences for t in s]
+        context_lowered = [t.lower() for t in context_tokens]
         context_raw = " ".join(seg.context_texts)
         fv.update(features._namespace("c", features.ngram_features(context_tokens)))
         fv.update(features._namespace(
-            "c", features.lexicon_features(context_tokens, "context", lex)))
+            "c", features.lexicon_features(context_lowered, "context", lex)))
         fv.update(features._namespace(
-            "c", features.indicator_features(context_tokens, context_raw)))
+            "c", features.indicator_features(context_tokens, context_lowered, context_raw)))
         if ref_net_polarity(context_tokens, lex) * ref_net_polarity(reply_tokens, lex) < 0:
             fv["incongruity"] = 1.0
     return fv

@@ -64,8 +64,10 @@ def test_both_polarities_only_on_reply_side(tiny_lexicons):
 
 
 def test_lexicon_matches_allcaps_tokens(tiny_lexicons):
-    fv = lexicon_features(["GREAT"], "reply", tiny_lexicons)
-    assert fv["pos_count"] == 1.0
+    # casefolding keeps GREAT whole; the lexicon still counts it
+    inst = ConversationInstance("x", "twitter", ["a context"], "GREAT", "S")
+    fv = assemble(inst, "reply_only", tiny_lexicons)
+    assert fv["r|pos_count"] == 1.0
 
 
 # -- incongruity ----------------------------------------------------------------
@@ -99,8 +101,12 @@ def test_incongruity_neutral_side_never_triggers(tiny_lexicons):
 # -- indicators -------------------------------------------------------------------
 
 
+def indicators(tokens, raw_text):
+    return indicator_features(tokens, [t.lower() for t in tokens], raw_text)
+
+
 def test_indicators_interjection_and_exclamation():
-    fv = indicator_features(["yeah", ",", "right", "!"], "yeah , right !")
+    fv = indicators(["yeah", ",", "right", "!"], "yeah , right !")
     assert fv["ind:interjection"] == 1.0
     assert fv["ind:exclamation"] == 1.0
     assert "ind:tag_question" not in fv
@@ -110,27 +116,27 @@ def test_indicators_allcaps_and_triple_exclamation():
     raw = "GREAT i'm SO happy; shattered phone on this WONDERFUL day!!!"
     tokens = ["GREAT", "i'm", "SO", "happy", ";", "shattered", "phone", "on",
               "this", "WONDERFUL", "day", "!", "!", "!"]
-    fv = indicator_features(tokens, raw)
+    fv = indicators(tokens, raw)
     assert fv["ind:allcaps"] == 3.0
     assert fv["ind:exclamation"] == 3.0
 
 
 def test_indicators_tag_question():
-    fv = indicator_features(["is", "not", "it", "?"], "is not it?")
+    fv = indicators(["is", "not", "it", "?"], "is not it?")
     assert fv["ind:tag_question"] == 1.0
     assert fv["ind:question"] == 1.0
 
 
 def test_indicators_emoticon_superlative_intensifier():
-    fv = indicator_features(["the", "greatest", "day", "really", ":)"],
-                            "the greatest day really :)")
+    fv = indicators(["the", "greatest", "day", "really", ":)"],
+                    "the greatest day really :)")
     assert fv["ind:emoticon"] == 1.0
     assert fv["ind:superlative"] == 1.0
     assert fv["ind:intensifier"] == 1.0
 
 
 def test_indicators_quote_pairs():
-    fv = indicator_features(['"content', '"'], '"content?!"')
+    fv = indicators(['"content', '"'], '"content?!"')
     assert fv["ind:quote_pairs"] == 1.0
 
 
