@@ -3,13 +3,10 @@
 corpus and compare per-class P/R/F1 on the test split.
 
 This is the manual full-scale procedure, so it is not part of the
-automated acceptance suite. At D=H=100 on Twitter threads with one BLAS
-thread, 30 epochs over 20,000 training conversations take about 10
-minutes for reply_only, 45 for concat or conditional and 15 for
-sent_attn, dev scoring included (README, "Full-scale reproduction"). The
-expected qualitative outcome on a real conversation corpus is that the
-context-reading variants (concat, conditional, sent_attn) beat reply_only
-on S-class F1.
+automated acceptance suite. README's "Full-scale reproduction" gives the
+training time of each variant at full scale. The expected qualitative
+outcome on a real conversation corpus is that the context-reading variants
+(concat, conditional, sent_attn) beat reply_only on S-class F1.
 """
 import argparse
 

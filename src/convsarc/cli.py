@@ -87,15 +87,6 @@ def _split_file(cfg: RunConfig, part: str) -> Path:
     return f
 
 
-def _load_lexicon_dir(path) -> features.LexiconSet:
-    d = Path(path)
-    names = ("categories.tsv", "positive.txt", "negative.txt", "negations.txt")
-    for name in names:
-        if not (d / name).is_file():
-            raise ConfigError(f"lexicons: missing file {d / name}")
-    return features.load_lexicons(*(d / name for name in names))
-
-
 # --------------------------------------------------------------------------
 # commands
 
@@ -106,8 +97,8 @@ def cmd_prepare(cfg: RunConfig) -> None:
         if cfg.platform != "twitter":
             raise ConfigError("platform: raw tweet input requires platform=twitter")
         _require_outdir(cfg)
-        instances = data.build_twitter_instances(
-            [rec for _, rec in data.read_jsonl(cfg.raw_tweets)])
+        instances = data.build_twitter_instances(list(data.read_jsonl(cfg.raw_tweets)),
+                                                 cfg.raw_tweets)
     else:
         cfg.validate(need=("corpus",))
         _require_outdir(cfg)
@@ -124,7 +115,7 @@ def cmd_prepare(cfg: RunConfig) -> None:
 
 
 def _train_svm(cfg: RunConfig, train_i, dev_i) -> None:
-    lex = _load_lexicon_dir(cfg.lexicons)
+    lex = features.load_lexicons(cfg.lexicons)
     pairs = [(features.assemble(i, cfg.task, lex, cfg.max_context), i.label)
              for i in train_i]
     model = features.svm_train(pairs, cfg)
@@ -205,7 +196,7 @@ def _predictions(cfg: RunConfig, doc: dict, instances) -> tuple[list[dict], str]
     rows = []
     if doc["kind"] == "svm":
         model, task, max_context = features.load_svm_checkpoint(cfg.checkpoint, doc)
-        lex = _load_lexicon_dir(cfg.lexicons)
+        lex = features.load_lexicons(cfg.lexicons)
         for inst in instances:
             label, margin = features.svm_predict(
                 model, features.assemble(inst, task, lex, max_context))

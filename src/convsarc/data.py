@@ -42,18 +42,47 @@ _URL_RE = re.compile(r"^(?:https?://|www\.)", re.IGNORECASE)
 _JSON_STRING_RE = re.compile(r'"(?:[^"\\]|\\.)*"')
 
 
+def open_input(path, mode: str = "rb", **kwargs):
+    """open(path, mode, **kwargs) for reading; a path that cannot be opened,
+    such as a directory, raises ConfigError naming it."""
+    try:
+        return open(path, mode, **kwargs)
+    except OSError as e:
+        raise ConfigError(f"{path}: cannot read: {e.strerror or e}") from None
+
+
+def read_text(path) -> str:
+    """The text of a UTF-8 file, its newlines made universal as text mode
+    makes them; a byte that is not UTF-8 raises ParseError naming the path
+    and line."""
+    with open_input(path) as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        line_start = raw.rfind(b"\n", 0, e.start) + 1
+        lineno = raw.count(b"\n", 0, line_start) + 1
+        raise ParseError(f"{path}: line {lineno}: not valid UTF-8 ({e.reason} "
+                         f"at byte {e.start - line_start})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
+
+
+def read_list(path) -> Iterator[tuple[int, str]]:
+    """(line number, stripped line) for each line of a UTF-8 list file, read
+    by read_text, that is neither blank nor a "#" comment."""
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if line and not line.startswith("#"):
+            yield lineno, line
+
+
 def load_resource_list(name: str) -> tuple[str, ...]:
-    """Lines of a bundled resource file, comments and blanks dropped."""
-    out = []
-    with open(RESOURCE_DIR / name, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                out.append(line)
-    return tuple(out)
+    """Entries of a bundled resource list file."""
+    return tuple(line for _, line in read_list(RESOURCE_DIR / name))
 
 
 EMOTICONS = frozenset(load_resource_list("emoticons.txt"))
+_LONGEST_EMOTICON = max(map(len, EMOTICONS), default=0)
 ABBREVIATIONS = frozenset(load_resource_list("abbreviations.txt"))
 
 
@@ -110,12 +139,15 @@ def tokenize(text: str) -> list[str]:
 def _split_chunk(chunk: str) -> list[str]:
     if _URL_RE.match(chunk):
         return [chunk]
-    trail: list[str] = []
-    body = chunk
-    while len(body) > 1 and body[-1] in _TERMINAL_PUNCT and body not in EMOTICONS:
-        trail.append(body[-1])
-        body = body[:-1]
-    return [body, *reversed(trail)]
+    # the body keeps a character and its longest prefix that is an emoticon;
+    # only a body no longer than the longest emoticon can be one
+    end = len(chunk.rstrip(_TERMINAL_PUNCT)) or 1
+    if end < _LONGEST_EMOTICON:
+        for k in range(min(len(chunk), _LONGEST_EMOTICON), end, -1):
+            if chunk[:k] in EMOTICONS:
+                end = k
+                break
+    return [chunk[:end], *chunk[end:]]
 
 
 def split_sentences(text: str) -> list[str]:
@@ -146,27 +178,25 @@ def _normalize_ws(text: str) -> str:
     return " ".join(text.split())
 
 
-def _validate_tweet_record(rec, pos: int) -> tuple[str, str, bool, bool, str | None]:
-    if not isinstance(rec, dict):
-        raise ParseError(f"tweet record {pos}: expected an object")
+def _validate_tweet_record(rec, path, lineno: int) -> tuple[str, str, bool, bool, str | None]:
+    _require_object(rec, path, lineno)
     rid = rec.get("id")
     if not isinstance(rid, str) or not rid:
-        raise ParseError(f"tweet record {pos}: field 'id' must be a nonempty string")
+        raise _field_error(path, lineno, "id", "must be a nonempty string")
     text = rec.get("text")
     if not isinstance(text, str) or not text.strip():
-        raise ParseError(f"tweet {rid}: field 'text' must be a nonempty string")
-    retweet = rec.get("retweet", False)
-    quote = rec.get("quote", False)
-    if not isinstance(retweet, bool) or not isinstance(quote, bool):
-        raise ParseError(f"tweet {rid}: fields 'retweet'/'quote' must be booleans")
+        raise _field_error(path, lineno, "text", "must be a nonempty string")
+    for key in ("retweet", "quote"):
+        if not isinstance(rec.get(key, False), bool):
+            raise _field_error(path, lineno, key, "must be a boolean")
     reply_to = rec.get("reply_to")
     if reply_to is not None and not isinstance(reply_to, str):
-        raise ParseError(f"tweet {rid}: field 'reply_to' must be a string or null")
-    return rid, text, retweet, quote, reply_to
+        raise _field_error(path, lineno, "reply_to", "must be a string or null")
+    return rid, text, rec.get("retweet", False), rec.get("quote", False), reply_to
 
 
-def twitter_filter(records: Iterable[dict]) -> list[LabeledTweet]:
-    """Apply the self-labeling rules to raw tweet records.
+def twitter_filter(records: Iterable[tuple[int, object]], path) -> list[LabeledTweet]:
+    """Apply the self-labeling rules to the (line number, record) pairs of path.
 
     Rejects retweets, quotes, exact duplicates (after whitespace
     normalization), and tweets with fewer than three non-hashtag non-URL
@@ -174,16 +204,17 @@ def twitter_filter(records: Iterable[dict]) -> list[LabeledTweet]:
     hashtags (#sarcasm, #sarcastic, #irony); one with a sarcasm hashtag
     anywhere else is dropped. Label hashtags are stripped from the stored
     text; non-sarcastic tweets keep any other hashtag (#happy, #love, ...).
-    An id repeated with any field changed raises ParseError.
+    An id repeated with any field changed raises ParseError naming both lines.
     """
     seen: set[str] = set()
-    first: dict[str, tuple[int, tuple]] = {}  # id -> (position, fields) of its first record
+    first: dict[str, tuple[int, tuple]] = {}  # id -> (line, fields) of its first record
     accepted: list[LabeledTweet] = []
-    for pos, rec in enumerate(records):
-        rid, text, retweet, quote, reply_to = fields = _validate_tweet_record(rec, pos)
-        first_pos, first_fields = first.setdefault(rid, (pos, fields))
+    for lineno, rec in records:
+        rid, text, retweet, quote, reply_to = fields = _validate_tweet_record(rec, path, lineno)
+        first_line, first_fields = first.setdefault(rid, (lineno, fields))
         if first_fields != fields:
-            raise ParseError(f"tweet {rid}: records {first_pos} and {pos} share the id but differ")
+            raise ParseError(f"{path}: line {lineno}: id '{rid}' repeats line {first_line} "
+                             "with other fields")
         if retweet or quote:
             continue
         norm = _normalize_ws(text)
@@ -206,14 +237,15 @@ def twitter_filter(records: Iterable[dict]) -> list[LabeledTweet]:
     return accepted
 
 
-def build_twitter_instances(records: Sequence[dict]) -> list[ConversationInstance]:
-    """Filter raw tweets and assemble conversation context along reply-to
+def build_twitter_instances(records: Sequence[tuple[int, object]],
+                            path) -> list[ConversationInstance]:
+    """The tweets twitter_filter accepts, with context assembled along reply-to
     chains. Context tweets are taken verbatim from the raw set (they need
     not pass the label filter themselves); tweets without any resolvable
     context are dropped, matching a conversation-only corpus.
     """
-    labeled = twitter_filter(records)  # validates every record
-    by_id = {r["id"]: (_normalize_ws(r["text"]), r.get("reply_to")) for r in records}
+    labeled = twitter_filter(records, path)  # validates every record
+    by_id = {r["id"]: (_normalize_ws(r["text"]), r.get("reply_to")) for _, r in records}
     instances = []
     for tweet in labeled:
         chain: list[str] = []
@@ -275,29 +307,9 @@ def _field_error(path, lineno: int, field: str, message: str) -> ParseError:
     return ParseError(f"{path}: line {lineno}: field '{field}' {message}")
 
 
-def open_input(path, mode: str = "rb", **kwargs):
-    """open(path, mode, **kwargs) for reading; a path that cannot be opened,
-    such as a directory, raises ConfigError naming it."""
-    try:
-        return open(path, mode, **kwargs)
-    except OSError as e:
-        raise ConfigError(f"{path}: cannot read: {e.strerror or e}") from None
-
-
-def read_text(path) -> str:
-    """The text of a UTF-8 file, its newlines made universal as text mode
-    makes them; a byte that is not UTF-8 raises ParseError naming the path
-    and line."""
-    with open_input(path) as fh:
-        raw = fh.read()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as e:
-        line_start = raw.rfind(b"\n", 0, e.start) + 1
-        lineno = raw.count(b"\n", 0, line_start) + 1
-        raise ParseError(f"{path}: line {lineno}: not valid UTF-8 ({e.reason} "
-                         f"at byte {e.start - line_start})") from None
-    return text.replace("\r\n", "\n").replace("\r", "\n")
+def _require_object(obj, path, lineno: int) -> None:
+    if not isinstance(obj, dict):
+        raise ParseError(f"{path}: line {lineno}: record must be an object")
 
 
 def refuse_lone_surrogates(text: str, path, first_lineno: int = 1) -> None:
@@ -327,6 +339,8 @@ def read_jsonl(path) -> Iterator[tuple[int, object]]:
             obj = json.loads(line)
         except json.JSONDecodeError as e:
             raise ParseError(f"{path}: line {lineno}: invalid JSON ({e.msg})") from None
+        except RecursionError:  # nested deeper than the parser's recursion limit
+            raise ParseError(f"{path}: line {lineno}: invalid JSON (nested too deeply)") from None
         refuse_lone_surrogates(line, path, lineno)
         yield lineno, obj
 
@@ -336,8 +350,7 @@ def load_corpus(path) -> list[ConversationInstance]:
     instances: list[ConversationInstance] = []
     seen_ids: set[str] = set()
     for lineno, obj in read_jsonl(path):
-        if not isinstance(obj, dict):
-            raise ParseError(f"{path}: line {lineno}: record must be an object")
+        _require_object(obj, path, lineno)
         inst = _parse_record(obj, path, lineno)
         if inst.id in seen_ids:
             raise ParseError(f"{path}: line {lineno}: duplicate id '{inst.id}'")

@@ -16,11 +16,12 @@ import re
 from collections import Counter
 from fractions import Fraction
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .data import (ConversationInstance, EMOTICONS, load_resource_list, read_text,
+from .data import (ConversationInstance, EMOTICONS, load_resource_list, read_list,
                    segment_instance)
 from .errors import ConfigError, DomainError, ParseError
 from .models import TrainSettings
@@ -49,40 +50,27 @@ class LexiconSet:
     negations: frozenset[str]
 
 
-def _read_token_file(path) -> frozenset[str]:
-    tokens = set()
-    for line in read_text(path).split("\n"):
-        line = line.strip()
-        if line and not line.startswith("#"):
-            tokens.add(line.lower())
-    if not tokens:
-        raise ConfigError(f"{path}: lexicon file is empty")
-    return frozenset(tokens)
-
-
-def load_lexicons(categories_path, positive_path, negative_path,
-                  negations_path) -> LexiconSet:
-    """categories file: "category<TAB>token" lines; others: one token per line."""
+def load_lexicons(directory) -> LexiconSet:
+    """The lexicons of a directory: categories.tsv of "category<TAB>token"
+    lines, and positive.txt, negative.txt and negations.txt of one token per
+    line. A missing file is a ConfigError naming it."""
+    path = Path(directory, "categories.tsv")
     cats: dict[str, set[str]] = {}
-    for lineno, line in enumerate(read_text(categories_path).split("\n"), start=1):
-        if not line.strip() or line.startswith("#"):
-            continue
-        if "\t" not in line:
-            raise ParseError(
-                f"{categories_path}: line {lineno}: expected 'category<TAB>token'")
-        name, token = line.split("\t", 1)
+    for lineno, line in read_list(path):
+        name, tab, token = line.partition("\t")
         name, token = name.strip(), token.strip().lower()
-        if not name or not token:
-            raise ParseError(
-                f"{categories_path}: line {lineno}: empty category or token")
+        if not (tab and name and token):
+            raise ParseError(f"{path}: line {lineno}: expected 'category<TAB>token'")
         cats.setdefault(name, set()).add(token)
     if not cats:
-        raise ConfigError(f"{categories_path}: no categories loaded")
-    return LexiconSet(
-        categories={k: frozenset(v) for k, v in cats.items()},
-        positive=_read_token_file(positive_path),
-        negative=_read_token_file(negative_path),
-        negations=_read_token_file(negations_path))
+        raise ConfigError(f"{path}: no categories loaded")
+    words = {}
+    for key in ("positive", "negative", "negations"):
+        path = Path(directory, f"{key}.txt")
+        words[key] = frozenset(line.lower() for _, line in read_list(path))
+        if not words[key]:
+            raise ConfigError(f"{path}: lexicon file is empty")
+    return LexiconSet(categories={k: frozenset(v) for k, v in cats.items()}, **words)
 
 
 def ngram_features(tokens: Sequence[str]) -> FeatureVector:

@@ -386,12 +386,10 @@ class TrainResult:
 # conditional and word_attn cache a row per token of both sides. hier_attn
 # steps over sentences, and each of its tokens is only a word-attention
 # input, so TOKENS_PER_WORD_ATTENTION_ROW of them count as one row. The cap
-# is the largest at which no variant's pass holds more bytes than a 500-row
-# pass did when nn.lstm_backward kept five steps x hidden scratch arrays;
-# it now keeps two and writes its cell-state factor over the cache's cell
-# states. Per extra token of a labelled 16-thread Twitter pass, word_attn's
-# tracemalloc peak fell from 8,697 to 6,021 B at D=H=att_dim=100 and from
-# 26,030 to 18,022 B at 300, which allows 722 rows, rounded down here. A
+# holds every variant's pass within a budget of 4.35 MB at D=H=att_dim=100
+# and 13.0 MB at 300. Per extra token of a labelled 16-thread Twitter pass,
+# the tracemalloc peak of word_attn, the heaviest per row, grows by 6,021 B
+# at 100 and 18,022 B at 300, which allows 722 rows, rounded down here. A
 # 16-thread Twitter batch (1,248 tokens in 96 sentences) is one pass of 512
 # rows for hier_attn, and two for concat, conditional and word_attn. The
 # passes of a batch scale their gradients in place and add them into the

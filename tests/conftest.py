@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import settings
 
 from convsarc import synthetic
 from convsarc.data import ConversationInstance
@@ -6,6 +7,10 @@ from convsarc.embeddings import load_embeddings
 from convsarc.features import LexiconSet
 
 SYN_EMBED_DIM = 12
+
+# `pytest --hypothesis-profile=ci` draws the same examples on every run and
+# keeps no example database, so a failure reproduces from the commit alone
+settings.register_profile("ci", derandomize=True, database=None)
 
 
 @pytest.fixture(scope="session")

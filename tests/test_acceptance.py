@@ -211,9 +211,10 @@ def test_c8_corpus_rules():
         return {"id": tid, "text": text, "retweet": retweet, "quote": False,
                 "reply_to": None}
 
-    out = twitter_filter([tw("1", "#sarcasm is something that I love"),
-                          tw("2", "this text is retweeted verbatim", retweet=True),
-                          tw("3", "one more reason to feel really great #sarcasm")])
+    records = [tw("1", "#sarcasm is something that I love"),
+               tw("2", "this text is retweeted verbatim", retweet=True),
+               tw("3", "one more reason to feel really great #sarcasm")]
+    out = twitter_filter(list(enumerate(records, start=1)), "raw.jsonl")
     assert [t.id for t in out] == ["3"]
     assert out[0].label == "S"
     assert out[0].text == "one more reason to feel really great"

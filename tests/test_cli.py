@@ -1,11 +1,16 @@
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+import hypothesis.strategies as st
 
 import convsarc
 
@@ -715,13 +720,13 @@ def _refused_input(tmp_path, workdir, lexicon_dir, case):
         bad.write_text('{"epochs": 1,\n "outdir": "o\\ud800"}\n', encoding="utf-8")
         return (train + ("--embeddings", workdir / "emb.txt", "--config", bad), 2,
                 f"{bad}: line 2: string holds a lone surrogate (\\ud800)")
-    if case == "raw-tweets-repeated-id":  # n0, record 3, again with other text
+    if case == "raw-tweets-repeated-id":  # n0, line 4, again with other text
         make_raw_tweets(bad)
         with open(bad, "a", encoding="utf-8") as fh:
             fh.write(json.dumps({"id": "n0", "text": "an answer given twice, differently",
                                  "reply_to": "q0"}) + "\n")
         return (("prepare", "--raw-tweets", bad, "--platform", "twitter") + out, 2,
-                "tweet n0: records 3 and 48 share the id but differ")
+                f"{bad}: line 49: id 'n0' repeats line 4 with other fields")
     if case == "raw-tweets-lone-surrogate":
         make_raw_tweets(bad)
         rows = bad.read_text(encoding="utf-8").split("\n")
@@ -753,6 +758,64 @@ def test_refused_input_names_its_path_without_traceback_or_outdir(
     assert code == want, err
     assert str(path) in err and "Traceback" not in err
     assert not (tmp_path / "never").exists()
+
+
+# each line is appended to make_raw_tweets' 48 lines after a blank line 49,
+# so it is line 50; p0 is line 1
+BAD_RAW_TWEETS = [
+    ('["not", "an object"]', "record must be an object"),
+    ('{"text": "a reply with no id"}', "field 'id' must be a nonempty string"),
+    ('{"id": "x1", "text": 5}', "field 'text' must be a nonempty string"),
+    ('{"id": "x1", "text": "some text here", "retweet": "no"}',
+     "field 'retweet' must be a boolean"),
+    ('{"id": "x1", "text": "some text here", "quote": 0}', "field 'quote' must be a boolean"),
+    ('{"id": "x1", "text": "some text here", "reply_to": 7}',
+     "field 'reply_to' must be a string or null"),
+    ('{"id": "p0", "text": "parent message number 0 right here", "retweet": true}',
+     "id 'p0' repeats line 1 with other fields"),
+]
+
+
+@pytest.mark.parametrize("row, message", BAD_RAW_TWEETS,
+                         ids=["object", "id", "text", "retweet", "quote", "reply_to", "repeat"])
+def test_bad_raw_tweet_is_a_data_error_naming_its_line(tmp_path, capsys, row, message):
+    raw = tmp_path / "raw.jsonl"
+    make_raw_tweets(raw)
+    with open(raw, "a", encoding="utf-8") as fh:
+        fh.write("\n" + row + "\n")
+    code = run("prepare", "--raw-tweets", raw, "--platform", "twitter",
+               "--outdir", tmp_path / "never")
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err == f"data error: {raw}: line 50: {message}\n"
+    assert not (tmp_path / "never").exists()
+
+
+RAW_PIECES = [b'{"id": "a", "text": "one more great day #sarcasm", "reply_to": "b"}',
+              b'{"id": "b", "text": "so it goes on", "retweet": false}', b'{"id": "a"}',
+              b'{"id": "c", "text": "q r s", "quote": 1}', b'[1]', b"null", b"{", b"\xff",
+              b'"\\ud800"', b'{"id": "d", "text": "\xc3\xa9 x y", "reply_to": 3}',
+              b"\n", b"\r\n", b"\r", b" "]
+
+
+@given(st.one_of(st.binary(max_size=64),
+                 st.lists(st.sampled_from(RAW_PIECES), max_size=12).map(b"".join)))
+@settings(max_examples=80, deadline=None)
+@example(b'{"id": "a", "text": "x y z"}\n' + b"[" * 100_000)  # deeper than json's recursion limit
+def test_any_raw_tweet_bytes_exit_cleanly_naming_file_and_line(tmp_path_factory, content):
+    d = tmp_path_factory.mktemp("raw")
+    raw, out = d / "raw.jsonl", d / "out"
+    raw.write_bytes(content)
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        code = run("prepare", "--raw-tweets", raw, "--platform", "twitter", "--outdir", out)
+    err = err.getvalue()
+    assert code in (0, 1, 2), err
+    assert "Traceback" not in err
+    if code == 2:
+        assert re.match(rf"data error: {re.escape(str(raw))}: line \d+: ", err), err
+    if code:
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("case", ["empty-dev-split", "one-class-svm-split"])

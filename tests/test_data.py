@@ -50,6 +50,14 @@ def test_tokenize_whitespace_only():
     assert tokenize("   \t ") == []
 
 
+def test_tokenize_takes_linear_time_on_a_long_mark_run():
+    # stripping a run one mark at a time copies the chunk at each step and
+    # takes seconds on this; stripping it once takes ms
+    t0 = time.perf_counter()
+    assert tokenize("a" + "!" * 200_000) == ["a"] + ["!"] * 200_000
+    assert time.perf_counter() - t0 < 1.0
+
+
 # -- split_sentences --------------------------------------------------------
 
 
@@ -119,18 +127,30 @@ def test_tokenize_casefold_idempotent_on_own_output(chunks):
 # -- twitter_filter ----------------------------------------------------------
 
 
+RAW = "raw.jsonl"
+
+
+def numbered(records):
+    """(line number, record) pairs, as data.read_jsonl gives a file's lines."""
+    return list(enumerate(records, start=1))
+
+
+def filtered(records):
+    return twitter_filter(numbered(records), RAW)
+
+
 def tweet(tid, text, retweet=False, quote=False, reply_to=None):
     return {"id": tid, "text": text, "retweet": retweet, "quote": quote,
             "reply_to": reply_to}
 
 
 def test_filter_rejects_leading_hashtag():
-    out = twitter_filter([tweet("1", "#sarcasm is something that I love")])
+    out = filtered([tweet("1", "#sarcasm is something that I love")])
     assert out == []
 
 
 def test_filter_accepts_and_strips_terminal_hashtag():
-    out = twitter_filter([tweet("1", "one more reason to feel really great #sarcasm")])
+    out = filtered([tweet("1", "one more reason to feel really great #sarcasm")])
     assert len(out) == 1
     assert out[0].label == "S"
     assert out[0].text == "one more reason to feel really great"
@@ -138,49 +158,49 @@ def test_filter_accepts_and_strips_terminal_hashtag():
 
 
 def test_filter_rejects_retweets_and_quotes():
-    assert twitter_filter([tweet("1", "some perfectly fine text", retweet=True)]) == []
-    assert twitter_filter([tweet("1", "some perfectly fine text", quote=True)]) == []
+    assert filtered([tweet("1", "some perfectly fine text", retweet=True)]) == []
+    assert filtered([tweet("1", "some perfectly fine text", quote=True)]) == []
 
 
 def test_filter_rejects_duplicates_after_whitespace_normalization():
-    out = twitter_filter([tweet("1", "same   text here"),
-                          tweet("2", "same text  here")])
+    out = filtered([tweet("1", "same   text here"),
+                    tweet("2", "same text  here")])
     assert [t.id for t in out] == ["1"]
 
 
 def test_filter_rejects_short_or_hashtag_only():
-    assert twitter_filter([tweet("1", "#wow #such http://u.example")]) == []
-    assert twitter_filter([tweet("2", "too short #happy")]) == []
+    assert filtered([tweet("1", "#wow #such http://u.example")]) == []
+    assert filtered([tweet("2", "too short #happy")]) == []
 
 
 def test_filter_keeps_sentiment_hashtags_for_ns():
-    out = twitter_filter([tweet("1", "what a lovely sunny morning #happy")])
+    out = filtered([tweet("1", "what a lovely sunny morning #happy")])
     assert len(out) == 1
     assert out[0].label == "NS"
     assert "#happy" in out[0].text
 
 
 def test_filter_strips_trailing_tag_run():
-    out = twitter_filter([tweet("1", "thanks for all the help #irony #sarcasm")])
+    out = filtered([tweet("1", "thanks for all the help #irony #sarcasm")])
     assert len(out) == 1
     assert out[0].label == "S"
     assert out[0].text == "thanks for all the help"
 
 
 def test_filter_parse_error_names_record():
-    with pytest.raises(ParseError, match="t9"):
-        twitter_filter([{"id": "t9", "text": 5}])
+    with pytest.raises(ParseError, match="^raw.jsonl: line 1: field 'text' must be"):
+        filtered([{"id": "t9", "text": 5}])
 
 
 def test_filter_drops_an_exact_repeat_and_refuses_a_changed_one():
     first = tweet("n0", "just a normal answer here")
-    out = twitter_filter([first, tweet("n1", "another normal answer here"), dict(first)])
+    out = filtered([first, tweet("n1", "another normal answer here"), dict(first)])
     assert [t.id for t in out] == ["n0", "n1"]
     changed = tweet("n0", "a different answer here")
-    with pytest.raises(ParseError, match="tweet n0: records 0 and 2 share the id but differ"):
-        twitter_filter([first, tweet("n1", "another normal answer here"), changed])
-    with pytest.raises(ParseError, match="n0: records 0 and 1"):
-        twitter_filter([first, dict(first, retweet=True)])
+    with pytest.raises(ParseError, match="^raw.jsonl: line 3: id 'n0' repeats line 1 with other"):
+        filtered([first, tweet("n1", "another normal answer here"), changed])
+    with pytest.raises(ParseError, match="^raw.jsonl: line 2: id 'n0' repeats line 1 "):
+        filtered([first, dict(first, retweet=True)])
 
 
 @given(st.lists(st.tuples(
@@ -191,7 +211,7 @@ def test_filter_drops_an_exact_repeat_and_refuses_a_changed_one():
 @settings(max_examples=60, deadline=None)
 def test_filter_output_invariant_no_sarcasm_tags_survive(rows):
     records = [tweet(str(i), text, retweet=rt) for i, (text, rt) in enumerate(rows)]
-    for out in twitter_filter(records):
+    for out in filtered(records):
         lowered = out.text.lower()
         for tag in ("#sarcasm", "#sarcastic", "#irony"):
             assert tag not in lowered
@@ -211,7 +231,7 @@ def test_build_twitter_instances_walks_reply_chain():
         tweet("c", "one more reason to feel really great #sarcasm", reply_to="b"),
         tweet("d", "floating tweet with no parent link #happy"),
     ]
-    out = build_twitter_instances(records)
+    out = build_twitter_instances(numbered(records), RAW)
     # b is a legitimate NS reply; a and d have no parent and drop out
     assert [i.id for i in out] == ["b", "c"]
     inst = out[1]
@@ -222,19 +242,19 @@ def test_build_twitter_instances_walks_reply_chain():
 
 
 def test_build_twitter_instances_validates_each_record_once(monkeypatch):
-    validate, positions = data._validate_tweet_record, []
+    validate, lines = data._validate_tweet_record, []
 
-    def spy(rec, pos):
-        positions.append(pos)
-        return validate(rec, pos)
+    def spy(rec, path, lineno):
+        lines.append(lineno)
+        return validate(rec, path, lineno)
     monkeypatch.setattr(data, "_validate_tweet_record", spy)
     records = [
         tweet("a", "the oldest message in this thread"),
         tweet("b", "a middle message replying first", reply_to="a"),
         tweet("c", "a retweet of the middle message", retweet=True, reply_to="b"),
     ]
-    assert [i.id for i in build_twitter_instances(records)] == ["b"]
-    assert positions == list(range(len(records)))
+    assert [i.id for i in build_twitter_instances(numbered(records), RAW)] == ["b"]
+    assert lines == list(range(1, len(records) + 1))
 
 
 def test_build_twitter_instances_survives_cycles():
@@ -242,7 +262,7 @@ def test_build_twitter_instances_survives_cycles():
         tweet("a", "first message going around", reply_to="b"),
         tweet("b", "second message going around", reply_to="a"),
     ]
-    out = build_twitter_instances(records)
+    out = build_twitter_instances(numbered(records), RAW)
     assert {i.id for i in out} == {"a", "b"}
     assert all(len(i.context) == 1 for i in out)
 
@@ -299,7 +319,7 @@ def raw_tweet_records(draw):
           tweet("t1", "so again a day #sarcasm", reply_to="t0")])
 def test_raw_tweets_give_distinct_instances_with_context_or_parse_error(records):
     try:
-        instances = build_twitter_instances(records)
+        instances = build_twitter_instances(numbered(records), RAW)
     except ParseError:
         return
     ids = [inst.id for inst in instances]

@@ -96,8 +96,8 @@ def ref_is_abbreviation(text, start, dot_pos):
 def ref_twitter_filter(records):
     seen = set()
     accepted = []
-    for pos, rec in enumerate(records):
-        rid, text, retweet, quote, reply_to = data._validate_tweet_record(rec, pos)
+    for lineno, rec in records:
+        rid, text, retweet, quote, reply_to = data._validate_tweet_record(rec, "raw.jsonl", lineno)
         if retweet or quote:
             continue
         norm = data._normalize_ws(text)
@@ -292,6 +292,28 @@ def test_casefold_matches_reference_on_any_text(tokens):
     assert data.casefold_selective(tokens) == ref_casefold_selective(tokens)
 
 
+# emoticons that end in a mark, some longer than any bundled one and some the
+# prefix of another; no bundled emoticon ends in a mark, so only these reach
+# the rule that stops stripping a chunk's trailing marks at its longest
+# emoticon prefix
+MARK_EMOTICONS = frozenset({":.", "o.O!", ";-)?", ";-)?!", "x_x!", "x_x!!!"})
+
+
+@given(st.lists(st.sampled_from(sorted(MARK_EMOTICONS) + ["a", ":", ";-)", "x_x", "o.O", ".",
+                                                          "!", "?", ",", " "]),
+                max_size=12).map("".join))
+@settings(max_examples=200, deadline=None)
+@example("x_x!!!!.")
+@example(";-)?!!")
+@example("o.O!?")
+def test_tokenize_stops_at_an_emoticon_that_ends_in_a_mark(text):
+    emoticons = data.EMOTICONS | MARK_EMOTICONS
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data, "EMOTICONS", emoticons)
+        mp.setattr(data, "_LONGEST_EMOTICON", max(map(len, emoticons)))
+        assert data.tokenize(text) == ref_tokenize(text)
+
+
 # sentence marks, abbreviations, quotes, uppercase and digit starts (Latin,
 # Arabic-Indic) and the whitespace that str.isspace() and a regex's \s both accept,
 # \x1c and \x85 among it
@@ -336,7 +358,8 @@ def test_twitter_filter_matches_reference(rows):
     records = [{"id": f"t{i}", "text": text, "retweet": retweet, "quote": quote,
                 "reply_to": f"t{i - 1}" if i else None}
                for i, (text, retweet, quote) in enumerate(rows)]
-    assert data.twitter_filter(records) == ref_twitter_filter(records)
+    numbered = list(enumerate(records, start=1))
+    assert data.twitter_filter(numbered, "raw.jsonl") == ref_twitter_filter(numbered)
 
 
 utterances = st.one_of(texts, st.sampled_from(["", "   ", "\t\n"]),

@@ -3,13 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 import hypothesis.strategies as st
 
 from convsarc import checkpoint
 from convsarc.data import ConversationInstance
-from convsarc.errors import ConfigError, ParseError
-from convsarc.features import (FeatureRegistry, assemble,
+from convsarc.errors import ConfigError, ConvsarcError, ParseError
+from convsarc.features import (FeatureRegistry, LexiconSet, assemble,
                                class_weight_map, hinge_objective,
                                indicator_features, lexicon_features,
                                load_lexicons, ngram_features,
@@ -207,10 +207,7 @@ def test_vectorize_skips_unregistered():
 
 
 def test_load_lexicons(lexicon_dir):
-    lex = load_lexicons(lexicon_dir / "categories.tsv",
-                        lexicon_dir / "positive.txt",
-                        lexicon_dir / "negative.txt",
-                        lexicon_dir / "negations.txt")
+    lex = load_lexicons(lexicon_dir)
     assert "affect" in lex.categories
     assert "love" in lex.positive
     assert "not" in lex.negations
@@ -219,10 +216,34 @@ def test_load_lexicons(lexicon_dir):
 def test_load_lexicons_bad_category_line(lexicon_dir):
     (lexicon_dir / "categories.tsv").write_text("no-tab-here\n", encoding="utf-8")
     with pytest.raises(ParseError, match="line 1"):
-        load_lexicons(lexicon_dir / "categories.tsv",
-                      lexicon_dir / "positive.txt",
-                      lexicon_dir / "negative.txt",
-                      lexicon_dir / "negations.txt")
+        load_lexicons(lexicon_dir)
+
+
+LEXICON_PIECES = [b"affect\tlove", b"# note", b" #x\ty", b"  ", b"\t", b"word", b"a\tb\tc",
+                  b"\tlove", b"affect\t", b"\xe9", b"\xc3\xa9", b"\x00", b"\n", b"\r\n", b"\r"]
+
+
+@given(st.sampled_from(["categories.tsv", "positive.txt", "negative.txt", "negations.txt"]),
+       st.one_of(st.binary(max_size=48),
+                 st.lists(st.sampled_from(LEXICON_PIECES), max_size=10).map(b"".join)))
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_any_bytes_in_a_lexicon_file_load_or_name_that_file(lexicon_dir, name, content):
+    path = lexicon_dir / name
+    original = path.read_bytes()
+    path.write_bytes(content)
+    try:
+        assert isinstance(load_lexicons(lexicon_dir), LexiconSet)
+    except ConvsarcError as e:
+        assert str(e).startswith(f"{path}: "), e
+    finally:
+        path.write_bytes(original)
+
+
+def test_missing_lexicon_file_is_a_config_error_naming_it(lexicon_dir):
+    (lexicon_dir / "negations.txt").unlink()
+    with pytest.raises(ConfigError, match="negations.txt: cannot read"):
+        load_lexicons(lexicon_dir)
 
 
 # -- svm ---------------------------------------------------------------------------
