@@ -27,7 +27,8 @@ def read(path, kind: str | None = None, doc: dict | None = None) -> dict:
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 doc = json.load(fh)
-        except (OSError, ValueError) as e:  # unreadable, not UTF-8, or not JSON
+        # unreadable, not UTF-8, not JSON, or nested deeper than the parser goes
+        except (OSError, ValueError, RecursionError) as e:
             raise ConfigError(f"{path}: not a JSON checkpoint: {e}") from None
     if not isinstance(doc, dict):
         raise ConfigError(f"{path}: checkpoint is not a JSON object")

@@ -165,9 +165,11 @@ def _scoring_setup(cfg: RunConfig, attention: bool = False) -> tuple[dict, list]
     max_context that differs from it is a ConfigError."""
     cfg.validate(need=("checkpoint", "corpus"))
     doc = checkpoint.read(cfg.checkpoint)
-    if cfg.max_context is not None and cfg.max_context != doc.get("max_context"):
+    with checkpoint.parsing(cfg.checkpoint):
+        stored = checkpoint.window(doc["max_context"])
+    if cfg.max_context is not None and cfg.max_context != stored:
         raise ConfigError(f"max_context: {cfg.max_context} conflicts with "
-                          f"{doc.get('max_context')} stored in checkpoint {cfg.checkpoint}")
+                          f"{stored} stored in checkpoint {cfg.checkpoint}")
     if attention and doc["kind"] != "lstm":
         raise ConfigError(f"checkpoint: {cfg.checkpoint}: attention needs an lstm checkpoint")
     if attention and doc.get("variant") not in models.ATTENTION_VARIANTS:

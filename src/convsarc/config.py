@@ -58,15 +58,25 @@ class RunConfig(TrainSettings):
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
+        """The defaults updated by the JSON object in path; a file that is not
+        one, or holds a key, type or value that validate refuses, raises
+        ConfigError naming path."""
         text = read_text(path)
         try:
             doc = json.loads(text)
         except json.JSONDecodeError as e:
             raise ConfigError(f"config file {path}: invalid JSON ({e.msg})") from None
+        except RecursionError:  # nested deeper than the parser's recursion limit
+            raise ConfigError(f"config file {path}: invalid JSON (nested too deeply)") from None
         refuse_lone_surrogates(text, path)
         if not isinstance(doc, dict):
             raise ConfigError(f"config file {path}: must be a flat JSON object")
-        return cls().updated(doc, source=str(path))
+        cfg = cls().updated(doc, source=str(path))
+        try:
+            cfg.validate()
+        except ConfigError as e:
+            raise ConfigError(f"config file {path}: {e}") from None
+        return cfg
 
     def updated(self, overrides: dict, source: str = "command line") -> "RunConfig":
         values = asdict(self)

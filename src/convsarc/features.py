@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from collections import Counter
 from fractions import Fraction
+from itertools import chain
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -102,33 +103,18 @@ def lexicon_features(lowered: list[str], side: str, lex: LexiconSet) -> FeatureV
     return fv
 
 
-def _index_patterns(patterns: Iterable[Sequence[str]]) -> dict[str, list[list[str]]]:
-    """Nonempty token patterns keyed by their first token, longest first."""
-    index: dict[str, list[list[str]]] = {}
-    for pat in sorted((list(p) for p in patterns if p), key=len, reverse=True):
-        index.setdefault(pat[0], []).append(pat)
-    return index
+def _tag_question_re(patterns: Iterable[Sequence[str]]) -> re.Pattern:
+    """One pattern for the nonempty token patterns, each matched as whole
+    tokens of a space-joined list of tokens that hold no whitespace and
+    tried longest first, so findall counts non-overlapping matches, left to
+    right, each the longest pattern that starts at its position. No pattern
+    at all never matches."""
+    pats = sorted((p for p in patterns if p), key=len, reverse=True)
+    alternatives = "|".join(" ".join(map(re.escape, p)) for p in pats) or "(?!)"
+    return re.compile(rf"(?<!\S)(?:{alternatives})(?!\S)")
 
 
-TAG_QUESTION_INDEX = _index_patterns(
-    p.split() for p in load_resource_list("tag_questions.txt"))
-
-
-def _count_tag_questions(lowered: list[str]) -> int:
-    """Non-overlapping matches, left to right, each the longest pattern that
-    starts at its position."""
-    count = 0
-    i = 0
-    n = len(lowered)
-    while i < n:
-        for pat in TAG_QUESTION_INDEX.get(lowered[i], ()):
-            if lowered[i:i + len(pat)] == pat:
-                count += 1
-                i += len(pat)
-                break
-        else:
-            i += 1
-    return count
+TAG_QUESTION_RE = _tag_question_re(p.split() for p in load_resource_list("tag_questions.txt"))
 
 
 def indicator_features(tokens: Sequence[str], lowered: list[str],
@@ -138,7 +124,7 @@ def indicator_features(tokens: Sequence[str], lowered: list[str],
     pre-casefold original so capitalization and punctuation survive."""
     counts = {
         "ind:interjection": sum(1 for t in lowered if t in INTERJECTIONS),
-        "ind:tag_question": _count_tag_questions(lowered),
+        "ind:tag_question": len(TAG_QUESTION_RE.findall(" ".join(lowered))),
         "ind:exclamation": raw_text.count("!"),
         "ind:question": raw_text.count("?"),
         "ind:allcaps": sum(1 for w in _ALPHA_WORD_RE.findall(raw_text)
@@ -191,21 +177,13 @@ def assemble(inst: ConversationInstance, mode: str, lex: LexiconSet,
 
 
 class FeatureRegistry:
-    """Stable feature-name to id mapping shared across instances."""
+    """Stable feature-name to id mapping shared across instances; a repeated
+    name keeps its first id."""
 
     def __init__(self, names: Iterable[str] = ()):
         self._ids: dict[str, int] = {}
-        self._names: list[str] = []
         for name in names:
-            self.add(name)
-
-    def add(self, name: str) -> int:
-        fid = self._ids.get(name)
-        if fid is None:
-            fid = len(self._names)
-            self._ids[name] = fid
-            self._names.append(name)
-        return fid
+            self._ids.setdefault(name, len(self._ids))
 
     def vectorize(self, fv: FeatureVector) -> tuple[np.ndarray, np.ndarray]:
         """Feature ids and values of fv's registered names, in fv's order."""
@@ -216,10 +194,10 @@ class FeatureRegistry:
 
     @property
     def names(self) -> list[str]:
-        return list(self._names)
+        return list(self._ids)
 
     def __len__(self) -> int:
-        return len(self._names)
+        return len(self._ids)
 
     @classmethod
     def build(cls, vectors: Iterable[FeatureVector],
@@ -227,17 +205,9 @@ class FeatureRegistry:
         """Single-threaded pre-pass over the training vectors. N-gram
         features must appear in at least min_ngram_count instances; the
         other families are always kept."""
-        vectors = list(vectors)
-        counts: Counter[str] = Counter()
-        for fv in vectors:
-            counts.update(fv.keys())
-        reg = cls()
-        for fv in vectors:
-            for name in fv:
-                if name not in reg._ids and (counts[name] >= min_ngram_count
-                                             or not _is_ngram(name)):
-                    reg.add(name)
-        return reg
+        counts = Counter(chain.from_iterable(vectors))  # names in first-seen order
+        return cls(name for name, n in counts.items()
+                   if n >= min_ngram_count or not _is_ngram(name))
 
 
 def _is_ngram(name: str) -> bool:
@@ -298,8 +268,9 @@ def _padded(arrays: Sequence[tuple[np.ndarray, np.ndarray]], n_features: int
 def _objective(w: np.ndarray, b: float,
                groups: Sequence[tuple[np.ndarray, np.ndarray, np.ndarray]],
                ys: np.ndarray, cws: np.ndarray, l2: float) -> float:
-    """hinge_objective of padded data: each row's _ordered_dot a group at a
-    time, and the class-weighted hinge terms summed in order."""
+    """(l2/2)||w||^2 + mean_i cw_i max(0, 1 - y_i (w.x_i + b)) over _padded
+    rows: each row's _ordered_dot a group at a time, and the class-weighted
+    hinge terms summed in order."""
     penalty = 0.5 * l2 * float(w @ w)
     padded_w = np.append(w, 0.0)
     dots = np.empty(len(ys))
@@ -308,16 +279,6 @@ def _objective(w: np.ndarray, b: float,
     hinge = 1.0 - ys * (dots + b)
     terms = cws * np.where(hinge > 0.0, hinge, 0.0)
     return penalty + float(_ordered_sums(terms)) / len(terms)
-
-
-def hinge_objective(weights: np.ndarray, bias: float,
-                    data: Sequence[tuple[tuple[np.ndarray, np.ndarray], float, float]],
-                    l2: float) -> float:
-    """(l2/2)||w||^2 + mean_i cw_i * max(0, 1 - y_i (w.x_i + b)), x_i as (ids, values)."""
-    groups = _padded([x for x, _, _ in data], len(weights))
-    return _objective(weights, bias, groups,
-                      np.array([y for _, y, _ in data], dtype=np.float64),
-                      np.array([cw for _, _, cw in data], dtype=np.float64), l2)
 
 
 def class_weight_map(labels: Iterable[str]) -> dict[str, Fraction]:

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 import hypothesis.strategies as st
 
 import convsarc
@@ -295,6 +295,14 @@ def test_non_finite_rate_in_config_file_is_config_error(workdir, capsys, key, va
     assert code == 1
     assert f"{key}: " in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_config_file_value_out_of_range_names_the_file(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"dropout": 5}', encoding="utf-8")
+    assert run("gradcheck", "--config", cfg, "--dropout", 0.1) == 1
+    assert capsys.readouterr().err == (
+        f"config error: config file {cfg}: dropout: 5 outside [0, 1)\n")
 
 
 def test_flag_overrides_config_file(tmp_path, workdir):
@@ -653,6 +661,22 @@ def test_scoring_refuses_a_max_context_that_conflicts_with_the_checkpoint(
                    "--outdir", workdir / "same") == 0
 
 
+@pytest.mark.parametrize("flag", [(), ("--max-context", 5)])
+def test_a_malformed_stored_window_is_reported_as_malformed_not_as_a_conflict(
+        workdir, capsys, flag):
+    emb, ckpt = scoring_inputs(workdir, "reply_only")
+    doc = json.loads(ckpt.read_text(encoding="utf-8"))
+    doc["max_context"] = "5"
+    ckpt.write_text(json.dumps(doc), encoding="utf-8")
+    code = run("eval", "--checkpoint", ckpt, "--corpus", workdir / "corpus.jsonl",
+               "--embeddings", emb, *flag, "--outdir", workdir / "never")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"config error: {ckpt}: malformed checkpoint: max_context must be "
+                          "null or a nonnegative integer, got '5'"), err
+    assert not (workdir / "never").exists()
+
+
 def test_attention_names_heatmaps_of_ids_too_long_for_a_file_name_by_hash(tmp_path, capsys):
     emb, ckpt = scoring_inputs(tmp_path, "sent_attn")
     instances = make_planted_cue_corpus(3, seed=11)
@@ -697,6 +721,13 @@ def _refused_input(tmp_path, workdir, lexicon_dir, case):
     if case == "train-embed-dim-mismatch":
         return (train + ("--embeddings", workdir / "emb.txt", "--embed-dim", 9), 1,
                 workdir / "emb.txt")
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100_000, encoding="utf-8")  # deeper than json's recursion limit
+    if case == "config-nested":
+        return train + ("--embeddings", workdir / "emb.txt", "--config", nested), 1, nested
+    if case == "checkpoint-nested":
+        return (("eval", "--checkpoint", nested, "--corpus", workdir / "corpus.jsonl",
+                 "--embeddings", workdir / "emb.txt") + out, 1, nested)
     records = load_corpus(workdir / "corpus.jsonl")
     if case == "train-blank-context":  # a context that segments to no sentence
         records[3].context = ["   "]
@@ -749,7 +780,8 @@ def _refused_input(tmp_path, workdir, lexicon_dir, case):
                                   "raw-tweets-lone-surrogate", "raw-tweets-repeated-id",
                                   "prepare-corpus-lone-surrogate",
                                   "train-corpus-lone-surrogate", "train-blank-context",
-                                  "predict-empty-context"])
+                                  "predict-empty-context", "config-nested",
+                                  "checkpoint-nested"])
 def test_refused_input_names_its_path_without_traceback_or_outdir(
         tmp_path, workdir, lexicon_dir, capsys, case):
     argv, want, path = _refused_input(tmp_path, workdir, lexicon_dir, case)
@@ -816,6 +848,70 @@ def test_any_raw_tweet_bytes_exit_cleanly_naming_file_and_line(tmp_path_factory,
         assert re.match(rf"data error: {re.escape(str(raw))}: line \d+: ", err), err
     if code:
         assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def eval_inputs(tmp_path_factory):
+    """An embedding file, an LSTM checkpoint and a corpus that eval scores."""
+    d = tmp_path_factory.mktemp("eval_inputs")
+    emb, ckpt = scoring_inputs(d, "reply_only")
+    save_corpus(make_separable_corpus(8, seed=7), d / "corpus.jsonl")
+    return emb, ckpt, d / "corpus.jsonl"
+
+
+def _eval_with_file(tmp_path_factory, flag, content, *argv):
+    """Runs eval in process with content as the file of flag, and checks
+    that it exits 0-3 with no traceback and, if it fails, names that file
+    and leaves no outdir."""
+    d = tmp_path_factory.mktemp("eval")
+    path, out = d / "input.json", d / "out"
+    path.write_bytes(content)
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        code = run("eval", *argv, flag, path, "--outdir", out)
+    err = err.getvalue()
+    assert code in (0, 1, 2, 3), err
+    assert "Traceback" not in err
+    if code:
+        assert str(path) in err, err
+        assert not out.exists()
+
+
+CONFIG_PIECES = [b"{", b"}", b"[", b"]", b",", b":", b'"seed"', b'"lr"', b'"nope"', b"3",
+                 b"-1", b"0", b"null", b'"x"', b"\xff", b'"\\ud800"', b"\n", b" "]
+
+
+@given(st.one_of(st.binary(max_size=48),
+                 st.lists(st.sampled_from(CONFIG_PIECES), max_size=12).map(b"".join)))
+@settings(max_examples=40, deadline=None)
+@example(b"[" * 100_000)  # deeper than json's recursion limit
+@example(b'{"seed": ' + b"[" * 100_000)
+@example(b'{"lr": 0}')  # a value validate refuses
+def test_any_config_bytes_to_eval_exit_cleanly_naming_the_file(
+        tmp_path_factory, eval_inputs, content):
+    emb, ckpt, corpus = eval_inputs
+    _eval_with_file(tmp_path_factory, "--config", content, "--checkpoint", ckpt,
+                    "--corpus", corpus, "--embeddings", emb)
+
+
+CHECKPOINT_PIECES = [b'{"kind": "lstm", "format_version": 3',
+                     b'{"kind": "svm", "format_version": 1', b', "max_context": null',
+                     b', "max_context": "5"', b', "variant": "concat"', b', "tensors": {}',
+                     b', "weights": "AAAA"', b', "features": ["a"]', b"}",
+                     b"{", b"[", b"]", b"null", b"\xff", b'"\\ud800"', b"\n", b" "]
+
+
+@given(st.one_of(st.binary(max_size=48),
+                 st.lists(st.sampled_from(CHECKPOINT_PIECES), max_size=8).map(b"".join)))
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(b"[" * 100_000)  # deeper than json's recursion limit
+@example(b'{"kind": "lstm", "tensors": ' + b"{" * 100_000)
+def test_any_checkpoint_bytes_to_eval_exit_cleanly_naming_the_file(
+        tmp_path_factory, eval_inputs, lexicon_dir, content):
+    emb, _, corpus = eval_inputs
+    _eval_with_file(tmp_path_factory, "--checkpoint", content, "--corpus", corpus,
+                    "--embeddings", emb, "--lexicons", lexicon_dir)
 
 
 @pytest.mark.parametrize("case", ["empty-dev-split", "one-class-svm-split"])

@@ -194,13 +194,15 @@ def ref_registry_names(vectors, min_ngram_count):
     for fv in vectors:
         for name in fv:
             counts[name] = counts.get(name, 0) + 1
-    reg = FeatureRegistry()
+    names, seen = [], set()
     for fv in vectors:
         for name in fv:
             if features._is_ngram(name) and counts[name] < min_ngram_count:
                 continue
-            reg.add(name)
-    return reg.names
+            if name not in seen:
+                seen.add(name)
+                names.append(name)
+    return names
 
 
 def ref_vectorize(fv, registry):
@@ -222,6 +224,13 @@ def ref_hinge_objective(weights, bias, rows, l2):
     for x, y, cw in rows:
         loss += cw * max(0.0, 1.0 - y * (ref_sparse_dot(weights, x) + bias))
     return penalty + loss / len(rows)
+
+
+def objective(weights, bias, rows, l2):
+    """features._objective of (x, y, cw) rows, each x as (ids, values)."""
+    groups = features._padded([x for x, _, _ in rows], len(weights))
+    return features._objective(weights, bias, groups, np.array([y for _, y, _ in rows]),
+                               np.array([cw for _, _, cw in rows]), l2)
 
 
 def ref_svm_train(train, config):
@@ -388,6 +397,12 @@ def test_segmentation_matches_reference(platform, context, reply, max_context):
 # -- tag questions and feature families -------------------------------------------
 
 TAG_WORDS = ["is", "it", "not", "x"]
+
+
+def tag_questions(lowered):
+    return features.indicator_features(lowered, lowered, "").get("ind:tag_question", 0.0)
+
+
 patterns = st.lists(st.lists(st.sampled_from(TAG_WORDS), max_size=4), max_size=6)
 
 
@@ -397,25 +412,26 @@ patterns = st.lists(st.lists(st.sampled_from(TAG_WORDS), max_size=4), max_size=6
          [["is", "it", "not"], ["is", "not", "it"], ["is", "it"], ["is"], []])
 @example(["is", "not", "is", "it", "not"], [["is", "not"], ["is", "not", "it"], ["not", "is"]])
 @example(["is", "it", "is", "it"], [["is"], ["is", "it", "is"]])
+@example(["is", "it"], [[]])  # no nonempty pattern: nothing matches
+@example(["ist", "i.t", "is"], [["i.t"], ["i.t", "is"]])  # tokens match literally
 def test_tag_question_index_matches_linear_scan(lowered, pats):
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(features, "TAG_QUESTION_INDEX", features._index_patterns(pats))
-        assert features._count_tag_questions(lowered) == ref_count_tag_questions(lowered, pats)
+        mp.setattr(features, "TAG_QUESTION_RE", features._tag_question_re(pats))
+        assert tag_questions(lowered) == ref_count_tag_questions(lowered, pats)
 
 
-BUNDLED = [p for pats in features.TAG_QUESTION_INDEX.values() for p in pats]
+BUNDLED = [p.split() for p in data.load_resource_list("tag_questions.txt")]
 
 
 @given(st.lists(st.sampled_from(sorted({t for p in BUNDLED for t in p}) + ["x"]),
                 max_size=16))
 @settings(max_examples=150, deadline=None)
 def test_bundled_tag_questions_match_linear_scan(lowered):
-    assert features._count_tag_questions(lowered) == ref_count_tag_questions(lowered, BUNDLED)
+    assert tag_questions(lowered) == ref_count_tag_questions(lowered, BUNDLED)
 
 
 def test_bundled_tag_questions_all_indexed():
-    lines = data.load_resource_list("tag_questions.txt")
-    assert sorted(BUNDLED) == sorted(p.split() for p in lines)
+    assert BUNDLED and all(tag_questions(p) == 1.0 for p in BUNDLED)
 
 
 @given(st.lists(st.sampled_from(["a", "b", "a_b", "_", "c"]), max_size=8))
@@ -541,7 +557,7 @@ def test_hinge_objective_matches_reference(rows, weights, bias, l2):
     w = np.array(weights)
     array_rows = [((np.array(list(x), dtype=np.intp), np.array(list(x.values()))), y, cw)
                   for x, y, cw in rows]
-    assert bits(features.hinge_objective(w, bias, array_rows, l2)) == \
+    assert bits(objective(w, bias, array_rows, l2)) == \
         bits(ref_hinge_objective(w, bias, rows, l2))
 
 

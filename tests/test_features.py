@@ -10,12 +10,12 @@ from convsarc import checkpoint
 from convsarc.data import ConversationInstance
 from convsarc.errors import ConfigError, ConvsarcError, ParseError
 from convsarc.features import (FeatureRegistry, LexiconSet, assemble,
-                               class_weight_map, hinge_objective,
-                               indicator_features, lexicon_features,
-                               load_lexicons, ngram_features,
+                               class_weight_map, indicator_features,
+                               lexicon_features, load_lexicons, ngram_features,
                                load_svm_checkpoint, save_svm_checkpoint,
                                svm_predict, svm_train)
 from convsarc.models import TrainSettings
+from test_differential import objective
 
 # -- n-grams -----------------------------------------------------------------
 
@@ -179,11 +179,9 @@ def test_assemble_no_zero_values(forum_instance, tiny_lexicons):
 
 
 def test_registry_assigns_stable_ids():
-    reg = FeatureRegistry()
-    a = reg.add("x")
-    b = reg.add("y")
-    assert reg.add("x") == a
-    assert reg.names.index("y") == b
+    reg = FeatureRegistry(["x", "y", "x"])
+    assert reg.vectorize({"x": 1.0})[0].tolist() == [0]  # the repeat keeps x's first id
+    assert reg.names.index("y") == 1
     assert len(reg) == 2
 
 
@@ -399,4 +397,4 @@ def test_class_weight_identity_exact(n_s, n_ns):
 def test_hinge_objective_of_zero_model():
     data = [((np.array([0]), np.array([1.0])), 1.0, 1.0),
             ((np.array([1]), np.array([1.0])), -1.0, 1.0)]
-    assert hinge_objective(np.zeros(2), 0.0, data, l2=0.0) == pytest.approx(1.0)
+    assert objective(np.zeros(2), 0.0, data, l2=0.0) == pytest.approx(1.0)
