@@ -9,11 +9,17 @@ outcome on a real conversation corpus is that the context-reading variants
 (concat, conditional, sent_attn) beat reply_only on S-class F1.
 """
 import argparse
+import os
 
-from convsarc.data import load_corpus, segment_instance, stratified_split
-from convsarc.embeddings import load_embeddings
-from convsarc.evaluate import format_table, prf1
-from convsarc.models import TrainSettings, score, train_model
+# one BLAS thread, set before numpy loads, as the CLI does: see README's
+# "Reproducibility"
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+from convsarc.data import load_corpus, segment_instance, stratified_split  # noqa: E402
+from convsarc.embeddings import load_embeddings  # noqa: E402
+from convsarc.evaluate import format_table, prf1  # noqa: E402
+from convsarc.models import TrainSettings, score, train_model  # noqa: E402
 
 DEFAULT_VARIANTS = ("reply_only", "concat", "conditional", "sent_attn")
 

@@ -10,14 +10,21 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from pathlib import Path
 from urllib.parse import quote
 
-from . import checkpoint, data, evaluate, features, models
-from .config import CHOICES, RunConfig
-from .embeddings import load_embeddings
-from .errors import ConfigError, DataError, DomainError, NumericError, ShapeError
+# Threads split a BLAS product's sums differently, so a checkpoint's bytes
+# could depend on how many there are. One thread, set before numpy first
+# loads its BLAS, gives every run the same bytes.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+from . import checkpoint, data, evaluate, features, models  # noqa: E402
+from .config import CHOICES, RunConfig  # noqa: E402
+from .embeddings import load_embeddings  # noqa: E402
+from .errors import ConfigError, DataError, DomainError, NumericError, ShapeError  # noqa: E402
 
 GRADCHECK_TOLERANCE = 1e-4
 MAX_NAME_BYTES = 255  # the longest file name common file systems take
@@ -32,15 +39,8 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="convsarc",
                      description="Context-aware sarcasm detection pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (
-            ("prepare", "filter raw tweets / validate a corpus and write splits"),
-            ("train", "train a model variant and write a checkpoint"),
-            ("eval", "score a checkpoint and write metric reports"),
-            ("predict", "write per-instance labels and probabilities"),
-            ("attention", "export attention heatmaps and the overlap rate"),
-            ("gradcheck", "check analytic gradients for every variant")):
-        p = sub.add_parser(name, help=doc)
-        _add_config_flags(p)
+    for name, command in COMMANDS.items():
+        _add_config_flags(sub.add_parser(name, help=command.__doc__))
     return parser
 
 
@@ -57,22 +57,36 @@ def _add_config_flags(p: argparse.ArgumentParser) -> None:
 
 def _config_from_args(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig.from_file(args.config) if args.config else RunConfig()
-    overrides = {k: v for k, v in vars(args).items()
-                 if k in RunConfig.field_names() and v is not None}
-    return cfg.updated(overrides)
+    types = RunConfig.field_types()
+    return cfg.updated({k: v for k, v in vars(args).items() if k in types and v is not None})
 
 
 def _require_outdir(cfg: RunConfig) -> None:
+    """Before any work: an outdir is given, and its nearest existing path is a directory."""
     if cfg.outdir is None:
         raise ConfigError("outdir: path required for this command")
+    path = Path(cfg.outdir).absolute()
+    existing = next(p for p in (path, *path.parents) if os.path.exists(p))
+    if not os.path.isdir(existing):
+        raise ConfigError(f"outdir: not a directory: {existing}")
 
 
 def _prepare_outdir(cfg: RunConfig) -> Path:
     _require_outdir(cfg)
     out = Path(cfg.outdir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:  # no permission, or a file put there since the check
+        raise ConfigError(f"outdir: cannot create {out}: {e.strerror}") from None
     (out / "config.json").write_text(cfg.echo(), encoding="utf-8")
     return out
+
+
+def _write_jsonl(path: Path, rows) -> None:
+    """Each row as a line of sorted-key JSON: the logs, predictions and reports."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for row in rows:
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
 def _split_file(cfg: RunConfig, part: str) -> Path:
@@ -92,26 +106,32 @@ def _split_file(cfg: RunConfig, part: str) -> Path:
 
 
 def cmd_prepare(cfg: RunConfig) -> None:
-    if cfg.raw_tweets is not None:
-        cfg.validate(need=("raw_tweets",))
-        if cfg.platform != "twitter":
-            raise ConfigError("platform: raw tweet input requires platform=twitter")
-        _require_outdir(cfg)
+    """filter raw tweets / validate a corpus and write splits"""
+    raw = cfg.raw_tweets is not None
+    cfg.validate(need=("raw_tweets",) if raw else ("corpus",))
+    if raw and cfg.platform != "twitter":
+        raise ConfigError("platform: raw tweet input requires platform=twitter")
+    _require_outdir(cfg)
+    if raw:
         instances = data.build_twitter_instances(list(data.read_jsonl(cfg.raw_tweets)),
                                                  cfg.raw_tweets)
     else:
-        cfg.validate(need=("corpus",))
-        _require_outdir(cfg)
         instances = data.load_corpus(cfg.corpus)
     train, dev, test = data.stratified_split(instances, cfg.seed)
     out = _prepare_outdir(cfg)
-    if cfg.raw_tweets is not None:
+    if raw:
         data.save_corpus(instances, out / "corpus.jsonl")
     data.save_corpus(train, out / "train.jsonl")
     data.save_corpus(dev, out / "dev.jsonl")
     data.save_corpus(test, out / "test.jsonl")
     print(f"prepared {len(instances)} instances -> "
           f"train {len(train)}, dev {len(dev)}, test {len(test)}")
+
+
+def _svm_scores(model, task: str, lex, max_context, instances) -> list[tuple[str, float]]:
+    """svm_predict's label and margin for each instance."""
+    return [features.svm_predict(model, features.assemble(inst, task, lex, max_context))
+            for inst in instances]
 
 
 def _train_svm(cfg: RunConfig, train_i, dev_i) -> None:
@@ -122,18 +142,16 @@ def _train_svm(cfg: RunConfig, train_i, dev_i) -> None:
     out = _prepare_outdir(cfg)
     features.save_svm_checkpoint(model, cfg.task, cfg.max_context,
                                  out / "checkpoint.json")
-    with open(out / "train_log.jsonl", "w", encoding="utf-8", newline="\n") as fh:
-        for epoch, obj in enumerate(model.objective_history, start=1):
-            fh.write(json.dumps({"epoch": epoch, "hinge_objective": obj},
-                                sort_keys=True) + "\n")
-    dev_pairs = [(features.assemble(i, cfg.task, lex, cfg.max_context), i.label)
-                 for i in dev_i]
-    dev_pred = [features.svm_predict(model, fv)[0] for fv, _ in dev_pairs]
-    metrics = evaluate.prf1([lab for _, lab in dev_pairs], dev_pred)
+    _write_jsonl(out / "train_log.jsonl",
+                 ({"epoch": epoch, "hinge_objective": obj}
+                  for epoch, obj in enumerate(model.objective_history, start=1)))
+    dev_pred = [label for label, _ in _svm_scores(model, cfg.task, lex, cfg.max_context, dev_i)]
+    metrics = evaluate.prf1([i.label for i in dev_i], dev_pred)
     print(evaluate.format_table([(f"svm_{cfg.task} (dev)", metrics)]))
 
 
 def cmd_train(cfg: RunConfig) -> None:
+    """train a model variant and write a checkpoint"""
     needed = ("corpus", "lexicons") if cfg.variant == "svm" else ("corpus", "embeddings")
     cfg.validate(need=needed)
     _require_outdir(cfg)
@@ -148,98 +166,91 @@ def cmd_train(cfg: RunConfig) -> None:
     result = models.train_model(train_i, dev_i, table, cfg)
     out = _prepare_outdir(cfg)
     models.save_checkpoint(result.params, out / "checkpoint.json")
-    with open(out / "train_log.jsonl", "w", encoding="utf-8", newline="\n") as fh:
-        for entry in result.log:
-            fh.write(json.dumps(entry, sort_keys=True) + "\n")
+    _write_jsonl(out / "train_log.jsonl", result.log)
     print(f"trained {cfg.variant} for {len(result.log)} epochs; "
           f"kept epoch {result.best_epoch}")
 
 
-def _scoring_setup(cfg: RunConfig, attention: bool = False) -> tuple[dict, list]:
-    """Validate everything a scoring command needs, then load the instances:
-    the test split of a prepared directory, or every instance of a single
-    file, of which there must be at least one. Returns the read checkpoint,
-    which the loaders take without rereading it, and the instances. Nothing
-    is written until validation is complete.
-    Scoring uses the context window the checkpoint stores, so an explicit
-    max_context that differs from it is a ConfigError."""
+def _scoring_setup(cfg: RunConfig, attention: bool = False) -> tuple:
+    """Validate everything a scoring command needs, then load the model
+    (ModelParams, or load_svm_checkpoint's triple) from one read of the
+    checkpoint, and the instances: the test split of a prepared directory,
+    or every instance of a single file, of which there must be at least one.
+    Nothing is written until validation is complete. Scoring uses the
+    model's context window, so an explicit max_context that differs from it
+    is a ConfigError."""
     cfg.validate(need=("checkpoint", "corpus"))
     doc = checkpoint.read(cfg.checkpoint)
-    with checkpoint.parsing(cfg.checkpoint):
-        stored = checkpoint.window(doc["max_context"])
+    if attention and doc["kind"] != "lstm":
+        raise ConfigError(f"checkpoint: {cfg.checkpoint}: attention needs an lstm checkpoint")
+    if doc["kind"] == "svm":
+        model = features.load_svm_checkpoint(cfg.checkpoint, doc)
+        stored, extra = model[2], "lexicons"  # the triple's window
+    else:
+        model = models.load_checkpoint(cfg.checkpoint, doc)
+        stored, extra = model.max_context, "embeddings"
     if cfg.max_context is not None and cfg.max_context != stored:
         raise ConfigError(f"max_context: {cfg.max_context} conflicts with "
                           f"{stored} stored in checkpoint {cfg.checkpoint}")
-    if attention and doc["kind"] != "lstm":
-        raise ConfigError(f"checkpoint: {cfg.checkpoint}: attention needs an lstm checkpoint")
-    if attention and doc.get("variant") not in models.ATTENTION_VARIANTS:
+    if attention and model.variant not in models.ATTENTION_VARIANTS:
         raise ConfigError(
-            f"checkpoint: {cfg.checkpoint}: variant {doc.get('variant')!r} has no attention weights")
-    extra = ("lexicons",) if doc["kind"] == "svm" else ("embeddings",)
-    cfg.validate(need=("checkpoint", "corpus") + extra)
+            f"checkpoint: {cfg.checkpoint}: variant {model.variant!r} has no attention weights")
+    cfg.validate(need=("checkpoint", "corpus", extra))
     _require_outdir(cfg)
     corpus = _split_file(cfg, "test")
     instances = data.load_corpus(corpus)
     if not instances:
         raise DataError(f"{corpus}: no instances to score")
-    return doc, instances
+    return model, instances
 
 
-def _lstm_scores(cfg: RunConfig, doc: dict, instances):
-    """The checkpoint's parameters, the instances segmented with its window,
-    and models.score's labels, probabilities and attention records."""
-    params = models.load_checkpoint(cfg.checkpoint, doc)
+def _lstm_scores(cfg: RunConfig, params: models.ModelParams, instances):
+    """The instances segmented with the model's window, and models.score's
+    labels, probabilities and attention records."""
     table = load_embeddings(cfg.embeddings, params.embed_dim)
     segs = [data.segment_instance(inst, params.max_context) for inst in instances]
-    return params, segs, models.score(params, segs, table)
+    return segs, models.score(params, segs, table)
 
 
-def _predictions(cfg: RunConfig, doc: dict, instances) -> tuple[list[dict], str]:
-    rows = []
-    if doc["kind"] == "svm":
-        model, task, max_context = features.load_svm_checkpoint(cfg.checkpoint, doc)
-        lex = features.load_lexicons(cfg.lexicons)
-        for inst in instances:
-            label, margin = features.svm_predict(
-                model, features.assemble(inst, task, lex, max_context))
-            rows.append({"id": inst.id, "gold": inst.label, "label": label,
-                         "margin": margin})
-        return rows, f"svm_{task}"
-    params, _, (labels, probs, _) = _lstm_scores(cfg, doc, instances)
-    for inst, label, p in zip(instances, labels, probs):
-        rows.append({"id": inst.id, "gold": inst.label, "label": label,
-                     "p_s": float(p[0]), "p_ns": float(p[1])})
-    return rows, params.variant
+def _predictions(cfg: RunConfig, model, instances) -> tuple[list[dict], str]:
+    if not isinstance(model, models.ModelParams):
+        svm, task, max_context = model
+        scores = _svm_scores(svm, task, features.load_lexicons(cfg.lexicons),
+                             max_context, instances)
+        return [{"id": inst.id, "gold": inst.label, "label": label, "margin": margin}
+                for inst, (label, margin) in zip(instances, scores)], f"svm_{task}"
+    _, (labels, probs, _) = _lstm_scores(cfg, model, instances)
+    return [{"id": inst.id, "gold": inst.label, "label": label,
+             "p_s": float(p[0]), "p_ns": float(p[1])}
+            for inst, label, p in zip(instances, labels, probs)], model.variant
 
 
 def cmd_eval(cfg: RunConfig) -> None:
-    doc, instances = _scoring_setup(cfg)
-    rows, name = _predictions(cfg, doc, instances)
+    """score a checkpoint and write metric reports"""
+    rows, name = _predictions(cfg, *_scoring_setup(cfg))
     out = _prepare_outdir(cfg)
     metrics = evaluate.prf1([r["gold"] for r in rows], [r["label"] for r in rows])
-    (out / "metrics.jsonl").write_text(
-        evaluate.metrics_report_line(name, metrics) + "\n", encoding="utf-8")
+    _write_jsonl(out / "metrics.jsonl", [evaluate.metrics_to_dict(name, metrics)])
     table_text = evaluate.format_table([(name, metrics)])
     (out / "metrics.txt").write_text(table_text + "\n", encoding="utf-8")
     print(table_text)
 
 
 def cmd_predict(cfg: RunConfig) -> None:
-    doc, instances = _scoring_setup(cfg)
-    rows, _ = _predictions(cfg, doc, instances)
+    """write per-instance labels and probabilities"""
+    rows, _ = _predictions(cfg, *_scoring_setup(cfg))
     out = _prepare_outdir(cfg)
-    with open(out / "predictions.jsonl", "w", encoding="utf-8", newline="\n") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
+    _write_jsonl(out / "predictions.jsonl", rows)
     print(f"wrote {len(rows)} predictions to {out / 'predictions.jsonl'}")
 
 
 def cmd_attention(cfg: RunConfig) -> None:
-    doc, instances = _scoring_setup(cfg, attention=True)
-    params, segs, (_, _, records) = _lstm_scores(cfg, doc, instances)
+    """export attention heatmaps and the overlap rate"""
+    params, instances = _scoring_setup(cfg, attention=True)
+    segs, (_, _, records) = _lstm_scores(cfg, params, instances)
     out = _prepare_outdir(cfg)
     sentence_level = params.variant in ("sent_attn", "hier_attn")
-    overlap_records = []
+    overlap_pairs = []
     for inst, seg, record in zip(instances, segs, records):
         if sentence_level:
             rows, triggers = seg.context_texts, seg.triggers
@@ -253,20 +264,22 @@ def cmd_attention(cfg: RunConfig) -> None:
         name = f"heatmap_{quote(inst.id, safe='')}.svg"
         if len(name) > MAX_NAME_BYTES:
             name = f"heatmap_={hashlib.sha256(inst.id.encode('utf-8')).hexdigest()}.svg"
-        evaluate.export_heatmap(rows, record, out / name, side="context",
+        evaluate.export_heatmap(rows, record.context_weights, out / name,
                                 human_triggers=triggers)
         if sentence_level and triggers:
-            overlap_records.append((record, triggers))
-    doc = {"instances": len(instances), "annotated": len(overlap_records)}
-    if overlap_records:
-        doc["overlap_rate"] = evaluate.attention_overlap(overlap_records)
-    (out / "overlap.json").write_text(json.dumps(doc, sort_keys=True) + "\n",
-                                      encoding="utf-8")
-    print(json.dumps(doc, sort_keys=True))
+            overlap_pairs.append((record.context_weights, triggers))
+    report = {"instances": len(instances), "annotated": len(overlap_pairs)}
+    if overlap_pairs:
+        report["overlap_rate"] = evaluate.attention_overlap(overlap_pairs)
+    _write_jsonl(out / "overlap.json", [report])
+    print(json.dumps(report, sort_keys=True))
 
 
 def cmd_gradcheck(cfg: RunConfig) -> None:
+    """check analytic gradients for every variant"""
     cfg.validate()
+    if cfg.outdir is not None:
+        _require_outdir(cfg)
     report = {}
     failed = []
     for variant in models.VARIANTS:
@@ -281,9 +294,7 @@ def cmd_gradcheck(cfg: RunConfig) -> None:
         if status == "FAIL":
             failed.append(variant)
     if cfg.outdir is not None:
-        out = _prepare_outdir(cfg)
-        (out / "gradcheck.json").write_text(
-            json.dumps(report, sort_keys=True) + "\n", encoding="utf-8")
+        _write_jsonl(_prepare_outdir(cfg) / "gradcheck.json", [report])
     if failed:
         raise NumericError(f"gradient check failed for: {', '.join(failed)}")
 

@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, asdict, fields
+from dataclasses import dataclass, asdict
 from typing import get_args, get_type_hints
 
 from .data import PLATFORMS, read_text, refuse_lone_surrogates
@@ -45,10 +45,6 @@ class RunConfig(TrainSettings):
             else _PLATFORM_EMBED_DIM[self.platform]
 
     # ---- IO ----
-
-    @classmethod
-    def field_names(cls) -> tuple[str, ...]:
-        return tuple(f.name for f in fields(cls))
 
     @classmethod
     def field_types(cls) -> dict[str, tuple[type, bool]]:

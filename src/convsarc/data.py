@@ -20,7 +20,7 @@ from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ParseError, ValidationError
+from .errors import ConfigError, DomainError, ParseError, ValidationError
 
 RESOURCE_DIR = Path(__file__).parent / "resources"
 
@@ -281,6 +281,8 @@ def _context_texts(inst: ConversationInstance) -> list[str]:
 
 def context_cutoff(platform: str, max_context: int | None = None) -> int:
     if max_context is not None:
+        if max_context < 0:  # texts[-cutoff:] would drop the oldest sentences
+            raise DomainError(f"max_context: {max_context} must be nonnegative")
         return max_context
     return FORUM_CONTEXT_CUTOFF if platform == "forum" else TWITTER_CONTEXT_CUTOFF
 

@@ -1,22 +1,20 @@
 """Per-class precision/recall/F1, attention-vs-human overlap, and
 deterministic SVG heatmap export.
 
-Metrics are reported in percent. The structured report is line-delimited
-JSON (one object per model/task); the human-readable table mirrors the
+Metrics are reported in percent. metrics_to_dict gives the structured
+report's object (one per model/task); the human-readable table mirrors the
 P/R/F1-per-class layout used throughout the experiments.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from html import escape
 from typing import Sequence
 
 import numpy as np
 
+from .data import LABELS
 from .errors import DomainError
-
-LABELS = ("S", "NS")
 
 
 @dataclass
@@ -88,34 +86,32 @@ def prf1(gold: Sequence[str], predicted: Sequence[str]) -> ClassMetrics:
         total=len(gold))
 
 
-def attention_overlap(records: Sequence[tuple]) -> float:
-    """Fraction of instances whose argmax context attention weight falls on
-    a human-selected trigger sentence. Ties go to the lowest index."""
-    if not records:
-        raise DomainError("attention_overlap of an empty record list")
+def attention_overlap(pairs: Sequence[tuple]) -> float:
+    """Fraction of (context attention weights, human triggers) pairs whose
+    argmax weight falls on a trigger sentence. Ties go to the lowest index."""
+    if not pairs:
+        raise DomainError("attention_overlap of an empty list")
     hits = 0
-    for record, triggers in records:
-        weights = np.asarray(record.context_weights, dtype=np.float64)
+    for weights, triggers in pairs:
+        weights = np.asarray(weights, dtype=np.float64)
         if weights.size == 0:
-            raise DomainError("attention record has no context weights")
+            raise DomainError("an instance has no context weights")
         if not triggers:
             raise DomainError("instance has no human trigger annotation")
         if int(np.argmax(weights)) in set(triggers):
             hits += 1
-    return hits / len(records)
+    return hits / len(pairs)
 
 
 _SVG_ROW_H = 34
 _SVG_BAR_W = 560
 
 
-def export_heatmap(sentences: Sequence[str], record, path,
-                   side: str = "context",
+def export_heatmap(sentences: Sequence[str], weights, path,
                    human_triggers: Sequence[int] | None = None) -> None:
     """Write a standalone SVG heatmap: one row per sentence, bar opacity
-    linear in the attention weight, the weight printed to 3 decimals, and
+    linear in its attention weight, the weight printed to 3 decimals, and
     human-trigger rows outlined. Identical inputs give identical bytes."""
-    weights = record.context_weights if side == "context" else record.reply_weights
     weights = np.asarray(weights, dtype=np.float64)
     if weights.shape[0] != len(sentences):
         raise DomainError(
@@ -154,10 +150,6 @@ def metrics_to_dict(name: str, metrics: ClassMetrics) -> dict:
         if sc.undefined:
             doc["classes"][lab]["undefined"] = list(sc.undefined)
     return doc
-
-
-def metrics_report_line(name: str, metrics: ClassMetrics) -> str:
-    return json.dumps(metrics_to_dict(name, metrics), sort_keys=True)
 
 
 def format_table(rows: Sequence[tuple[str, ClassMetrics]]) -> str:

@@ -149,7 +149,7 @@ def test_c5_planted_cue_attention(syn_table):
             continue
         seg = segment_instance(inst)
         _, _, record = predict(result.params, seg, table)
-        records.append((record, inst.human_triggers))
+        records.append((record.context_weights, inst.human_triggers))
         if int(np.argmax(record.context_weights)) in set(inst.human_triggers):
             hits += 1
     fraction = hits / len(records)

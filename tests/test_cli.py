@@ -14,11 +14,12 @@ import hypothesis.strategies as st
 
 import convsarc
 
-from convsarc import checkpoint, evaluate, models
+from convsarc import checkpoint, cli, models
 from convsarc.cli import COMMANDS, _build_parser, _config_from_args, main
 from convsarc.config import RunConfig
 from convsarc.data import context_cutoff, load_corpus, save_corpus, segment_instance
 from convsarc.embeddings import load_embeddings
+from convsarc.errors import ConfigError
 from convsarc.nn import new_rng
 from convsarc.synthetic import (make_planted_cue_corpus, make_separable_corpus,
                                 synthetic_vocabulary, write_embedding_file)
@@ -226,7 +227,7 @@ WRONG_TYPES = ([(k, v, "string") for k in STRING_KEYS for v in (7, True, [])]
 
 
 def test_wrong_type_table_covers_every_config_key():
-    assert {k for k, _, _ in WRONG_TYPES} == set(RunConfig.field_names())
+    assert {k for k, _, _ in WRONG_TYPES} == set(RunConfig.field_types())
 
 
 @pytest.mark.parametrize("key, value, word", WRONG_TYPES)
@@ -378,6 +379,53 @@ def test_gradcheck_command_passes_all_variants(capsys):
     assert "FAIL" not in out
 
 
+@pytest.mark.parametrize("command", ["train", "gradcheck"])
+@pytest.mark.parametrize("below", [False, True])
+def test_outdir_naming_a_file_is_refused_before_any_work(workdir, capsys, monkeypatch,
+                                                         command, below):
+    afile = workdir / "afile"
+    afile.write_text("not a directory\n", encoding="utf-8")
+
+    def never(*args, **kwargs):
+        raise AssertionError("work started before the outdir was checked")
+
+    monkeypatch.setattr(models, "train_model", never)
+    monkeypatch.setattr(models, "gradient_check_variant", never)
+    inputs = (("--corpus", workdir / "corpus.jsonl", "--embeddings", workdir / "emb.txt",
+               "--embed-dim", EMBED_DIM) if command == "train" else ())
+    assert run(command, *inputs, "--outdir", afile / "sub" if below else afile) == 1
+    err = capsys.readouterr().err
+    assert f"config error: outdir: not a directory: {afile}\n" == err
+    assert afile.read_text(encoding="utf-8") == "not a directory\n"
+
+
+def test_outdir_that_cannot_be_made_is_a_config_error(tmp_path, monkeypatch):
+    # a file made at the outdir's path after the check
+    afile = tmp_path / "afile"
+    afile.write_text("", encoding="utf-8")
+    monkeypatch.setattr(cli, "_require_outdir", lambda cfg: None)
+    with pytest.raises(ConfigError, match=f"outdir: cannot create {re.escape(str(afile))}"):
+        cli._prepare_outdir(RunConfig(outdir=str(afile)))
+
+
+def test_checkpoint_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # at D=100 and a batch of 32, OpenBLAS sums a product's terms in another
+    # order on 2 threads than on 1; the CLI runs one, whatever the caller set
+    save_corpus(make_planted_cue_corpus(200, seed=11), tmp_path / "cue.jsonl")
+    write_embedding_file(tmp_path / "emb.txt", synthetic_vocabulary(), dim=100, seed=3)
+    src = str(Path(convsarc.__file__).resolve().parents[1])
+    for threads in ("1", "2"):
+        argv = ["train", "--corpus", tmp_path / "cue.jsonl", "--embeddings", tmp_path / "emb.txt",
+                "--embed-dim", 100, "--variant", "concat", "--batch-size", 32,
+                "--epochs", 1, "--patience", 1, "--outdir", tmp_path / threads]
+        subprocess.run([sys.executable, "-m", "convsarc.cli", *map(str, argv)],
+                       env=dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads,
+                                OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads),
+                       capture_output=True, check=True)
+    assert ((tmp_path / "1" / "checkpoint.json").read_bytes()
+            == (tmp_path / "2" / "checkpoint.json").read_bytes())
+
+
 def test_cli_import_leaves_out_xml_and_network_modules():
     # xml.sax.saxutils pulls in urllib.request, http.client and ssl, tens of
     # milliseconds at the start of every command
@@ -427,13 +475,14 @@ def test_cli_scoring_in_passes_matches_per_instance_predict(tmp_path, monkeypatc
     if variant not in models.ATTENTION_VARIANTS:
         return
     exported = []
-    export = evaluate.export_heatmap
+    score = models.score
 
-    def spy(rows, record, path, **kw):
-        exported.append(record)
-        export(rows, record, path, **kw)
+    def spy(*args):
+        result = score(*args)
+        exported.extend(result[2])
+        return result
 
-    monkeypatch.setattr(evaluate, "export_heatmap", spy)
+    monkeypatch.setattr(models, "score", spy)
     assert run("attention", *common, "--outdir", tmp_path / "att") == 0
     assert len(exported) == len(want)
     for got, (_, _, record) in zip(exported, want):

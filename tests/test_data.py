@@ -11,7 +11,7 @@ from convsarc.data import (ConversationInstance, build_twitter_instances,
                            load_corpus, save_corpus, segment_instance,
                            split_sentences, stratified_split, tokenize,
                            twitter_filter)
-from convsarc.errors import ConfigError, ParseError, ValidationError
+from convsarc.errors import ConfigError, DomainError, ParseError, ValidationError
 
 # -- tokenize ---------------------------------------------------------------
 
@@ -375,6 +375,15 @@ def test_effective_triggers_shift_with_truncation():
     # 7 tweets truncate to the last 5: index 6 -> 4, index 1 drops out
     assert segment_instance(inst).triggers == [4]
     assert segment_instance(inst, max_context=7).triggers == [1, 6]
+
+
+def test_negative_context_window_is_refused():
+    # texts[-(-1):] would keep all but the oldest sentence
+    inst = ConversationInstance(id="x", platform="forum", context=["One. Two. Three."],
+                                reply="a reply", label="S")
+    assert segment_instance(inst, 0).context_texts == []
+    with pytest.raises(DomainError, match="max_context: -1 must be nonnegative"):
+        segment_instance(inst, -1)
 
 
 # -- stratified splitting ------------------------------------------------------

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,8 +7,7 @@ import hypothesis.strategies as st
 
 from convsarc.errors import DomainError
 from convsarc.evaluate import (attention_overlap, export_heatmap, f1_score,
-                               format_table, metrics_report_line, prf1)
-from convsarc.models import AttentionRecord
+                               format_table, metrics_to_dict, prf1)
 
 
 # ----------------------------------------------------------------- f1 / prf1
@@ -94,36 +95,31 @@ def test_f1_symmetric_and_bounded_by_max(p, r):
 
 # --------------------------------------------------------- attention overlap
 
-def rec(weights):
-    return AttentionRecord(context_weights=np.asarray(weights, dtype=float),
-                           reply_weights=np.asarray([1.0]))
-
-
 def test_overlap_match_and_miss():
-    assert attention_overlap([(rec([0.1, 0.2, 0.7]), [2])]) == 1.0
-    assert attention_overlap([(rec([0.9, 0.05, 0.05]), [1, 3])]) == 0.0
+    assert attention_overlap([(np.array([0.1, 0.2, 0.7]), [2])]) == 1.0
+    assert attention_overlap([(np.array([0.9, 0.05, 0.05]), [1, 3])]) == 0.0
 
 
 def test_overlap_constructed_41_percent():
     records = []
     for i in range(100):
         if i < 41:
-            records.append((rec([0.2, 0.8]), [1]))
+            records.append((np.array([0.2, 0.8]), [1]))
         else:
-            records.append((rec([0.8, 0.2]), [1]))
+            records.append((np.array([0.8, 0.2]), [1]))
     assert attention_overlap(records) == pytest.approx(0.41)
 
 
 def test_overlap_tie_goes_to_lowest_index():
-    assert attention_overlap([(rec([0.5, 0.5]), [0])]) == 1.0
-    assert attention_overlap([(rec([0.5, 0.5]), [1])]) == 0.0
+    assert attention_overlap([(np.array([0.5, 0.5]), [0])]) == 1.0
+    assert attention_overlap([(np.array([0.5, 0.5]), [1])]) == 0.0
 
 
 def test_overlap_empty_inputs_rejected():
     with pytest.raises(DomainError):
         attention_overlap([])
     with pytest.raises(DomainError):
-        attention_overlap([(rec([0.5, 0.5]), [])])
+        attention_overlap([(np.array([0.5, 0.5]), [])])
 
 
 # scaling by a power of two is exact in float64, so it keeps every pair of
@@ -139,9 +135,8 @@ def test_overlap_invariant_under_monotone_transform(items, k):
     records = []
     for weights, trig in items:
         w = np.asarray(weights) / np.sum(weights)
-        records.append((rec(w), [trig % len(w)]))
-    transformed = [(rec(np.asarray(r.context_weights) * 2.0 ** k), t)
-                   for r, t in records]
+        records.append((w, [trig % len(w)]))
+    transformed = [(w * 2.0 ** k, t) for w, t in records]
     assert attention_overlap(records) == attention_overlap(transformed)
 
 
@@ -149,9 +144,7 @@ def test_overlap_invariant_under_monotone_transform(items, k):
 
 def test_heatmap_three_rows_structure(tmp_path):
     path = tmp_path / "map.svg"
-    record = AttentionRecord(context_weights=np.array([0.2, 0.5, 0.3]),
-                             reply_weights=np.array([1.0]))
-    export_heatmap(["First one.", "Second & best.", "Third."], record, path,
+    export_heatmap(["First one.", "Second & best.", "Third."], np.array([0.2, 0.5, 0.3]), path,
                    human_triggers=[1])
     svg = path.read_text(encoding="utf-8")
     assert svg.count("<rect") == 3
@@ -163,19 +156,16 @@ def test_heatmap_three_rows_structure(tmp_path):
 
 
 def test_heatmap_byte_identical(tmp_path):
-    record = AttentionRecord(context_weights=np.array([0.25, 0.75]),
-                             reply_weights=np.array([1.0]))
-    export_heatmap(["a", "b"], record, tmp_path / "one.svg")
-    export_heatmap(["a", "b"], record, tmp_path / "two.svg")
+    weights = np.array([0.25, 0.75])
+    export_heatmap(["a", "b"], weights, tmp_path / "one.svg")
+    export_heatmap(["a", "b"], weights, tmp_path / "two.svg")
     assert (tmp_path / "one.svg").read_bytes() == (tmp_path / "two.svg").read_bytes()
 
 
 def test_heatmap_bytes_for_markup_characters(tmp_path):
     # & < > are escaped, quotes are not; these bytes predate the escaping
     # function now used
-    record = AttentionRecord(context_weights=np.array([0.25, 0.75]),
-                             reply_weights=np.array([1.0]))
-    export_heatmap(['Tom & Jerry <3 "quoted"', "it's > 2 & < 5 'ok'"], record,
+    export_heatmap(['Tom & Jerry <3 "quoted"', "it's > 2 & < 5 'ok'"], np.array([0.25, 0.75]),
                    tmp_path / "m.svg", human_triggers=[0])
     assert (tmp_path / "m.svg").read_bytes() == (
         b'<?xml version="1.0" encoding="UTF-8"?>\n'
@@ -193,33 +183,28 @@ def test_heatmap_bytes_for_markup_characters(tmp_path):
 
 
 def test_heatmap_single_full_intensity_row(tmp_path):
-    record = AttentionRecord(context_weights=np.array([1.0]),
-                             reply_weights=np.array([1.0]))
-    export_heatmap(["only sentence"], record, tmp_path / "m.svg")
+    export_heatmap(["only sentence"], np.array([1.0]), tmp_path / "m.svg")
     svg = (tmp_path / "m.svg").read_text(encoding="utf-8")
     assert svg.count("<rect") == 1
     assert 'fill-opacity="1.000000"' in svg
 
 
 def test_heatmap_reply_side(tmp_path):
-    record = AttentionRecord(context_weights=np.array([1.0]),
-                             reply_weights=np.array([0.4, 0.6]))
-    export_heatmap(["r1", "r2"], record, tmp_path / "r.svg", side="reply")
+    # any weight vector draws, such as a reply's: one row per weight
+    export_heatmap(["r1", "r2"], np.array([0.4, 0.6]), tmp_path / "r.svg")
     assert (tmp_path / "r.svg").read_text(encoding="utf-8").count("<rect") == 2
 
 
 def test_heatmap_count_mismatch(tmp_path):
-    record = AttentionRecord(context_weights=np.array([0.5, 0.5]),
-                             reply_weights=np.array([1.0]))
     with pytest.raises(DomainError):
-        export_heatmap(["only one"], record, tmp_path / "x.svg")
+        export_heatmap(["only one"], np.array([0.5, 0.5]), tmp_path / "x.svg")
 
 
 # ------------------------------------------------------------------ reports
 
 def test_report_line_and_table():
     m = prf1(["S", "NS"], ["S", "S"])
-    line = metrics_report_line("toy", m)
+    line = json.dumps(metrics_to_dict("toy", m), sort_keys=True)
     assert '"name": "toy"' in line
     table = format_table([("toy", m)])
     assert "Experiment" in table and "toy" in table

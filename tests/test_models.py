@@ -11,7 +11,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 import convsarc
-from convsarc import checkpoint, nn
+from convsarc import checkpoint, models, nn
 from convsarc.data import SegmentedInstance
 from convsarc.embeddings import EmbeddingTable, lookup, sentence_avg
 from convsarc.errors import ConfigError, DomainError, NumericError
@@ -444,6 +444,17 @@ def test_hier_attn_all_weight_vectors_normalized():
 def test_gradient_check_spot(variant):
     errs = gradient_check_variant(variant, embed_dim=6, hidden_dim=4, seed=1)
     assert max(errs.values()) < 1e-4
+
+
+@pytest.mark.parametrize("variant", ["conditional", "hier_attn"])
+def test_gradient_check_oracle_equals_its_labelled_forward(monkeypatch, variant):
+    # the finite-difference loss runs the forward pass alone; with labels
+    # the same pass also runs backward, and the error dicts are equal
+    forward_only = gradient_check_variant(variant, embed_dim=6, hidden_dim=4, seed=1)
+    forward = models._forward
+    monkeypatch.setattr(models, "_forward", lambda params, segs, table, labels=None:
+                        forward(params, segs, table, labels=[0]))
+    assert gradient_check_variant(variant, embed_dim=6, hidden_dim=4, seed=1) == forward_only
 
 
 def test_gradient_check_rectangular_attention_dims():
