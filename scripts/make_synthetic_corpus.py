@@ -7,16 +7,10 @@ either the 'separable' corpus (label carried by one reply token) or the
 index stored as the human trigger annotation).
 """
 import argparse
-import os
 from pathlib import Path
 
-# one BLAS thread, set before numpy loads, as the CLI does: see README's
-# "Reproducibility"
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
-from convsarc.data import save_corpus  # noqa: E402
-from convsarc.synthetic import (make_planted_cue_corpus, make_separable_corpus,  # noqa: E402
+from convsarc.data import save_corpus
+from convsarc.synthetic import (make_planted_cue_corpus, make_separable_corpus,
                                 synthetic_vocabulary, write_embedding_file)
 
 

@@ -2,8 +2,8 @@
 
 Commands: prepare, train, eval, predict, attention, gradcheck. Every flag
 overrides the matching key of the JSON config file; the effective config is
-echoed into the output directory. Exit codes: 0 success, 1 usage/config
-error, 2 data error, 3 numeric failure.
+echoed into the output directory. run maps errors to exit codes: 0 success,
+1 usage/config error, 2 data error, 3 numeric failure.
 """
 from __future__ import annotations
 
@@ -101,6 +101,16 @@ def _split_file(cfg: RunConfig, part: str) -> Path:
     return f
 
 
+def corpus_splits(cfg: RunConfig, *parts: str) -> list:
+    """The instances of each named split: DIR/<part>.jsonl of a prepared
+    corpus directory, or a single file split 80/10/10 with the configured seed."""
+    if Path(cfg.corpus).is_dir():
+        return [data.load_corpus(_split_file(cfg, part)) for part in parts]
+    split = dict(zip(("train", "dev", "test"),
+                     data.stratified_split(data.load_corpus(cfg.corpus), cfg.seed)))
+    return [split[part] for part in parts]
+
+
 # --------------------------------------------------------------------------
 # commands
 
@@ -155,10 +165,7 @@ def cmd_train(cfg: RunConfig) -> None:
     needed = ("corpus", "lexicons") if cfg.variant == "svm" else ("corpus", "embeddings")
     cfg.validate(need=needed)
     _require_outdir(cfg)
-    if Path(cfg.corpus).is_dir():
-        train_i, dev_i = (data.load_corpus(_split_file(cfg, part)) for part in ("train", "dev"))
-    else:  # a single file is split 80/10/10 with the configured seed
-        train_i, dev_i, _ = data.stratified_split(data.load_corpus(cfg.corpus), cfg.seed)
+    train_i, dev_i = corpus_splits(cfg, "train", "dev")
     if cfg.variant == "svm":
         _train_svm(cfg, train_i, dev_i)
         return
@@ -309,14 +316,14 @@ COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
+def run(work) -> int:
+    """Call work() and return its exit code, each error reported in one line."""
     try:
-        args = _build_parser().parse_args(argv)
-        cfg = _config_from_args(args)
-        COMMANDS[args.command](cfg)
+        work()
         return 0
-    except ConfigError as e:
-        print(f"config error: {e}", file=sys.stderr)
+    except (ConfigError, MemoryError, OSError) as e:  # a dim too large; an unwritable output
+        message = f"{e.filename}: {e.strerror}" if getattr(e, "filename", None) else e
+        print(f"config error: {message}", file=sys.stderr)
         return 1
     except (DataError, DomainError) as e:
         print(f"data error: {e}", file=sys.stderr)
@@ -324,6 +331,13 @@ def main(argv=None) -> int:
     except (ShapeError, NumericError) as e:
         print(f"numeric error: {e}", file=sys.stderr)
         return 3
+
+
+def main(argv=None) -> int:
+    def work():
+        args = _build_parser().parse_args(argv)
+        COMMANDS[args.command](_config_from_args(args))
+    return run(work)
 
 
 if __name__ == "__main__":

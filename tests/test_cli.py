@@ -408,6 +408,37 @@ def test_outdir_that_cannot_be_made_is_a_config_error(tmp_path, monkeypatch):
         cli._prepare_outdir(RunConfig(outdir=str(afile)))
 
 
+@pytest.mark.parametrize("command, blocked", [("prepare", "train.jsonl"),
+                                              ("train", "checkpoint.json"),
+                                              ("eval", "config.json"), ("eval", "metrics.txt")])
+def test_an_output_that_cannot_be_written_is_a_config_error_naming_it(workdir, capsys,
+                                                                       command, blocked):
+    inputs = {"prepare": (),
+              "train": ("--embeddings", workdir / "emb.txt", "--embed-dim", EMBED_DIM,
+                        "--variant", "reply_only", "--epochs", 1),
+              "eval": ("--checkpoint", scoring_inputs(workdir, "reply_only")[1],
+                       "--embeddings", workdir / "emb.txt", "--embed-dim", EMBED_DIM)}[command]
+    (workdir / "out" / blocked).mkdir(parents=True)  # a directory where the file goes
+    code = run(command, "--corpus", workdir / "corpus.jsonl", *inputs,
+               "--outdir", workdir / "out")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith(f"config error: {workdir / 'out' / blocked}: ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("flag, dim", [("--hidden-dim", 2 ** 51), ("--att-dim", 2 ** 53)])
+def test_a_model_too_large_to_allocate_is_a_config_error(workdir, capsys, flag, dim):
+    # the first tensor of that dim needs over 2**59 bytes at D=12, more than
+    # any address space holds, so the allocation fails before a page is touched
+    code = run("train", "--corpus", workdir / "corpus.jsonl", "--embeddings", workdir / "emb.txt",
+               "--embed-dim", EMBED_DIM, flag, dim, "--outdir", workdir / "never")
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("config error: Unable to allocate") and "Traceback" not in err
+    assert not (workdir / "never").exists()
+
+
 def test_checkpoint_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     # at D=100 and a batch of 32, OpenBLAS sums a product's terms in another
     # order on 2 threads than on 1; the CLI runs one, whatever the caller set
