@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Train the reply-only baseline and the context-reading variants on one
-corpus and compare per-class P/R/F1 on the test split. It takes every
-`convsarc train` flag, --config and --variants, with the CLI's exit codes.
+corpus and compare per-class P/R/F1 on the test split. It takes
+`convsarc train`'s flags and --config, with the CLI's exit codes, and
+--variants; a train option it would ignore (--variant, --outdir,
+--checkpoint, --lexicons, --raw-tweets, --task) is a config error.
 
 This is the manual full-scale procedure, so it is not part of the
 automated acceptance suite. README's "Full-scale reproduction" gives the
@@ -10,12 +12,18 @@ outcome on a real conversation corpus is that the context-reading variants
 (concat, conditional, sent_attn) beat reply_only on S-class F1.
 """
 import dataclasses
+import json
 
 from convsarc import cli  # first: it pins BLAS to one thread before numpy loads
-from convsarc.data import segment_instance
+from convsarc.data import read_text, segment_instance
 from convsarc.embeddings import load_embeddings
+from convsarc.errors import ConfigError
 from convsarc.evaluate import format_table, prf1
 from convsarc.models import VARIANTS, score, train_model
+
+# `convsarc train` options that would change nothing here: the script writes
+# no files, reads no checkpoint and trains no SVM
+UNUSED = ("outdir", "checkpoint", "lexicons", "raw_tweets", "task")
 
 
 def main():
@@ -26,7 +34,14 @@ def main():
     args = ap.parse_args()
     if args.variant is not None:
         ap.error("argument --variant: this script trains each of --variants; give those instead")
+    for key in UNUSED:
+        if getattr(args, key) is not None:
+            ap.error(f"argument --{key.replace('_', '-')}: this script does not use it; "
+                     "it trains LSTM variants and prints their scores")
     cfg = cli._config_from_args(args)
+    if args.config and "variant" in json.loads(read_text(args.config)):
+        raise ConfigError(f"config file {args.config}: key 'variant': this script trains "
+                          "each of --variants; give those instead")
     cfg.validate(need=("corpus", "embeddings"))
     train, dev, test = cli.corpus_splits(cfg, "train", "dev", "test")
     table = load_embeddings(cfg.embeddings, cfg.resolved_embed_dim)

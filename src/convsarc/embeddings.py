@@ -4,10 +4,19 @@ Vectors are never updated by training. An out-of-vocabulary token gets a
 uniform(-0.05, 0.05) vector derived from a hash of the token mixed with the
 table seed, so the same token maps to the same vector in every run and in
 every lookup order. Stored arrays are marked read-only.
+
+A text file that is a regular file keeps a binary cache beside it,
+<file>.convsarc-cache.npz, keyed by the sha1 of the file's bytes. A load
+whose file hashes to a cache's key reads the cache instead of the text and
+gets the same bits.
 """
 from __future__ import annotations
 
 import hashlib
+import io
+import os
+import sys
+import threading
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -18,6 +27,15 @@ from .errors import ConfigError, DomainError, ParseError
 
 OOV_SCALE = 0.05
 BLOCK_CHARS = 1 << 18  # about 256 KB of lines per bulk parse
+CACHE_SUFFIX = ".convsarc-cache.npz"
+CACHE_VERSION = 1
+# The key has only to notice a changed file, not to resist a forger, who
+# could write the cache itself. On a shared 2-CPU Xeon, sha1 cost less than
+# sha256 and its speed drifted less with other load (ROADMAP item 7).
+# CACHE_HASH also names the archive's key field.
+CACHE_HASH = "sha1"
+HASH_CHUNK = 1 << 20   # bytes read per hash update
+WRITE_ROWS = 4096      # matrix rows copied per cache write
 
 
 @dataclass
@@ -30,24 +48,160 @@ class EmbeddingTable:
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     """arr made read-only and handed out as a view: the owner of the data
-    could be made writeable again, a view of a read-only base cannot."""
-    arr.setflags(write=False)
+    could be made writeable again, a view of a read-only base cannot. arr
+    may itself be a view, as np.load's reshaped arrays are, so every array
+    down to the owner is made read-only."""
+    base = arr
+    while isinstance(base, np.ndarray):
+        base.setflags(write=False)
+        base = base.base
     return arr.view()
 
 
 def load_embeddings(path, expected_dim: int) -> EmbeddingTable:
+    """The vectors of a word2vec text file (see _parse_text), from the
+    file's cache when one holds them for the file's bytes.
+
+    A missing cache is parsed silently; a stale, corrupt or unreadable one,
+    or one that cannot be written, costs a line on stderr and a parse. A
+    path that is not a regular file, such as a pipe, is parsed and never
+    cached.
+    """
+    if not os.path.isfile(path):
+        return _parse_text(path, expected_dim)
+    cache = os.fspath(path) + CACHE_SUFFIX
+    table = _cached_table(path, cache)
+    if table is not None:
+        _check_dim(path, table.dim, expected_dim)
+        return table
+    hasher = hashlib.new(CACHE_HASH, usedforsecurity=False)
+    table = _parse_text(path, expected_dim, hasher)
+    _write_cache(cache, hasher.hexdigest(), table)
+    return table
+
+
+def _warn(cache: str, problem: str) -> None:
+    print(f"warning: embedding cache {cache}: {problem}", file=sys.stderr)
+
+
+class _Unusable(Exception):
+    """Why a cache that could be read cannot stand in for its text."""
+
+
+def _cached_table(path, cache: str) -> EmbeddingTable | None:
+    """The table cache holds for the bytes now at path, or None."""
+    try:
+        with np.load(cache, allow_pickle=False) as npz:
+            if npz["version"].tolist() != CACHE_VERSION:
+                raise _Unusable(f"its format version is not {CACHE_VERSION}")
+            if str(npz[CACHE_HASH]) != _file_digest(path):
+                raise _Unusable(f"stale, {path} has changed since it was written")
+            dim = int(npz["dim"])
+            blob = npz["tokens"].tobytes().decode("utf-8")
+            matrix = npz["matrix"]
+        tokens = blob.split("\n") if blob else []
+        if (matrix.dtype != np.float64 or matrix.shape != (len(tokens), dim)
+                or not np.isfinite(matrix).all()):
+            raise _Unusable("its matrix does not hold one finite float64 row per token")
+        vocab = dict(zip(tokens, _freeze(matrix)))
+        if len(vocab) != len(tokens) or "" in vocab:
+            raise _Unusable("its tokens repeat or are empty")
+    except FileNotFoundError:
+        return None
+    except ConfigError:  # the text file cannot be read: the parse says so too
+        raise
+    except _Unusable as e:
+        _warn(cache, f"{e}; parsing the text")
+        return None
+    except Exception as e:  # noqa: BLE001 - a cache that will not load is only a miss
+        _warn(cache, f"unreadable ({type(e).__name__}: {e}); parsing the text")
+        return None
+    return EmbeddingTable(dim=dim, vocab=vocab)
+
+
+def _file_digest(path) -> str:
+    """The CACHE_HASH digest of the file's bytes, read a chunk at a time."""
+    hasher = hashlib.new(CACHE_HASH, usedforsecurity=False)
+    with open_input(path) as fh:
+        while chunk := fh.read(HASH_CHUNK):
+            hasher.update(chunk)
+    return hasher.hexdigest()
+
+
+def _write_cache(cache: str, digest: str, table: EmbeddingTable) -> None:
+    """Write the table's cache under a temporary name in the cache's
+    directory, then rename it over the cache, so that no reader sees half a
+    file. The matrix is copied WRITE_ROWS rows at a time, never whole."""
+    import zipfile  # only a cache write needs it; np.load imports it on a read
+
+    tmp = f"{cache}.{os.getpid()}.{threading.get_ident()}.tmp"
+    tokens = "\n".join(table.vocab).encode("utf-8")
+    small = {"version": np.array(CACHE_VERSION), "dim": np.array(table.dim),
+             CACHE_HASH: np.array(digest), "tokens": np.frombuffer(tokens, np.uint8)}
+    header = {"descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)),
+              "fortran_order": False, "shape": (len(table.vocab), table.dim)}
+    try:
+        with open(tmp, "wb") as fh, zipfile.ZipFile(fh, "w") as npz:
+            for name, arr in small.items():
+                with npz.open(f"{name}.npy", "w") as member:
+                    np.lib.format.write_array(member, arr, allow_pickle=False)
+            with npz.open("matrix.npy", "w", force_zip64=True) as member:
+                np.lib.format.write_array_header_1_0(member, header)
+                rows = list(table.vocab.values())
+                for start in range(0, len(rows), WRITE_ROWS):
+                    member.write(np.stack(rows[start:start + WRITE_ROWS]))
+        os.replace(tmp, cache)
+    except OSError as e:
+        _warn(cache, f"cannot write it ({e.strerror or e}); the text was parsed")
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+
+
+def _check_dim(path, dim: int, expected_dim: int) -> None:
+    if dim != expected_dim:
+        raise ConfigError(
+            f"{path}: embedding dim {dim} does not match expected {expected_dim}")
+
+
+class _Hashed(io.RawIOBase):
+    """A binary file that feeds each byte read from it to a hasher."""
+
+    def __init__(self, raw, hasher):
+        self.raw, self.hasher = raw, hasher
+
+    def readable(self) -> bool:
+        return True
+
+    def readinto(self, buf) -> int:
+        n = self.raw.readinto(buf)
+        self.hasher.update(buf[:n])
+        return n
+
+    def close(self) -> None:
+        self.raw.close()
+        super().close()
+
+
+def _parse_text(path, expected_dim: int, hasher=None) -> EmbeddingTable:
     """Parse word2vec text format: header "V D", then V lines "token v1 .. vD".
 
     Lines are read in blocks of about BLOCK_CHARS characters, and numpy's C
     parser reads each block's values in one call. A block it does not take
     whole, or that repeats a token, is parsed again line by line, so every
     vector equals float() of its text and every error, a repeated token
-    included, names the path and line.
+    included, names the path and line. A hasher is updated with exactly the
+    bytes parsed.
     """
     vocab: dict[str, np.ndarray] = {}
     # surrogateescape keeps each byte that is not UTF-8 as a lone surrogate,
     # so the line holding it can be named; newlines are universal as before
-    with open_input(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+    raw = open_input(path, buffering=0)
+    if hasher is not None:
+        raw = _Hashed(raw, hasher)
+    with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8",
+                          errors="surrogateescape") as fh:
         header = fh.readline()
         _check_utf8(path, 1, header)
         parts = header.split()
@@ -57,9 +211,7 @@ def load_embeddings(path, expected_dim: int) -> EmbeddingTable:
             count, dim = int(parts[0]), int(parts[1])
         except ValueError:
             raise ParseError(f"{path}: line 1: non-integer header fields") from None
-        if dim != expected_dim:
-            raise ConfigError(
-                f"{path}: embedding dim {dim} does not match expected {expected_dim}")
+        _check_dim(path, dim, expected_dim)
         lineno = 2
         while lines := fh.readlines(BLOCK_CHARS):
             block = _parse_block(lines, dim)

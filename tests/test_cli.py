@@ -2,6 +2,7 @@ import io
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -14,7 +15,7 @@ import hypothesis.strategies as st
 
 import convsarc
 
-from convsarc import checkpoint, cli, models
+from convsarc import checkpoint, cli, embeddings, models
 from convsarc.cli import COMMANDS, _build_parser, _config_from_args, main
 from convsarc.config import RunConfig
 from convsarc.data import context_cutoff, load_corpus, save_corpus, segment_instance
@@ -466,6 +467,47 @@ def test_cli_import_leaves_out_xml_and_network_modules():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=dict(os.environ, PYTHONPATH=src), check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_scoring_after_train_reads_the_embedding_cache_not_the_text(tmp_path, monkeypatch,
+                                                                   capsys):
+    emb = tmp_path / "emb.txt"
+    write_embedding_file(emb, synthetic_vocabulary(), dim=EMBED_DIM, seed=3)
+    corpus = tmp_path / "cue.jsonl"
+    save_corpus(make_planted_cue_corpus(20, seed=11), corpus)
+    parses = []
+    parse = embeddings._parse_text
+
+    def spy(path, *args):
+        parses.append(path)
+        return parse(path, *args)
+    monkeypatch.setattr(embeddings, "_parse_text", spy)
+    common = ("--corpus", corpus, "--embeddings", emb, "--platform", "twitter",
+              "--embed-dim", EMBED_DIM)
+    assert run("train", *common, "--variant", "sent_attn", "--hidden-dim", 6, "--epochs", 2,
+               "--patience", 2, "--seed", 3, "--outdir", tmp_path / "run") == 0
+    assert parses == [str(emb)]
+
+    def score_all() -> dict:
+        """Each scoring command's stdout and output files, by command."""
+        got = {}
+        for command in ("eval", "predict", "attention"):
+            out = tmp_path / command
+            shutil.rmtree(out, ignore_errors=True)
+            capsys.readouterr()
+            assert run(command, "--checkpoint", tmp_path / "run" / "checkpoint.json",
+                       *common, "--outdir", out) == 0
+            got[command] = (capsys.readouterr(),
+                            {f.name: f.read_bytes() for f in sorted(out.iterdir())})
+        return got
+
+    hits = score_all()
+    assert parses == [str(emb)]
+    Path(f"{emb}{embeddings.CACHE_SUFFIX}").unlink()
+    parsed = score_all()
+    assert parses == [str(emb)] * 2  # eval parsed the text and cached it again
+    assert hits == parsed
+    assert all(err == "" for (_, err), _ in hits.values())
 
 
 def scoring_inputs(tmp_path, variant):

@@ -1,5 +1,13 @@
+import errno
+import os
 import re
+import subprocess
+import sys
+import threading
+import tracemalloc
 import warnings
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,9 +21,29 @@ from convsarc.errors import ConfigError, ConvsarcError, DomainError, ParseError
 
 
 def write(tmp_path, content):
+    """vecs.txt holding content, with no cache, so that a load parses it."""
     p = tmp_path / "vecs.txt"
     p.write_text(content, encoding="utf-8")
+    cache_of(p).unlink(missing_ok=True)
     return p
+
+
+def cache_of(path) -> Path:
+    return Path(f"{path}{embeddings.CACHE_SUFFIX}")
+
+
+def outcome(loaded):
+    """Keys in order and each vector's bytes of a table, or an error's type
+    and message."""
+    if isinstance(loaded, ConvsarcError):
+        return type(loaded), str(loaded)
+    return loaded.dim, list(loaded.vocab), [v.tobytes() for v in loaded.vocab.values()]
+
+
+def reload_matches(path, dim, first):
+    """A second load of path, a cache hit when the first load succeeded,
+    gives the first load's outcome (first: its table or its error)."""
+    assert load_outcome(load_embeddings, path, dim) == outcome(first)
 
 
 def test_load_small_file(tmp_path):
@@ -104,7 +132,9 @@ def test_vectors_are_frozen(tmp_path, monkeypatch):
     # several blocks, one of them parsed line by line (the 1_0)
     monkeypatch.setattr(embeddings, "BLOCK_CHARS", 12)
     body = "".join(f"t{i} {i} 2\n" for i in range(9)) + "u 1_0 3\n"
-    table = load_embeddings(write(tmp_path, "10 2\n" + body), 2)
+    path = write(tmp_path, "10 2\n" + body)
+    table = load_embeddings(path, 2)
+    reload_matches(path, 2, table)
     assert len(table.vocab) == 10
     for vec in table.vocab.values():
         with pytest.raises(ValueError):
@@ -121,7 +151,9 @@ def test_stored_vectors_cannot_be_made_writeable(tmp_path, monkeypatch):
     # "u" is in a block that falls back to the per-line parse (the 1_0)
     monkeypatch.setattr(embeddings, "BLOCK_CHARS", 12)
     body = "".join(f"t{i} {i} 2\n" for i in range(6)) + "u 1_0 3\n"
-    table = load_embeddings(write(tmp_path, "7 2\n" + body), 2)
+    path = write(tmp_path, "7 2\n" + body)
+    table = load_embeddings(path, 2)
+    reload_matches(path, 2, table)
     for token in ("t0", "u", "not-in-vocab"):
         vec = lookup(table, token)
         with pytest.raises(ValueError):
@@ -189,9 +221,10 @@ def test_error_on_first_line_of_second_block_names_its_line(tmp_path, monkeypatc
     # a block ends once it holds more than 13 characters: two 7-character lines
     sizes = block_sizes(monkeypatch, 13)
     path = write(tmp_path, "4 2\na0 1 2\na1 3 4\na2 5 x\na3 7 8\n")
-    with pytest.raises(ParseError, match=r"vecs\.txt: line 4: non-numeric value$"):
+    with pytest.raises(ParseError, match=r"vecs\.txt: line 4: non-numeric value$") as err:
         load_embeddings(path, 2)
     assert sizes == [2, 2]
+    reload_matches(path, 2, err.value)
 
 
 def test_blank_lines_at_block_edges_are_skipped(tmp_path, monkeypatch):
@@ -200,6 +233,8 @@ def test_blank_lines_at_block_edges_are_skipped(tmp_path, monkeypatch):
     table = load_embeddings(path, 2)
     # blocks [a0, " "], [blank, a1, "\t"], [a2]: blank lines end and start blocks
     assert sizes == [2, 3, 1]
+    reload_matches(path, 2, table)
+    assert sizes == [2, 3, 1]  # the second load was a cache hit
     assert list(table.vocab) == ["a0", "a1", "a2"]
     assert np.array_equal(table.vocab["a2"], [5.0, 6.0])
 
@@ -244,17 +279,21 @@ def test_repeated_token_names_its_line(tmp_path, header):
 ], ids=["after a value only float reads", "before a malformed line", "on a malformed line"])
 def test_repeated_token_in_a_line_by_line_block(tmp_path, monkeypatch, lines, message):
     sizes = block_sizes(monkeypatch, 1 << 18)
-    with pytest.raises(ParseError, match=message):
-        load_embeddings(write(tmp_path, "3 2\n" + "\n".join(lines) + "\n"), 2)
+    path = write(tmp_path, "3 2\n" + "\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match=message) as err:
+        load_embeddings(path, 2)
     assert sizes == [3]
+    reload_matches(path, 2, err.value)
 
 
 def test_repeated_token_across_blocks(tmp_path, monkeypatch):
     # a block ends once it holds more than 11 characters: two 6-character lines
     sizes = block_sizes(monkeypatch, 11)
-    with pytest.raises(ParseError, match=REPEAT_AT_4):
-        load_embeddings(write(tmp_path, "3 2\na 1 2\nb 3 4\na 5 6\n"), 2)
+    path = write(tmp_path, "3 2\na 1 2\nb 3 4\na 5 6\n")
+    with pytest.raises(ParseError, match=REPEAT_AT_4) as err:
+        load_embeddings(path, 2)
     assert sizes == [2, 1]
+    reload_matches(path, 2, err.value)
 
 
 def test_non_utf8_bytes_name_their_line(tmp_path):
@@ -272,9 +311,11 @@ def test_bulk_parse_is_bit_identical_to_float(tmp_path, monkeypatch):
     texts = [repr(float(v)) for v in values] + ["-0", "0.1", "1e-320", "2.5e+3", "+7", ".5", "5."]
     monkeypatch.setattr(embeddings, "BLOCK_CHARS", 256)
     body = "".join(f"w{i} {' '.join(texts[i:i + 7])}\n" for i in range(0, len(texts), 7))
-    table = load_embeddings(write(tmp_path, f"{len(texts) // 7} 7\n{body}"), 7)
+    path = write(tmp_path, f"{len(texts) // 7} 7\n{body}")
+    table = load_embeddings(path, 7)
     got = np.concatenate(list(table.vocab.values()))
     assert got.tobytes() == np.array([float(t) for t in texts]).tobytes()
+    reload_matches(path, 7, table)
 
 
 def per_line_load_embeddings(path, expected_dim):
@@ -384,14 +425,13 @@ def embedding_files(draw):
 
 
 def load_outcome(load, path, dim):
-    """Keys in order and each vector's bytes, or the error's type and message."""
+    """outcome() of load(path, dim), with any Python warning an error."""
     try:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            table = load(path, dim)
+            return outcome(load(path, dim))
     except ConvsarcError as e:
-        return type(e), str(e)
-    return table.dim, list(table.vocab), [v.tobytes() for v in table.vocab.values()]
+        return outcome(e)
 
 
 @given(embedding_files(), st.sampled_from([1, 24, 80, 1 << 18]))
@@ -400,7 +440,239 @@ def test_block_parse_matches_per_line_parse(tmp_path_factory, case, block_chars)
     body, dim = case
     path = tmp_path_factory.getbasetemp() / "differential_vecs.txt"
     path.write_bytes(body)
+    # an earlier example may have cached this same body; the parse must run
+    cache_of(path).unlink(missing_ok=True)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(embeddings, "BLOCK_CHARS", block_chars)
         got = load_outcome(load_embeddings, path, dim)
     assert got == load_outcome(per_line_load_embeddings, path, dim)
+    assert load_outcome(load_embeddings, path, dim) == got
+
+
+# --------------------------------------------------------------------------
+# the binary cache beside a regular file: <file>.convsarc-cache.npz, keyed by
+# the sha1 of the bytes parsed
+
+
+@pytest.fixture
+def parses(monkeypatch):
+    """The paths the text parser reads, in order."""
+    calls = []
+    parse = embeddings._parse_text
+
+    def spy(path, *args):
+        calls.append(path)
+        return parse(path, *args)
+    monkeypatch.setattr(embeddings, "_parse_text", spy)
+    return calls
+
+
+def random_vectors_file(tmp_path, count=40, dim=5):
+    """A file of count random vectors written with repr(), so every bit counts."""
+    rng = np.random.default_rng(4)
+    values = rng.standard_normal((count, dim)) * 10.0 ** rng.integers(-8, 8, (count, dim))
+    body = "".join(f"w{count - i}é {' '.join(map(repr, row.tolist()))}\n"
+                   for i, row in enumerate(values))
+    return write(tmp_path, f"{count} {dim}\n{body}"), values
+
+
+def test_a_cache_hit_gives_the_parsed_bits_in_file_order_read_only(tmp_path, parses, capsys):
+    path, values = random_vectors_file(tmp_path)
+    parsed = load_embeddings(path, 5)
+    assert cache_of(path).is_file()
+    hit = load_embeddings(path, 5)
+    assert parses == [path]
+    assert outcome(hit) == outcome(parsed)
+    assert list(hit.vocab) == [f"w{40 - i}é" for i in range(40)]
+    assert np.stack(list(hit.vocab.values())).tobytes() == values.tobytes()
+    for token in ("w1é", "w40é"):
+        vec = lookup(hit, token)
+        with pytest.raises(ValueError):
+            vec.setflags(write=True)
+        with pytest.raises(ValueError):
+            vec[0] = 9.0
+    assert capsys.readouterr().err == ""
+    assert sorted(tmp_path.iterdir()) == [path, cache_of(path)]  # no temporary file left
+
+
+def test_a_file_edited_in_place_to_the_same_size_is_parsed_again(tmp_path, parses, capsys):
+    path = write(tmp_path, "2 2\na 1 2\nb 3 4\n")
+    load_embeddings(path, 2)
+    before = path.stat()
+    path.write_text("2 2\na 1 2\nb 3 5\n", encoding="utf-8")
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    assert path.stat().st_size == before.st_size
+    assert load_embeddings(path, 2).vocab["b"].tolist() == [3.0, 5.0]
+    assert parses == [path, path]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and "stale" in err[0] and str(cache_of(path)) in err[0]
+    assert load_embeddings(path, 2).vocab["b"].tolist() == [3.0, 5.0]  # recached
+    assert parses == [path, path]
+
+
+def _rewrite_cache(cache, **changes):
+    with np.load(cache, allow_pickle=False) as npz:
+        fields = {name: npz[name] for name in npz.files}
+    fields.update(changes)
+    np.savez(cache, **fields)
+
+
+BAD_CACHES = {
+    "truncated": lambda c: c.write_bytes(c.read_bytes()[:len(c.read_bytes()) // 2]),
+    "not a zip": lambda c: c.write_bytes(b"not a cache"),
+    "foreign version": lambda c: _rewrite_cache(c, version=np.array(99)),
+    "wrong digest": lambda c: _rewrite_cache(c, sha1=np.array("0" * 40)),
+    "wrong shape": lambda c: _rewrite_cache(c, matrix=np.zeros((2, 3))),
+    "float32": lambda c: _rewrite_cache(c, matrix=np.zeros((2, 2), np.float32)),
+    "nan": lambda c: _rewrite_cache(c, matrix=np.array([[1.0, 2.0], [np.nan, 4.0]])),
+    "duplicate token": lambda c: _rewrite_cache(c, tokens=np.frombuffer(b"a\na", np.uint8)),
+    "empty token": lambda c: _rewrite_cache(c, tokens=np.frombuffer(b"a\n", np.uint8)),
+    "pickled tokens": lambda c: _rewrite_cache(c, tokens=np.array(["a", "b"], dtype=object)),
+}
+
+
+@pytest.mark.parametrize("damage", BAD_CACHES.values(), ids=BAD_CACHES.keys())
+def test_a_bad_cache_costs_one_stderr_line_and_a_parse(tmp_path, parses, capsys, damage):
+    path = write(tmp_path, "2 2\na 1 2\nb 3 4\n")
+    want = outcome(load_embeddings(path, 2))
+    damage(cache_of(path))
+    assert outcome(load_embeddings(path, 2)) == want
+    assert parses == [path, path]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"warning: embedding cache {cache_of(path)}: ")
+    assert "Traceback" not in err[0]
+    assert outcome(load_embeddings(path, 2)) == want  # the parse wrote a good cache
+    assert parses == [path, path] and capsys.readouterr().err == ""
+
+
+def test_a_file_that_changes_during_the_load_is_cached_under_the_bytes_parsed(
+        tmp_path, monkeypatch, capsys):
+    path = write(tmp_path, "2 2\na 1 2\nb 3 4\n")
+    parse = embeddings._parse_text
+
+    def parse_then_edit(*args):
+        table = parse(*args)
+        path.write_text("2 2\na 1 2\nb 3 5\n", encoding="utf-8")
+        return table
+    monkeypatch.setattr(embeddings, "_parse_text", parse_then_edit)
+    assert load_embeddings(path, 2).vocab["b"].tolist() == [3.0, 4.0]
+    monkeypatch.setattr(embeddings, "_parse_text", parse)
+    # the cache holds the first bytes' vectors, so the edited file misses it
+    assert load_embeddings(path, 2).vocab["b"].tolist() == [3.0, 5.0]
+    assert "stale" in capsys.readouterr().err
+
+
+def test_a_write_that_fails_partway_leaves_the_old_cache_whole(tmp_path, monkeypatch, capsys):
+    path = write(tmp_path, "2 2\na 1 2\nb 3 4\n")
+    load_embeddings(path, 2)
+    old = cache_of(path).read_bytes()
+    path.write_text("2 2\na 1 2\nb 3 5\n", encoding="utf-8")
+
+    def disk_full(*args, **kwargs):  # the matrix rows are written after the small arrays
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+    monkeypatch.setattr(np, "stack", disk_full)
+    assert load_embeddings(path, 2).vocab["b"].tolist() == [3.0, 5.0]
+    assert cache_of(path).read_bytes() == old
+    assert sorted(tmp_path.iterdir()) == [path, cache_of(path)]
+    stale, unwritten = capsys.readouterr().err.splitlines()
+    assert "stale" in stale and os.strerror(errno.ENOSPC) in unwritten
+
+
+def test_a_cache_write_holds_no_second_copy_of_the_matrix(tmp_path):
+    matrix = np.ones((20_000, 50))  # 8 MB
+    table = EmbeddingTable(dim=50, vocab={f"t{i}": row for i, row in enumerate(matrix)})
+    tracemalloc.start()
+    try:
+        embeddings._write_cache(str(tmp_path / "c.npz"), "0" * 64, table)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < matrix.nbytes / 2
+    with np.load(tmp_path / "c.npz") as npz:
+        assert npz["matrix"].tobytes() == matrix.tobytes()
+
+
+@contextmanager
+def read_only(directory, monkeypatch):
+    """directory made read-only. root writes through mode bits, so opening a
+    file there for writing is also refused, as it is for other users."""
+    real_open = open
+
+    def guarded(file, mode="r", *args, **kwargs):
+        if (isinstance(file, (str, os.PathLike)) and Path(file).parent == directory
+                and set(mode) & set("wxa+")):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(file))
+        return real_open(file, mode, *args, **kwargs)
+    directory.chmod(0o555)
+    try:
+        with monkeypatch.context() as mp:
+            mp.setattr("builtins.open", guarded)
+            yield
+    finally:
+        directory.chmod(0o755)
+
+
+def test_a_directory_that_cannot_be_written_still_loads(tmp_path, parses, capsys, monkeypatch):
+    path = write(tmp_path, "2 2\na 1 2\nb 3 4\n")
+    with read_only(tmp_path, monkeypatch):
+        for n in (1, 2):
+            assert load_embeddings(path, 2).vocab["b"].tolist() == [3.0, 4.0]
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and "cannot write" in err[0] and str(cache_of(path)) in err[0]
+            assert list(tmp_path.iterdir()) == [path]
+    assert parses == [path, path]
+
+
+def test_a_pipe_is_parsed_and_never_cached(tmp_path, parses, capsys):
+    fifo = tmp_path / "vecs.fifo"
+    os.mkfifo(fifo)
+
+    def feed():
+        with open(fifo, "wb") as fh:
+            fh.write(b"2 2\na 1 2\nb 3 4\n")
+    for _ in range(2):
+        writer = threading.Thread(target=feed, daemon=True)
+        writer.start()
+        assert load_embeddings(fifo, 2).vocab["b"].tolist() == [3.0, 4.0]
+        writer.join(timeout=10)
+    assert parses == [fifo, fifo]
+    assert list(tmp_path.iterdir()) == [fifo]
+    assert capsys.readouterr().err == ""
+
+
+def test_a_dim_mismatch_on_a_hit_is_the_text_paths_config_error(tmp_path, parses, capsys):
+    path = write(tmp_path, "1 3\na 1 2 3\n")
+    load_embeddings(path, 3)
+    with pytest.raises(ConfigError) as hit:
+        load_embeddings(path, 100)
+    assert parses == [path]
+    cache_of(path).unlink()
+    with pytest.raises(ConfigError) as parsed:
+        load_embeddings(path, 100)
+    assert parses == [path, path]
+    assert str(hit.value) == str(parsed.value)
+    assert str(hit.value) == f"{path}: embedding dim 3 does not match expected 100"
+    assert capsys.readouterr().err == ""
+
+
+def test_a_malformed_file_fails_alike_on_every_load_and_leaves_no_cache(tmp_path, parses):
+    path = write(tmp_path, "2 2\na 1 2\nb 3\n")
+    errors = []
+    for _ in range(3):
+        with pytest.raises(ParseError) as err:
+            load_embeddings(path, 2)
+        errors.append(str(err.value))
+    assert errors == [f"{path}: line 3: expected token + 2 values, got 2 fields"] * 3
+    assert parses == [path] * 3
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_importing_the_loader_loads_no_module_beyond_numpy_hashlib_and_data():
+    # a cache write imports zipfile when it runs, not at import
+    src = str(Path(embeddings.__file__).resolve().parents[1])
+    code = ("import sys, hashlib, numpy, convsarc.data; before = set(sys.modules); "
+            "import convsarc.embeddings; "
+            "print(sorted(set(sys.modules) - before - {'convsarc.embeddings'}))")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src), check=True).stdout
+    assert out.strip() == "[]"

@@ -52,3 +52,21 @@ def test_comparison_on_a_prepared_directory_matches_the_split_source_file(syn, t
     assert from_dir.returncode == 0, from_dir.stderr
     assert "sent_attn: trained 1 epochs" in from_dir.stdout
     assert from_dir.stdout == from_file.stdout
+
+
+@pytest.mark.parametrize("flags, option", [
+    (("--outdir", "out"), "--outdir"), (("--checkpoint", "ck.json"), "--checkpoint"),
+    (("--lexicons", "lex"), "--lexicons"), (("--raw-tweets", "raw.jsonl"), "--raw-tweets"),
+    (("--task", "reply_only"), "--task"), ("config", "'variant'")],
+    ids=["outdir", "checkpoint", "lexicons", "raw-tweets", "task", "config-variant"])
+def test_comparison_refuses_an_option_it_would_ignore(syn, tmp_path, flags, option):
+    if flags == "config":
+        (tmp_path / "cfg.json").write_text('{"variant": "concat"}', encoding="utf-8")
+        flags = ("--config", tmp_path / "cfg.json")
+    done = compare("--corpus", syn / "corpus.jsonl", "--embeddings", syn / "emb.txt",
+                   "--embed-dim", 8, "--epochs", 1, *flags)
+    assert done.returncode == 1, done.stderr
+    assert done.stderr.startswith("config error: ") and "Traceback" not in done.stderr
+    assert option in done.stderr
+    assert "trained" not in done.stdout
+    assert not (tmp_path / "out").exists()
