@@ -13,6 +13,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from .data import open_output
 from .errors import ConfigError
 
 VERSIONS = {"lstm": 3, "svm": 1}  # lstm 2 stacked the LSTM gates; 3 stores max_context
@@ -46,8 +47,8 @@ def read(path, kind: str | None = None, doc: dict | None = None) -> dict:
 
 def write(kind: str, fields: dict, path) -> None:
     doc = {"format_version": VERSIONS[kind], "kind": kind, **fields}
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, sort_keys=True)
+    with open_output(path) as fh:
+        json.dump(doc, fh, sort_keys=True)  # streamed: the text is never held whole
         fh.write("\n")
 
 

@@ -78,15 +78,9 @@ def _prepare_outdir(cfg: RunConfig) -> Path:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as e:  # no permission, or a file put there since the check
         raise ConfigError(f"outdir: cannot create {out}: {e.strerror}") from None
-    (out / "config.json").write_text(cfg.echo(), encoding="utf-8")
+    with data.open_output(out / "config.json") as fh:
+        fh.write(cfg.echo())
     return out
-
-
-def _write_jsonl(path: Path, rows) -> None:
-    """Each row as a line of sorted-key JSON: the logs, predictions and reports."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for row in rows:
-            fh.write(json.dumps(row, sort_keys=True) + "\n")
 
 
 def _split_file(cfg: RunConfig, part: str) -> Path:
@@ -152,9 +146,9 @@ def _train_svm(cfg: RunConfig, train_i, dev_i) -> None:
     out = _prepare_outdir(cfg)
     features.save_svm_checkpoint(model, cfg.task, cfg.max_context,
                                  out / "checkpoint.json")
-    _write_jsonl(out / "train_log.jsonl",
-                 ({"epoch": epoch, "hinge_objective": obj}
-                  for epoch, obj in enumerate(model.objective_history, start=1)))
+    data.write_jsonl(out / "train_log.jsonl",
+                     ({"epoch": epoch, "hinge_objective": obj}
+                      for epoch, obj in enumerate(model.objective_history, start=1)))
     dev_pred = [label for label, _ in _svm_scores(model, cfg.task, lex, cfg.max_context, dev_i)]
     metrics = evaluate.prf1([i.label for i in dev_i], dev_pred)
     print(evaluate.format_table([(f"svm_{cfg.task} (dev)", metrics)]))
@@ -173,7 +167,7 @@ def cmd_train(cfg: RunConfig) -> None:
     result = models.train_model(train_i, dev_i, table, cfg)
     out = _prepare_outdir(cfg)
     models.save_checkpoint(result.params, out / "checkpoint.json")
-    _write_jsonl(out / "train_log.jsonl", result.log)
+    data.write_jsonl(out / "train_log.jsonl", result.log)
     print(f"trained {cfg.variant} for {len(result.log)} epochs; "
           f"kept epoch {result.best_epoch}")
 
@@ -237,9 +231,10 @@ def cmd_eval(cfg: RunConfig) -> None:
     rows, name = _predictions(cfg, *_scoring_setup(cfg))
     out = _prepare_outdir(cfg)
     metrics = evaluate.prf1([r["gold"] for r in rows], [r["label"] for r in rows])
-    _write_jsonl(out / "metrics.jsonl", [evaluate.metrics_to_dict(name, metrics)])
+    data.write_jsonl(out / "metrics.jsonl", [evaluate.metrics_to_dict(name, metrics)])
     table_text = evaluate.format_table([(name, metrics)])
-    (out / "metrics.txt").write_text(table_text + "\n", encoding="utf-8")
+    with data.open_output(out / "metrics.txt") as fh:
+        fh.write(table_text + "\n")
     print(table_text)
 
 
@@ -247,7 +242,7 @@ def cmd_predict(cfg: RunConfig) -> None:
     """write per-instance labels and probabilities"""
     rows, _ = _predictions(cfg, *_scoring_setup(cfg))
     out = _prepare_outdir(cfg)
-    _write_jsonl(out / "predictions.jsonl", rows)
+    data.write_jsonl(out / "predictions.jsonl", rows)
     print(f"wrote {len(rows)} predictions to {out / 'predictions.jsonl'}")
 
 
@@ -278,7 +273,7 @@ def cmd_attention(cfg: RunConfig) -> None:
     report = {"instances": len(instances), "annotated": len(overlap_pairs)}
     if overlap_pairs:
         report["overlap_rate"] = evaluate.attention_overlap(overlap_pairs)
-    _write_jsonl(out / "overlap.json", [report])
+    data.write_jsonl(out / "overlap.json", [report])
     print(json.dumps(report, sort_keys=True))
 
 
@@ -301,7 +296,7 @@ def cmd_gradcheck(cfg: RunConfig) -> None:
         if status == "FAIL":
             failed.append(variant)
     if cfg.outdir is not None:
-        _write_jsonl(_prepare_outdir(cfg) / "gradcheck.json", [report])
+        data.write_jsonl(_prepare_outdir(cfg) / "gradcheck.json", [report])
     if failed:
         raise NumericError(f"gradient check failed for: {', '.join(failed)}")
 

@@ -13,7 +13,10 @@ segmented context sentences flagged as provoking the reply).
 from __future__ import annotations
 
 import json
+import os
 import re
+import threading
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -49,6 +52,26 @@ def open_input(path, mode: str = "rb", **kwargs):
         return open(path, mode, **kwargs)
     except OSError as e:
         raise ConfigError(f"{path}: cannot read: {e.strerror or e}") from None
+
+
+@contextmanager
+def open_output(path, mode: str = "w"):
+    """A file to write path's new contents to: UTF-8 text with "\\n" newlines,
+    or bytes with mode "wb". It is a temporary file in path's directory,
+    renamed over path when the block completes. On any exception it is
+    removed and path is left as it was; an OSError names path."""
+    tmp = os.path.join(os.path.dirname(path), f".{os.getpid()}.{threading.get_ident()}.tmp")
+    text = {} if "b" in mode else {"encoding": "utf-8", "newline": "\n"}
+    try:
+        with open(tmp, mode, **text) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException as e:
+        with suppress(OSError):
+            os.unlink(tmp)
+        if isinstance(e, OSError) and e.strerror and e.filename in (None, tmp):
+            e.filename, e.filename2 = os.fspath(path), None
+        raise
 
 
 def read_text(path) -> str:
@@ -395,14 +418,17 @@ def _parse_record(obj: dict, path, lineno: int) -> ConversationInstance:
                                 list(triggers) if triggers is not None else None)
 
 
+def write_jsonl(path, rows, ensure_ascii: bool = True) -> None:
+    """Each row as a line of sorted-key JSON, written by open_output."""
+    with open_output(path) as fh:
+        for row in rows:
+            fh.write(json.dumps(row, sort_keys=True, ensure_ascii=ensure_ascii) + "\n")
+
+
 def save_corpus(instances: Sequence[ConversationInstance], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for inst in instances:
-            rec = {"id": inst.id, "platform": inst.platform, "context": inst.context,
-                   "reply": inst.reply, "label": inst.label}
-            if inst.human_triggers is not None:
-                rec["human_triggers"] = inst.human_triggers
-            fh.write(json.dumps(rec, sort_keys=True, ensure_ascii=False) + "\n")
+    """The instances as corpus records in raw UTF-8, without null human_triggers."""
+    write_jsonl(path, ({k: v for k, v in vars(inst).items() if v is not None}
+                       for inst in instances), ensure_ascii=False)
 
 
 def largest_remainder_counts(n: int, fractions: Sequence[float]) -> list[int]:

@@ -16,14 +16,14 @@ import hashlib
 import io
 import os
 import sys
-import threading
+from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .data import open_input
-from .errors import ConfigError, DomainError, ParseError
+from .data import open_input, open_output
+from .errors import ConfigError, ConvsarcError, DomainError, ParseError
 
 OOV_SCALE = 0.05
 BLOCK_CHARS = 1 << 18  # about 256 KB of lines per bulk parse
@@ -64,8 +64,8 @@ def load_embeddings(path, expected_dim: int) -> EmbeddingTable:
 
     A missing cache is parsed silently; a stale, corrupt or unreadable one,
     or one that cannot be written, costs a line on stderr and a parse. A
-    path that is not a regular file, such as a pipe, is parsed and never
-    cached.
+    text that fails to parse removes any cache beside it. A path that is not
+    a regular file, such as a pipe, is parsed and never cached.
     """
     if not os.path.isfile(path):
         return _parse_text(path, expected_dim)
@@ -75,7 +75,12 @@ def load_embeddings(path, expected_dim: int) -> EmbeddingTable:
         _check_dim(path, table.dim, expected_dim)
         return table
     hasher = hashlib.new(CACHE_HASH, usedforsecurity=False)
-    table = _parse_text(path, expected_dim, hasher)
+    try:
+        table = _parse_text(path, expected_dim, hasher)
+    except ConvsarcError:  # a cache of other bytes can never be a hit for these
+        with suppress(OSError):
+            os.unlink(cache)
+        raise
     _write_cache(cache, hasher.hexdigest(), table)
     return table
 
@@ -129,19 +134,17 @@ def _file_digest(path) -> str:
 
 
 def _write_cache(cache: str, digest: str, table: EmbeddingTable) -> None:
-    """Write the table's cache under a temporary name in the cache's
-    directory, then rename it over the cache, so that no reader sees half a
-    file. The matrix is copied WRITE_ROWS rows at a time, never whole."""
+    """Write the table's cache through open_output, so that no reader sees
+    half a file. The matrix is copied WRITE_ROWS rows at a time, never whole."""
     import zipfile  # only a cache write needs it; np.load imports it on a read
 
-    tmp = f"{cache}.{os.getpid()}.{threading.get_ident()}.tmp"
     tokens = "\n".join(table.vocab).encode("utf-8")
     small = {"version": np.array(CACHE_VERSION), "dim": np.array(table.dim),
              CACHE_HASH: np.array(digest), "tokens": np.frombuffer(tokens, np.uint8)}
     header = {"descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)),
               "fortran_order": False, "shape": (len(table.vocab), table.dim)}
     try:
-        with open(tmp, "wb") as fh, zipfile.ZipFile(fh, "w") as npz:
+        with open_output(cache, "wb") as fh, zipfile.ZipFile(fh, "w") as npz:
             for name, arr in small.items():
                 with npz.open(f"{name}.npy", "w") as member:
                     np.lib.format.write_array(member, arr, allow_pickle=False)
@@ -150,13 +153,8 @@ def _write_cache(cache: str, digest: str, table: EmbeddingTable) -> None:
                 rows = list(table.vocab.values())
                 for start in range(0, len(rows), WRITE_ROWS):
                     member.write(np.stack(rows[start:start + WRITE_ROWS]))
-        os.replace(tmp, cache)
     except OSError as e:
         _warn(cache, f"cannot write it ({e.strerror or e}); the text was parsed")
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
 
 
 def _check_dim(path, dim: int, expected_dim: int) -> None:

@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import LABELS
+from .data import LABELS, open_output
 from .errors import DomainError
 
 
@@ -134,7 +134,7 @@ def export_heatmap(sentences: Sequence[str], weights, path,
         lines.append(
             f'<text x="{_SVG_BAR_W + 72}" y="{y + 19}">{escape(text, quote=False)}</text>')
     lines.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open_output(path) as fh:
         fh.write("\n".join(lines) + "\n")
 
 

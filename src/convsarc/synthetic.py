@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .data import ConversationInstance
+from .data import ConversationInstance, open_output
 
 FILLER_VOCAB = (
     "stone", "river", "cloud", "meadow", "lantern", "copper", "violet",
@@ -80,7 +80,7 @@ def write_embedding_file(path, tokens: Sequence[str], dim: int,
                          seed: int = 3, scale: float = 0.5) -> None:
     """Random word2vec-text-format vectors for the given tokens."""
     rng = np.random.default_rng(seed)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with open_output(path) as fh:
         fh.write(f"{len(tokens)} {dim}\n")
         for tok in tokens:
             vec = rng.uniform(-scale, scale, dim)

@@ -19,6 +19,7 @@ from convsarc.errors import ConfigError
 from convsarc.features import FeatureRegistry, SvmModel, load_svm_checkpoint, save_svm_checkpoint
 from convsarc.models import init_params, load_checkpoint, save_checkpoint
 from convsarc.nn import new_rng
+from pass_memory import traced_peak
 
 SRC = Path(convsarc.__file__).parent
 
@@ -271,3 +272,12 @@ def test_loaders_take_a_read_document_without_rereading(tmp_path, kind):
     other = checkpoint.read(saved(tmp_path, "svm" if kind == "lstm" else "lstm"))
     with pytest.raises(ConfigError, match=rf"{kind}\.json: checkpoint format_version"):
         LOADERS[kind](path, other)
+
+
+def test_a_checkpoint_write_streams_its_json(tmp_path):
+    # the base64 text of every tensor is held while json.dump streams the
+    # document; building the document's whole text as well would double that
+    params = init_params("word_attn", 300, 300, rng=new_rng(0))
+    path = tmp_path / "checkpoint.json"
+    _, peak = traced_peak(save_checkpoint, params, path)
+    assert peak < 2 * path.stat().st_size

@@ -1,3 +1,4 @@
+import errno
 import io
 import json
 import os
@@ -426,6 +427,94 @@ def test_an_output_that_cannot_be_written_is_a_config_error_naming_it(workdir, c
     assert code == 1
     assert err.startswith(f"config error: {workdir / 'out' / blocked}: ")
     assert "Traceback" not in err
+
+
+def _fail_halfway_through(target, error, monkeypatch):
+    """Make the text write into target's directory that is rewriting
+    target's present text raise error once it has written half of it. Other
+    writes there go through. The write is known by what it writes, not by
+    its file name, so it is found whether the writer writes target in place
+    or under a temporary name."""
+    old = target.read_text(encoding="utf-8")
+    half = len(old) // 2
+    real_open = open
+
+    class Filling:
+        def __init__(self, fh):
+            self.fh, self.written = fh, ""
+
+        def write(self, s):
+            done = self.written + s
+            if len(self.written) < half <= len(done) and done[:half] == old[:half]:
+                self.fh.write(s[:half - len(self.written)])
+                self.fh.flush()
+                raise error
+            self.written = done[:half]
+            return self.fh.write(s)
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+    def filling(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        if (isinstance(file, (str, os.PathLike)) and Path(file).parent == target.parent
+                and "w" in mode and "b" not in mode):
+            return Filling(fh)
+        return fh
+    monkeypatch.setattr("builtins.open", filling)
+    monkeypatch.setattr(io, "open", filling)  # what Path.write_text calls
+
+
+def _rewrite(workdir, lexicon_dir, output):
+    """(argv of a command writing output, the name it writes it under)."""
+    corpus = ("--corpus", workdir / "corpus.jsonl")
+    if output in ("lstm checkpoint", "svm checkpoint"):
+        model = (("--variant", "svm", "--lexicons", lexicon_dir) if output == "svm checkpoint"
+                 else ("--variant", "reply_only", "--embeddings", workdir / "emb.txt",
+                       "--embed-dim", EMBED_DIM))
+        return ("train", *corpus, *model, "--epochs", 1), "checkpoint.json"
+    if output == "corpus split":
+        return ("prepare", *corpus), "train.jsonl"
+    (workdir / "in").mkdir()
+    variant = "sent_attn" if output == "heatmap" else "reply_only"
+    emb, ckpt = scoring_inputs(workdir / "in", variant)
+    command, name = {"predictions": ("predict", "predictions.jsonl"),
+                     "heatmap": ("attention", "heatmap_sep-001.svg"),
+                     "config.json": ("eval", "config.json")}[output]
+    return (command, *corpus, "--checkpoint", ckpt, "--embeddings", emb,
+            "--embed-dim", EMBED_DIM), name
+
+
+@pytest.mark.parametrize("output, error", [
+    *((output, "ENOSPC") for output in ("lstm checkpoint", "svm checkpoint", "predictions",
+                                        "corpus split", "heatmap", "config.json")),
+    ("lstm checkpoint", "KeyboardInterrupt")])
+def test_a_rewrite_that_fails_partway_leaves_the_old_file_whole(
+        workdir, lexicon_dir, capsys, monkeypatch, output, error):
+    argv, name = _rewrite(workdir, lexicon_dir, output)
+    out = workdir / "out"
+    assert run(*argv, "--outdir", out) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    capsys.readouterr()
+    with monkeypatch.context() as mp:
+        if error == "ENOSPC":
+            _fail_halfway_through(out / name, OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)), mp)
+            assert run(*argv, "--outdir", out) == 1
+        else:
+            _fail_halfway_through(out / name, KeyboardInterrupt(), mp)
+            with pytest.raises(KeyboardInterrupt):
+                run(*argv, "--outdir", out)
+    # every file as it was, and no temporary file beside them
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    if error == "ENOSPC":
+        assert capsys.readouterr().err == (f"config error: {out / name}: "
+                                           f"{os.strerror(errno.ENOSPC)}\n")
 
 
 @pytest.mark.parametrize("flag, dim", [("--hidden-dim", 2 ** 51), ("--att-dim", 2 ** 53)])

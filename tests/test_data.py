@@ -516,3 +516,19 @@ def test_save_load_roundtrip(tmp_path):
     save_corpus(insts, p)
     out = load_corpus(p)
     assert out == insts
+
+
+def test_open_output_replaces_a_symlink_with_a_file_of_the_usual_mode(tmp_path):
+    # a new output gets the mode open() gives, not a private temporary file's
+    (tmp_path / "fresh").write_text("", encoding="utf-8")
+    shared = tmp_path / "shared.txt"
+    shared.write_text("kept\n", encoding="utf-8")
+    link = tmp_path / "out.txt"
+    link.symlink_to(shared)
+    with data.open_output(link) as fh:
+        fh.write("new\r\n")
+    assert not link.is_symlink() and link.read_bytes() == b"new\r\n"
+    assert shared.read_text(encoding="utf-8") == "kept\n"
+    assert link.stat().st_mode == (tmp_path / "fresh").stat().st_mode
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fresh", "out.txt", "shared.txt"]
+

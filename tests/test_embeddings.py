@@ -562,6 +562,22 @@ def test_a_file_that_changes_during_the_load_is_cached_under_the_bytes_parsed(
     assert "stale" in capsys.readouterr().err
 
 
+def test_a_file_that_no_longer_parses_loses_its_stale_cache(tmp_path, capsys):
+    path = write(tmp_path, "2 2\na 1 2\nb 3 4\n")
+    load_embeddings(path, 2)
+    assert cache_of(path).is_file()
+    path.write_text("2 2\na 1 2\nb 3\n", encoding="utf-8")  # its last line cut short
+    errors, stderr = [], []
+    for _ in range(2):
+        with pytest.raises(ParseError, match="line 3") as e:
+            load_embeddings(path, 2)
+        errors.append(str(e.value))
+        stderr.append(capsys.readouterr().err)
+        assert not cache_of(path).exists()
+    assert errors[0] == errors[1]
+    assert "stale" in stderr[0] and stderr[1] == ""
+
+
 def test_a_write_that_fails_partway_leaves_the_old_cache_whole(tmp_path, monkeypatch, capsys):
     path = write(tmp_path, "2 2\na 1 2\nb 3 4\n")
     load_embeddings(path, 2)
