@@ -1,9 +1,10 @@
 """Frozen pre-trained word vectors with deterministic OOV initialization.
 
-Vectors are never updated by training. An out-of-vocabulary token gets a
-uniform(-0.05, 0.05) vector derived from a hash of the token mixed with the
-table seed, so the same token maps to the same vector in every run and in
-every lookup order. Stored arrays are marked read-only.
+Vectors are never updated by training. The stored vectors are the rows of
+one read-only N x D matrix, and the vocabulary maps each token to its row.
+An out-of-vocabulary token gets a uniform(-0.05, 0.05) vector derived from a
+hash of the token mixed with the table seed, so the same token maps to the
+same vector in every run and in every lookup order.
 
 A text file that is a regular file keeps a binary cache beside it,
 <file>.convsarc-cache.npz, keyed by the sha1 of the file's bytes. A load
@@ -35,15 +36,28 @@ CACHE_VERSION = 1
 # CACHE_HASH also names the archive's key field.
 CACHE_HASH = "sha1"
 HASH_CHUNK = 1 << 20   # bytes read per hash update
-WRITE_ROWS = 4096      # matrix rows copied per cache write
 
 
 @dataclass
 class EmbeddingTable:
+    """vocab maps each stored token to its row of matrix, a read-only
+    len(vocab) x dim array; None stands for no rows."""
     dim: int
-    vocab: dict[str, np.ndarray]
+    vocab: dict[str, int]
+    matrix: np.ndarray | None = None
     seed: int = 0
     oov_cache: dict[str, np.ndarray] = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.matrix is None:
+            self.matrix = np.empty((0, self.dim))
+        self.matrix = _freeze(self.matrix)
+
+    @classmethod
+    def from_vectors(cls, vectors: dict[str, np.ndarray], dim: int, seed: int = 0):
+        """The table of {token: vector}, its rows in the dict's order."""
+        matrix = np.array(list(vectors.values()), dtype=np.float64).reshape(len(vectors), dim)
+        return cls(dim, {t: i for i, t in enumerate(vectors)}, matrix, seed)
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -108,7 +122,7 @@ def _cached_table(path, cache: str) -> EmbeddingTable | None:
         if (matrix.dtype != np.float64 or matrix.shape != (len(tokens), dim)
                 or not np.isfinite(matrix).all()):
             raise _Unusable("its matrix does not hold one finite float64 row per token")
-        vocab = dict(zip(tokens, _freeze(matrix)))
+        vocab = {t: i for i, t in enumerate(tokens)}
         if len(vocab) != len(tokens) or "" in vocab:
             raise _Unusable("its tokens repeat or are empty")
     except FileNotFoundError:
@@ -121,7 +135,7 @@ def _cached_table(path, cache: str) -> EmbeddingTable | None:
     except Exception as e:  # noqa: BLE001 - a cache that will not load is only a miss
         _warn(cache, f"unreadable ({type(e).__name__}: {e}); parsing the text")
         return None
-    return EmbeddingTable(dim=dim, vocab=vocab)
+    return EmbeddingTable(dim, vocab, matrix)
 
 
 def _file_digest(path) -> str:
@@ -135,14 +149,14 @@ def _file_digest(path) -> str:
 
 def _write_cache(cache: str, digest: str, table: EmbeddingTable) -> None:
     """Write the table's cache through open_output, so that no reader sees
-    half a file. The matrix is copied WRITE_ROWS rows at a time, never whole."""
+    half a file. The matrix goes to the archive from its own memory, uncopied."""
     import zipfile  # only a cache write needs it; np.load imports it on a read
 
     tokens = "\n".join(table.vocab).encode("utf-8")
     small = {"version": np.array(CACHE_VERSION), "dim": np.array(table.dim),
              CACHE_HASH: np.array(digest), "tokens": np.frombuffer(tokens, np.uint8)}
     header = {"descr": np.lib.format.dtype_to_descr(np.dtype(np.float64)),
-              "fortran_order": False, "shape": (len(table.vocab), table.dim)}
+              "fortran_order": False, "shape": table.matrix.shape}
     try:
         with open_output(cache, "wb") as fh, zipfile.ZipFile(fh, "w") as npz:
             for name, arr in small.items():
@@ -150,9 +164,7 @@ def _write_cache(cache: str, digest: str, table: EmbeddingTable) -> None:
                     np.lib.format.write_array(member, arr, allow_pickle=False)
             with npz.open("matrix.npy", "w", force_zip64=True) as member:
                 np.lib.format.write_array_header_1_0(member, header)
-                rows = list(table.vocab.values())
-                for start in range(0, len(rows), WRITE_ROWS):
-                    member.write(np.stack(rows[start:start + WRITE_ROWS]))
+                member.write(np.ascontiguousarray(table.matrix).data)
     except OSError as e:
         _warn(cache, f"cannot write it ({e.strerror or e}); the text was parsed")
 
@@ -190,14 +202,15 @@ def _parse_text(path, expected_dim: int, hasher=None) -> EmbeddingTable:
     whole, or that repeats a token, is parsed again line by line, so every
     vector equals float() of its text and every error, a repeated token
     included, names the path and line. A hasher is updated with exactly the
-    bytes parsed.
+    bytes parsed. The rows go straight into the table's matrix.
     """
-    vocab: dict[str, np.ndarray] = {}
-    # surrogateescape keeps each byte that is not UTF-8 as a lone surrogate,
-    # so the line holding it can be named; newlines are universal as before
+    vocab: dict[str, int] = {}
     raw = open_input(path, buffering=0)
+    size = os.fstat(raw.fileno()).st_size  # 0 for a pipe
     if hasher is not None:
         raw = _Hashed(raw, hasher)
+    # surrogateescape keeps each byte that is not UTF-8 as a lone surrogate,
+    # so the line holding it can be named; newlines are universal as before
     with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8",
                           errors="surrogateescape") as fh:
         header = fh.readline()
@@ -210,29 +223,50 @@ def _parse_text(path, expected_dim: int, hasher=None) -> EmbeddingTable:
         except ValueError:
             raise ParseError(f"{path}: line 1: non-integer header fields") from None
         _check_dim(path, dim, expected_dim)
+        # a line "t v .. v" takes at least 2 * dim + 1 bytes, so a header
+        # promising more rows than the file can hold gets room only for those
+        matrix = np.empty((max(0, min(count, size // (2 * dim + 1))), dim))
         lineno = 2
         while lines := fh.readlines(BLOCK_CHARS):
             block = _parse_block(lines, dim)
-            if block is None or not vocab.keys().isdisjoint(block):
-                # line by line, each line's token checked against vocab as
-                # update fills it, so that an error names the first bad line
-                block = filter(None, (_parse_line(path, n, line, dim, vocab)
-                                      for n, line in enumerate(lines, start=lineno)))
-            vocab.update(block)
+            if block is not None and vocab.keys().isdisjoint(block[0]):
+                start = len(vocab)
+                matrix = _room(matrix, start + len(block[0]), count)
+                matrix[start:start + len(block[0])] = block[1]
+                vocab.update(zip(block[0], range(start, start + len(block[0]))))
+            else:
+                # line by line, each token checked against the lines before
+                # it, so that an error names the first bad line
+                for n, line in enumerate(lines, start=lineno):
+                    if parsed := _parse_line(path, n, line, dim, vocab):
+                        matrix = _room(matrix, len(vocab) + 1, count)
+                        matrix[len(vocab)] = parsed[1]
+                        vocab[parsed[0]] = len(vocab)
             lineno += len(lines)
     if len(vocab) != count:
         raise ParseError(
             f"{path}: header promised {count} vectors, file held {len(vocab)}")
-    return EmbeddingTable(dim=dim, vocab=vocab)
+    return EmbeddingTable(dim, vocab, matrix)
+
+
+def _room(matrix: np.ndarray, rows: int, count: int) -> np.ndarray:
+    """matrix with room for rows rows: when full, it is resized in place to
+    twice its rows, but to no more than count (the header's promise) unless
+    rows are more. A file's matrix has room for count rows from the start,
+    so only a pipe's grows."""
+    if rows > len(matrix):
+        matrix.resize((max(rows, min(2 * len(matrix), count)), matrix.shape[1]),
+                      refcheck=False)
+    return matrix
 
 
 def _parse_block(lines: list[str], dim: int):
-    """{token: vector} of a block whose every line numpy parses as
-    _parse_line would, the vectors read-only rows of one matrix; None when
-    any line needs _parse_line, as one whose token repeats does."""
+    """(tokens, matrix) of a block whose every line numpy parses as
+    _parse_line would, one matrix row per token; None when any line needs
+    _parse_line, as one whose token repeats does."""
     rows = [line.partition(" ") for line in lines if not line.isspace()]
     if not rows:
-        return ()
+        return [], np.empty((0, dim))
     tokens = [tok for tok, _, _ in rows]
     rests = [rest for _, _, rest in rows]
     # an empty token means the line starts with a space; an empty rest is a
@@ -249,11 +283,10 @@ def _parse_block(lines: list[str], dim: int):
         return None
     if mat.shape != (len(rows), dim) or not np.isfinite(mat).all():
         return None
-    block = dict(zip(tokens, _freeze(mat)))
-    return block if len(block) == len(rows) else None
+    return (tokens, mat) if len(set(tokens)) == len(tokens) else None
 
 
-def _parse_line(path, lineno: int, line: str, dim: int, vocab: dict[str, np.ndarray]):
+def _parse_line(path, lineno: int, line: str, dim: int, vocab: dict[str, int]):
     """(token, vector) of one line, None for a blank line; a malformed line,
     or one whose token is in vocab, raises ParseError naming the path and line."""
     _check_utf8(path, lineno, line)
@@ -272,7 +305,7 @@ def _parse_line(path, lineno: int, line: str, dim: int, vocab: dict[str, np.ndar
         raise ParseError(f"{path}: line {lineno}: non-finite value")
     if fields[0] in vocab:
         raise ParseError(f"{path}: line {lineno}: token {fields[0]!r} repeats an earlier line")
-    return fields[0], _freeze(vec)
+    return fields[0], vec
 
 
 def _check_utf8(path, lineno: int, line: str) -> None:
@@ -298,12 +331,13 @@ def _oov_vector(token: str, dim: int, seed: int) -> np.ndarray:
 
 
 def lookup(table: EmbeddingTable, token: str) -> np.ndarray:
-    """Stored vector for in-vocab tokens; cached seeded OOV vector otherwise."""
+    """Stored row for in-vocab tokens; cached seeded OOV vector otherwise.
+    Both are read-only."""
     if not token:
         raise DomainError("lookup of an empty token")
-    vec = table.vocab.get(token)
-    if vec is not None:
-        return vec
+    row = table.vocab.get(token)
+    if row is not None:
+        return table.matrix[row]
     vec = table.oov_cache.get(token)
     if vec is None:
         # insert-if-absent keeps concurrent lookups consistent: the vector is

@@ -24,13 +24,14 @@ Probabilities and logits are ordered (S, NS).
 """
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, zip_longest
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .data import ConversationInstance, SegmentedInstance, segment_instance
+# sentence_avg stays importable here: the benchmark traces models.sentence_avg
 from .embeddings import EmbeddingTable, lookup, sentence_avg
 from .errors import ConfigError, DomainError, NumericError
 from .nn import (LSTMCellParams, LSTMState, cross_entropy, dropout_mask,
@@ -203,9 +204,53 @@ def _attend_backward(ap: AttentionParams, cache, dv: np.ndarray, need_dH: bool =
 # forward / backward over a batch
 
 
+def _token_rows(table: EmbeddingTable, tokens: Sequence[str]):
+    """(the matrix whose rows a gather takes, each token's row of it with -1
+    for a token out of vocabulary, the indices of those tokens)."""
+    rows = np.array([table.vocab.get(t, -1) for t in tokens], dtype=np.intp)
+    # with no stored rows every token is out of vocabulary and row 0 of a
+    # stand-in is gathered, to be replaced
+    source = table.matrix if table.vocab else np.zeros((1, table.dim))
+    return source, rows, np.flatnonzero(rows < 0).tolist()
+
+
 def _embed(table: EmbeddingTable, tokens: Sequence[str]) -> np.ndarray:
-    """len(tokens) x dim matrix of the tokens' vectors."""
-    return np.array([lookup(table, t) for t in tokens]).reshape(len(tokens), table.dim)
+    """len(tokens) x dim matrix of the tokens' vectors: one gather of the
+    stored rows, then lookup's vector for each token out of vocabulary."""
+    source, rows, oov = _token_rows(table, tokens)
+    out = source[rows]
+    for i in oov:
+        out[i] = lookup(table, tokens[i])
+    return out
+
+
+def _sentence_avgs(table: EmbeddingTable, sentences: Sequence[Sequence[str]]) -> np.ndarray:
+    """sentence_avg of each sentence, one row each, built a word position at
+    a time: each sentence still running adds its word at that position, so
+    every row is summed in the order sentence_avg sums it, to the bit. Only
+    one position's word vectors are held at a time."""
+    order = sorted(range(len(sentences)), key=lambda i: len(sentences[i]), reverse=True)
+    ranked = [sentences[i] for i in order]  # longest first
+    if ranked and not ranked[-1]:
+        raise DomainError("sentence_avg of an empty token list")
+    # the words position by position, each position's longest sentence first
+    words = [w for column in zip_longest(*ranked) for w in column if w is not None]
+    source, rows, oov = _token_rows(table, words)
+    acc = np.zeros((len(ranked), table.dim))
+    n, end, j = len(ranked), 0, 0
+    for k in range(len(ranked[0]) if ranked else 0):
+        while len(ranked[n - 1]) <= k:
+            n -= 1
+        start, end = end, end + n
+        block = source[rows[start:end]]
+        while j < len(oov) and oov[j] < end:
+            block[oov[j] - start] = lookup(table, words[oov[j]])
+            j += 1
+        acc[:n] += block
+    acc /= np.array([len(s) for s in ranked], dtype=np.float64)[:, None]
+    avgs = np.empty_like(acc)
+    avgs[order] = acc
+    return avgs
 
 
 def _prefixed(prefix: str, block: dict) -> dict:
@@ -254,7 +299,7 @@ def _forward(params: ModelParams, segs: Sequence[SegmentedInstance],
     for side, per_inst in sides.items():
         sentences = [s for sents in per_inst for s in sents]
         if variant == "sent_attn":  # a sentence is its words' average
-            inputs[side] = np.array([sentence_avg(table, s) for s in sentences])
+            inputs[side] = _sentence_avgs(table, sentences)
             lengths[side] = [len(sents) for sents in per_inst]
         elif variant == "hier_attn":  # a sentence is its words' attention pooling
             n_words = [len(s) for s in sentences]
@@ -526,13 +571,13 @@ def train_model(train_insts: Sequence[ConversationInstance],
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, batch {k}, instance {batch[bad[0]]}")
             epoch_loss += float(losses.sum())
-            params = params.replace_tensors(
-                sgd_step(params.tensors(), grads, settings.lr, settings.l2))
+            sgd_step(params.tensors(), grads, settings.lr, settings.l2)
         dev_f1 = _dev_macro_f1(params, dev_segs, dev_gold, table)
         log.append({"epoch": epoch, "train_loss": epoch_loss / n,
                     "dev_macro_f1": dev_f1})
-        if dev_f1 > best_f1:
-            best_params, best_f1, best_epoch = params, dev_f1, epoch
+        if dev_f1 > best_f1:  # sgd_step updates params in place: keep a copy
+            best_params = params.replace_tensors({k: t.copy() for k, t in params.tensors().items()})
+            best_f1, best_epoch = dev_f1, epoch
             epochs_since_best = 0
         else:
             epochs_since_best += 1
@@ -614,8 +659,8 @@ def gradient_check_variant(variant: str, embed_dim: int = 10,
     tokens = sorted({t for s in seg.context_sentences + seg.reply_sentences
                      for t in s})
     # healthy magnitudes keep the finite differences well-conditioned
-    vocab = {t: rng.uniform(-1.0, 1.0, embed_dim) for t in tokens}
-    table = EmbeddingTable(dim=embed_dim, vocab=vocab, seed=seed)
+    table = EmbeddingTable.from_vectors(
+        {t: rng.uniform(-1.0, 1.0, embed_dim) for t in tokens}, embed_dim, seed)
     params = init_params(variant, embed_dim, hidden_dim, att_dim, rng)
     params = params.replace_tensors(
         {k: rng.uniform(-0.5, 0.5, v.shape) for k, v in params.tensors().items()})

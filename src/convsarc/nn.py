@@ -323,22 +323,26 @@ def cross_entropy(probs, labels) -> Array:
 
 
 def sgd_step(params: dict[str, Array], grads: dict[str, Array],
-             lr: float, l2: float) -> dict[str, Array]:
-    """w <- w - lr * (g + l2 * w) for every tensor; returns new arrays."""
+             lr: float, l2: float) -> None:
+    """w <- w - lr * (g + l2 * w) for every tensor, in place, each product
+    and sum rounded as that expression rounds it. One scratch array of the
+    largest tensor's size holds the step; the grads are left as they were."""
     if lr <= 0:
         raise DomainError(f"lr must be positive, got {lr}")
     if l2 < 0:
         raise DomainError(f"l2 must be nonnegative, got {l2}")
-    out: dict[str, Array] = {}
     for name, w in params.items():
         if name not in grads:
             raise ShapeError(f"missing gradient for tensor {name}")
-        g = grads[name]
-        if np.shape(g) != np.shape(w):
+        if np.shape(grads[name]) != np.shape(w):
             raise ShapeError(
-                f"gradient for {name} has shape {np.shape(g)}, expected {np.shape(w)}")
-        out[name] = w - lr * (g + l2 * w)
-    return out
+                f"gradient for {name} has shape {np.shape(grads[name])}, expected {np.shape(w)}")
+    scratch = np.empty(max((w.size for w in params.values()), default=0))
+    for name, w in params.items():
+        step = np.multiply(w, l2, out=scratch[:w.size].reshape(w.shape))
+        step += grads[name]  # g + l2 * w: a sum rounds the same either way round
+        step *= lr
+        w -= step
 
 
 def dropout_mask(shape, rate: float, rng: np.random.Generator) -> Array:

@@ -29,8 +29,8 @@ def peak_bytes_per_token(variant, dim, instances=16, context_tweets=5, tokens=(1
     threads of context_tweets one-sentence tweets and a one-sentence reply,
     from tokens[0] to tokens[1] tokens per tweet."""
     rng = new_rng(0)
-    table = EmbeddingTable(dim=dim, seed=0,
-                           vocab={f"w{k}": rng.uniform(-1, 1, dim) for k in range(max(tokens))})
+    table = EmbeddingTable.from_vectors(
+        {f"w{k}": rng.uniform(-1, 1, dim) for k in range(max(tokens))}, dim)
     params = init_params(variant, dim, dim, rng=rng)
     peaks = []
     for n in tokens:

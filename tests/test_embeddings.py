@@ -37,7 +37,7 @@ def outcome(loaded):
     and message."""
     if isinstance(loaded, ConvsarcError):
         return type(loaded), str(loaded)
-    return loaded.dim, list(loaded.vocab), [v.tobytes() for v in loaded.vocab.values()]
+    return loaded.dim, list(loaded.vocab), [loaded.matrix[i].tobytes() for i in loaded.vocab.values()]
 
 
 def reload_matches(path, dim, first):
@@ -49,8 +49,8 @@ def reload_matches(path, dim, first):
 def test_load_small_file(tmp_path):
     table = load_embeddings(write(tmp_path, "2 3\na 1 2 3\nb 0 0 1\n"), 3)
     assert table.dim == 3
-    assert np.array_equal(table.vocab["a"], [1.0, 2.0, 3.0])
-    assert np.array_equal(table.vocab["b"], [0.0, 0.0, 1.0])
+    assert np.array_equal(lookup(table, "a"), [1.0, 2.0, 3.0])
+    assert np.array_equal(lookup(table, "b"), [0.0, 0.0, 1.0])
 
 
 def test_load_row_arity_error_reports_line(tmp_path):
@@ -79,6 +79,53 @@ def test_load_dim_mismatch_is_config_error(tmp_path):
 def test_load_header_count_mismatch(tmp_path):
     with pytest.raises(ParseError, match="promised"):
         load_embeddings(write(tmp_path, "3 3\na 1 2 3\n"), 3)
+
+
+def test_a_header_promising_far_more_vectors_than_the_file_holds_allocates_for_none(tmp_path):
+    path = write(tmp_path, "10000000000 3\na 1 2 3\nb 4 5 6\n")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match="header promised 10000000000 vectors, file held 2$"):
+            load_embeddings(path, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # room for the promised rows would be 240 GB
+
+
+def test_a_cold_load_holds_one_copy_of_the_matrix(tmp_path):
+    rows, dim = 20_000, 50
+    body = "".join(f"t{i} {' '.join([str(i % 97 / 8)] * dim)}\n" for i in range(rows))
+    path = write(tmp_path, f"{rows} {dim}\n{body}")
+    tracemalloc.start()
+    try:
+        table = load_embeddings(path, dim)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cache_of(path).is_file()
+    assert table.matrix.shape == (rows, dim)
+    assert peak < 2 * table.matrix.nbytes, peak / table.matrix.nbytes
+
+
+@pytest.mark.parametrize("count", [40, 60])
+def test_a_pipe_of_many_blocks_loads_as_its_file_does(tmp_path, monkeypatch, count):
+    # a pipe's size is unknown, so its matrix grows as its blocks arrive
+    monkeypatch.setattr(embeddings, "BLOCK_CHARS", 40)
+    text = f"{count} 2\n" + "".join(f"w{i} {i} {i / 7!r}\n" for i in range(40))
+    path = write(tmp_path, text)
+    fifo = tmp_path / "vecs.fifo"
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=lambda: fifo.write_text(text, encoding="utf-8"),
+                              daemon=True)
+    writer.start()
+    piped = load_outcome(load_embeddings, fifo, 2)
+    writer.join(timeout=10)
+    expected = load_outcome(load_embeddings, path, 2)
+    if count != 40:
+        expected = (ParseError, expected[1].replace(str(path), str(fifo)))
+        assert "header promised 60 vectors, file held 40" in expected[1]
+    assert piped == expected
 
 
 def test_load_bad_header(tmp_path):
@@ -136,7 +183,7 @@ def test_vectors_are_frozen(tmp_path, monkeypatch):
     table = load_embeddings(path, 2)
     reload_matches(path, 2, table)
     assert len(table.vocab) == 10
-    for vec in table.vocab.values():
+    for vec in table.matrix:
         with pytest.raises(ValueError):
             vec[0] = 9.0
     vec = lookup(table, "t3")
@@ -160,7 +207,7 @@ def test_stored_vectors_cannot_be_made_writeable(tmp_path, monkeypatch):
             vec.setflags(write=True)
         with pytest.raises(ValueError):
             vec[0] = 9.0
-    assert table.vocab["u"].tolist() == [10.0, 3.0]
+    assert lookup(table, "u").tolist() == [10.0, 3.0]
 
 
 def test_sentence_avg_single_token(tmp_path):
@@ -192,8 +239,7 @@ def test_sentence_avg_permutation_invariant(tokens, rnd):
 def test_sentence_avg_commutes_with_uniform_scaling(tmp_path):
     a = write(tmp_path, "2 2\nx 1 2\ny 3 -4\n")
     table = load_embeddings(a, 2)
-    scaled = EmbeddingTable(
-        dim=2, vocab={k: v * 2.5 for k, v in table.vocab.items()}, seed=0)
+    scaled = EmbeddingTable.from_vectors({k: lookup(table, k) * 2.5 for k in table.vocab}, 2)
     base = sentence_avg(table, ["x", "y", "x"])
     assert np.allclose(sentence_avg(scaled, ["x", "y", "x"]), base * 2.5,
                        atol=1e-12)
@@ -236,7 +282,7 @@ def test_blank_lines_at_block_edges_are_skipped(tmp_path, monkeypatch):
     reload_matches(path, 2, table)
     assert sizes == [2, 3, 1]  # the second load was a cache hit
     assert list(table.vocab) == ["a0", "a1", "a2"]
-    assert np.array_equal(table.vocab["a2"], [5.0, 6.0])
+    assert np.array_equal(lookup(table, "a2"), [5.0, 6.0])
 
 
 @pytest.mark.parametrize("line", ["a 1_0 2", "a  10 2", "a 10 2 ", " a 10 2",
@@ -245,7 +291,7 @@ def test_values_only_float_reads_still_load(tmp_path, line):
     line = line.encode().decode("unicode_escape")
     table = load_embeddings(write(tmp_path, f"2 2\nb 3 4\n{line}\n"), 2)
     assert list(table.vocab) == ["b", "a"]
-    assert table.vocab["a"].tolist() == [10.0, 2.0]
+    assert lookup(table, "a").tolist() == [10.0, 2.0]
 
 
 @pytest.mark.filterwarnings("error")
@@ -313,7 +359,7 @@ def test_bulk_parse_is_bit_identical_to_float(tmp_path, monkeypatch):
     body = "".join(f"w{i} {' '.join(texts[i:i + 7])}\n" for i in range(0, len(texts), 7))
     path = write(tmp_path, f"{len(texts) // 7} 7\n{body}")
     table = load_embeddings(path, 7)
-    got = np.concatenate(list(table.vocab.values()))
+    got = table.matrix.ravel()
     assert got.tobytes() == np.array([float(t) for t in texts]).tobytes()
     reload_matches(path, 7, table)
 
@@ -367,7 +413,7 @@ def per_line_load_embeddings(path, expected_dim):
     if len(vocab) != count:
         raise ParseError(
             f"{path}: header promised {count} vectors, file held {len(vocab)}")
-    return EmbeddingTable(dim=dim, vocab=vocab)
+    return EmbeddingTable.from_vectors(vocab, dim)
 
 
 DECIMALS = st.floats(-1e6, 1e6, allow_nan=False).map(repr) | st.sampled_from(
@@ -484,7 +530,7 @@ def test_a_cache_hit_gives_the_parsed_bits_in_file_order_read_only(tmp_path, par
     assert parses == [path]
     assert outcome(hit) == outcome(parsed)
     assert list(hit.vocab) == [f"w{40 - i}é" for i in range(40)]
-    assert np.stack(list(hit.vocab.values())).tobytes() == values.tobytes()
+    assert hit.matrix.tobytes() == values.tobytes()
     for token in ("w1é", "w40é"):
         vec = lookup(hit, token)
         with pytest.raises(ValueError):
@@ -502,11 +548,11 @@ def test_a_file_edited_in_place_to_the_same_size_is_parsed_again(tmp_path, parse
     path.write_text("2 2\na 1 2\nb 3 5\n", encoding="utf-8")
     os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
     assert path.stat().st_size == before.st_size
-    assert load_embeddings(path, 2).vocab["b"].tolist() == [3.0, 5.0]
+    assert lookup(load_embeddings(path, 2), "b").tolist() == [3.0, 5.0]
     assert parses == [path, path]
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and "stale" in err[0] and str(cache_of(path)) in err[0]
-    assert load_embeddings(path, 2).vocab["b"].tolist() == [3.0, 5.0]  # recached
+    assert lookup(load_embeddings(path, 2), "b").tolist() == [3.0, 5.0]  # recached
     assert parses == [path, path]
 
 
@@ -555,10 +601,10 @@ def test_a_file_that_changes_during_the_load_is_cached_under_the_bytes_parsed(
         path.write_text("2 2\na 1 2\nb 3 5\n", encoding="utf-8")
         return table
     monkeypatch.setattr(embeddings, "_parse_text", parse_then_edit)
-    assert load_embeddings(path, 2).vocab["b"].tolist() == [3.0, 4.0]
+    assert lookup(load_embeddings(path, 2), "b").tolist() == [3.0, 4.0]
     monkeypatch.setattr(embeddings, "_parse_text", parse)
     # the cache holds the first bytes' vectors, so the edited file misses it
-    assert load_embeddings(path, 2).vocab["b"].tolist() == [3.0, 5.0]
+    assert lookup(load_embeddings(path, 2), "b").tolist() == [3.0, 5.0]
     assert "stale" in capsys.readouterr().err
 
 
@@ -584,10 +630,10 @@ def test_a_write_that_fails_partway_leaves_the_old_cache_whole(tmp_path, monkeyp
     old = cache_of(path).read_bytes()
     path.write_text("2 2\na 1 2\nb 3 5\n", encoding="utf-8")
 
-    def disk_full(*args, **kwargs):  # the matrix rows are written after the small arrays
+    def disk_full(*args, **kwargs):  # the matrix is written after the small arrays
         raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-    monkeypatch.setattr(np, "stack", disk_full)
-    assert load_embeddings(path, 2).vocab["b"].tolist() == [3.0, 5.0]
+    monkeypatch.setattr(np.lib.format, "write_array_header_1_0", disk_full)
+    assert lookup(load_embeddings(path, 2), "b").tolist() == [3.0, 5.0]
     assert cache_of(path).read_bytes() == old
     assert sorted(tmp_path.iterdir()) == [path, cache_of(path)]
     stale, unwritten = capsys.readouterr().err.splitlines()
@@ -596,7 +642,7 @@ def test_a_write_that_fails_partway_leaves_the_old_cache_whole(tmp_path, monkeyp
 
 def test_a_cache_write_holds_no_second_copy_of_the_matrix(tmp_path):
     matrix = np.ones((20_000, 50))  # 8 MB
-    table = EmbeddingTable(dim=50, vocab={f"t{i}": row for i, row in enumerate(matrix)})
+    table = EmbeddingTable(dim=50, vocab={f"t{i}": i for i in range(len(matrix))}, matrix=matrix)
     tracemalloc.start()
     try:
         embeddings._write_cache(str(tmp_path / "c.npz"), "0" * 64, table)
@@ -632,7 +678,7 @@ def test_a_directory_that_cannot_be_written_still_loads(tmp_path, parses, capsys
     path = write(tmp_path, "2 2\na 1 2\nb 3 4\n")
     with read_only(tmp_path, monkeypatch):
         for n in (1, 2):
-            assert load_embeddings(path, 2).vocab["b"].tolist() == [3.0, 4.0]
+            assert lookup(load_embeddings(path, 2), "b").tolist() == [3.0, 4.0]
             err = capsys.readouterr().err.splitlines()
             assert len(err) == 1 and "cannot write" in err[0] and str(cache_of(path)) in err[0]
             assert list(tmp_path.iterdir()) == [path]
@@ -649,7 +695,7 @@ def test_a_pipe_is_parsed_and_never_cached(tmp_path, parses, capsys):
     for _ in range(2):
         writer = threading.Thread(target=feed, daemon=True)
         writer.start()
-        assert load_embeddings(fifo, 2).vocab["b"].tolist() == [3.0, 4.0]
+        assert lookup(load_embeddings(fifo, 2), "b").tolist() == [3.0, 4.0]
         writer.join(timeout=10)
     assert parses == [fifo, fifo]
     assert list(tmp_path.iterdir()) == [fifo]

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 import hypothesis.strategies as st
 
 import convsarc
@@ -22,9 +22,10 @@ from convsarc.models import (ATTENTION_VARIANTS, AttentionParams, AttentionRecor
                              VARIANTS, gradient_check_variant, init_params, load_checkpoint,
                              loss_and_grads, predict, save_checkpoint, score,
                              train_model, TrainSettings, _attend_backward, _attend_forward,
-                             _batch_grads, _forward, _rows, _sub_batches)
+                             _batch_grads, _embed, _forward, _rows, _sentence_avgs,
+                             _sub_batches)
 from convsarc.synthetic import make_separable_corpus
-from pass_memory import peak_bytes_per_token
+from pass_memory import peak_bytes_per_token, traced_peak
 
 EMBED = 6
 HIDDEN = 4
@@ -324,9 +325,7 @@ def test_conditional_gradient_reaches_context_cell_through_memory_handoff():
         {k: rng.uniform(-0.5, 0.5, v.shape) for k, v in params.tensors().items()})
     tokens = sorted({t for s in BASIC.context_sentences + BASIC.reply_sentences
                      for t in s})
-    table = EmbeddingTable(dim=EMBED,
-                           vocab={t: rng.uniform(-1, 1, EMBED) for t in tokens},
-                           seed=0)
+    table = EmbeddingTable.from_vectors({t: rng.uniform(-1, 1, EMBED) for t in tokens}, EMBED)
     _, _, _, analytic = _forward(params, [BASIC], table, labels=[0])
     context_grads = {k: v for k, v in analytic.items() if k.startswith("lstm_c.")}
     assert any(np.abs(v).max() > 1e-8 for v in context_grads.values())
@@ -514,6 +513,19 @@ def test_train_keeps_best_dev_epoch():
     assert best_f1 >= result.log[0]["dev_macro_f1"]
 
 
+def test_train_returns_the_best_epochs_tensors_bit_for_bit(syn_table):
+    # sgd_step updates the tensors in place, so the best epoch's are a copy
+    corpus = make_separable_corpus(16, seed=7)
+    settings = TrainSettings(variant="reply_only", hidden_dim=8, lr=1.0, l2=1e-4,
+                             dropout=0.5, batch_size=4, epochs=8, patience=None, seed=5)
+    full = train_model(corpus, corpus, syn_table, settings)
+    assert full.best_epoch < settings.epochs
+    upto = train_model(corpus, corpus, syn_table,
+                       dataclasses.replace(settings, epochs=full.best_epoch))
+    for name, tensor in full.params.tensors().items():
+        assert tensor.tobytes() == upto.params.tensors()[name].tobytes(), name
+
+
 def test_train_without_hidden_dim_uses_the_embedding_dim():
     corpus, table = corpus_and_table()
     result = train_model(corpus, corpus, table, TrainSettings(
@@ -586,8 +598,8 @@ def batch_setup(variant, seed=0):
     rng = new_rng(seed)
     tokens = sorted({t for s in BATCH for sent in s.context_sentences + s.reply_sentences
                      for t in sent})
-    table = EmbeddingTable(dim=EMBED, vocab={t: rng.uniform(-1, 1, EMBED) for t in tokens},
-                           seed=seed)
+    table = EmbeddingTable.from_vectors({t: rng.uniform(-1, 1, EMBED) for t in tokens},
+                                        EMBED, seed)
     params = seeded_params(variant, seed=seed)
     params = params.replace_tensors(
         {k: rng.uniform(-0.5, 0.5, v.shape) for k, v in params.tensors().items()})
@@ -848,6 +860,38 @@ def test_word_attention_token_caches_at_most_its_share_of_a_token_row():
         assert per["hier_attn"] > 0
         assert TOKENS_PER_WORD_ATTENTION_ROW * per["hier_attn"] <= min(per["word_attn"],
                                                                        per["concat"]), (dim, per)
+
+
+@pytest.mark.parametrize("dim", [100, 300])
+def test_sent_attn_word_averages_hold_one_word_position_at_a_time(dim):
+    assert peak_bytes_per_token("sent_attn", dim) < 8 * dim
+    # The pass's peak comes later, over the sentence steps, so the averages'
+    # own peak is measured too: it grows by a row index per word, where a
+    # gather of all the words at once would hold 8 * dim bytes for each.
+    table = EmbeddingTable.from_vectors({f"w{k}": np.full(dim, k / 7) for k in range(26)}, dim)
+    peaks = [traced_peak(_sentence_avgs, table, [[f"w{k}" for k in range(n)]] * 96)[1]
+             for n in (13, 26)]
+    assert (peaks[1] - peaks[0]) / (96 * 13) < dim
+
+
+# a -0.0 component, and magnitudes at which the order of a sum changes its bits
+GATHER_VECTORS = {"a": [1e16, -0.0, 0.1], "b": [1.0, 3.3, -1e-300],
+                  "c": [-1e16, 2.5, 7e-17], "d": [0.3, -0.0, 1e300]}
+
+
+@given(st.lists(st.lists(st.sampled_from([*GATHER_VECTORS, "oov1", "oov2"]),
+                         min_size=1, max_size=7), min_size=1, max_size=8))
+@example([["a"]])
+@example([["d"], ["oov1"], ["a", "b", "c", "a"], ["oov2", "b", "oov2"], ["c", "a"]])
+@settings(max_examples=80, deadline=None)
+def test_gathers_give_the_bits_of_per_token_lookups(sentences):
+    table = EmbeddingTable.from_vectors(
+        {t: np.array(v) for t, v in GATHER_VECTORS.items()}, 3, seed=4)
+    expected = np.array([sentence_avg(table, s) for s in sentences])
+    assert _sentence_avgs(table, sentences).tobytes() == expected.tobytes()
+    tokens = [t for s in sentences for t in s]
+    expected = np.array([lookup(table, t) for t in tokens])
+    assert _embed(table, tokens).tobytes() == expected.tobytes()
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

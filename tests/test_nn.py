@@ -608,19 +608,22 @@ def test_cross_entropy_needs_one_label_per_row():
 # ----------------------------------------------------------------- sgd_step
 
 def test_sgd_step_basic_arithmetic():
-    out = sgd_step({"w": np.array([1.0])}, {"w": np.array([2.0])}, lr=0.1, l2=0.0)
+    out = {"w": np.array([1.0])}
+    sgd_step(out, {"w": np.array([2.0])}, lr=0.1, l2=0.0)
     assert out["w"][0] == pytest.approx(0.8)
 
 
 def test_sgd_step_pure_decay():
-    out = sgd_step({"w": np.array([1.0])}, {"w": np.array([0.0])}, lr=0.1, l2=0.5)
+    out = {"w": np.array([1.0])}
+    sgd_step(out, {"w": np.array([0.0])}, lr=0.1, l2=0.5)
     assert out["w"][0] == pytest.approx(0.95)
 
 
 def test_sgd_step_identity_fixed_point():
     w = {"a": np.array([1.0, -2.0]), "b": np.array([[3.0]])}
     g = {"a": np.zeros(2), "b": np.zeros((1, 1))}
-    out = sgd_step(w, g, lr=0.1, l2=0.0)
+    out = {k: v.copy() for k, v in w.items()}
+    sgd_step(out, g, lr=0.1, l2=0.0)
     for k in w:
         assert np.array_equal(out[k], w[k])
 
@@ -628,13 +631,39 @@ def test_sgd_step_identity_fixed_point():
 @given(st.floats(0.01, 10.0), st.floats(1e-4, 0.5))
 @settings(max_examples=50, deadline=None)
 def test_sgd_step_l2_strictly_shrinks_nonzero_weights(w, l2):
-    out = sgd_step({"w": np.array([w])}, {"w": np.array([0.0])}, lr=0.1, l2=l2)
+    out = {"w": np.array([w])}
+    sgd_step(out, {"w": np.array([0.0])}, lr=0.1, l2=l2)
     assert 0.0 < out["w"][0] < w
 
 
 def test_sgd_step_shape_mismatch():
     with pytest.raises(ShapeError, match="w"):
         sgd_step({"w": np.zeros(2)}, {"w": np.zeros(3)}, lr=0.1, l2=0.0)
+
+
+def test_sgd_step_updates_in_place_to_the_bits_of_the_expression():
+    rng = new_rng(3)
+    shapes = {"W": (8, 5), "b": (8,), "u": (3,), "one": (1, 1)}
+    w = {k: rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 3, shape)
+         for k, shape in shapes.items()}
+    w["b"][:2] = [0.0, -0.0]
+    g = {k: rng.standard_normal(shape) for k, shape in shapes.items()}
+    g["b"][1] = -0.0
+    expected = {k: w[k] - 0.05 * (g[k] + 1e-4 * w[k]) for k in w}
+    grads = {k: v.copy() for k, v in g.items()}
+    arrays = dict(w)
+    sgd_step(w, grads, lr=0.05, l2=1e-4)
+    for k in w:
+        assert w[k] is arrays[k]
+        assert w[k].tobytes() == expected[k].tobytes(), k
+        assert grads[k].tobytes() == g[k].tobytes(), k  # the grads are left as they were
+
+
+def test_a_refused_sgd_step_changes_no_tensor():
+    w = {"a": np.ones(2), "z": np.ones(3)}
+    with pytest.raises(ShapeError, match="z"):
+        sgd_step(w, {"a": np.ones(2), "z": np.ones(4)}, lr=0.1, l2=0.0)
+    assert w["a"].tolist() == [1.0, 1.0]
 
 
 # ------------------------------------------------------------- dropout_mask
