@@ -3,7 +3,7 @@
 corpus and compare per-class P/R/F1 on the test split. It takes
 `convsarc train`'s flags and --config, with the CLI's exit codes, and
 --variants; a train option it would ignore (--variant, --outdir,
---checkpoint, --lexicons, --raw-tweets, --task) is a config error.
+--lexicons, --task, --min-ngram-count) is a config error.
 
 This is the manual full-scale procedure, so it is not part of the
 automated acceptance suite. README's "Full-scale reproduction" gives the
@@ -21,23 +21,17 @@ from convsarc.errors import ConfigError
 from convsarc.evaluate import format_table, prf1
 from convsarc.models import VARIANTS, score, train_model
 
-# `convsarc train` options that would change nothing here: the script writes
-# no files, reads no checkpoint and trains no SVM
-UNUSED = ("outdir", "checkpoint", "lexicons", "raw_tweets", "task")
+# `convsarc train` keys that would change nothing here: the script trains each
+# of --variants, writes no files and trains no SVM
+IGNORED = ("variant", "outdir", "lexicons", "task", "min_ngram_count")
 
 
 def main():
     ap = cli._Parser(description=__doc__)
-    cli._add_config_flags(ap)
+    cli._add_config_flags(ap, [k for k in cli.READS["train"] if k not in IGNORED])
     ap.add_argument("--variants", nargs="+", choices=VARIANTS,
                     default=["reply_only", "concat", "conditional", "sent_attn"])
     args = ap.parse_args()
-    if args.variant is not None:
-        ap.error("argument --variant: this script trains each of --variants; give those instead")
-    for key in UNUSED:
-        if getattr(args, key) is not None:
-            ap.error(f"argument --{key.replace('_', '-')}: this script does not use it; "
-                     "it trains LSTM variants and prints their scores")
     cfg = cli._config_from_args(args)
     if args.config and "variant" in json.loads(read_text(args.config)):
         raise ConfigError(f"config file {args.config}: key 'variant': this script trains "

@@ -1,9 +1,9 @@
 """Command-line driver wiring the full pipeline.
 
-Commands: prepare, train, eval, predict, attention, gradcheck. Every flag
-overrides the matching key of the JSON config file; the effective config is
-echoed into the output directory. run maps errors to exit codes: 0 success,
-1 usage/config error, 2 data error, 3 numeric failure.
+Commands: prepare, train, eval, predict, attention, gradcheck. Each takes the
+flags of the config keys it reads (READS), which override the JSON config
+file's and are echoed into the output directory. run maps errors to exit
+codes: 0 success, 1 usage/config error, 2 data error, 3 numeric failure.
 """
 from __future__ import annotations
 
@@ -31,6 +31,9 @@ MAX_NAME_BYTES = 255  # the longest file name common file systems take
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, **kwargs):  # a prefix of a flag is not that flag
+        super().__init__(allow_abbrev=False, **kwargs)
+
     def error(self, message):  # argparse would sys.exit(2); we want exit 1
         raise ConfigError(message)
 
@@ -40,13 +43,15 @@ def _build_parser() -> _Parser:
                      description="Context-aware sarcasm detection pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
     for name, command in COMMANDS.items():
-        _add_config_flags(sub.add_parser(name, help=command.__doc__))
+        _add_config_flags(sub.add_parser(name, help=command.__doc__), READS[name])
     return parser
 
 
-def _add_config_flags(p: argparse.ArgumentParser) -> None:
+def _add_config_flags(p: argparse.ArgumentParser, keys) -> None:
     p.add_argument("--config", help="JSON config file; flags override its keys")
-    for key, (kind, _) in RunConfig.field_types().items():
+    types = RunConfig.field_types()
+    for key in keys:
+        kind, _ = types[key]
         flag = "--" + key.replace("_", "-")
         if kind is bool:
             p.add_argument(flag, dest=key, action=argparse.BooleanOptionalAction, default=None)
@@ -71,7 +76,7 @@ def _require_outdir(cfg: RunConfig) -> None:
         raise ConfigError(f"outdir: not a directory: {existing}")
 
 
-def _prepare_outdir(cfg: RunConfig) -> Path:
+def _prepare_outdir(cfg: RunConfig, command: str) -> Path:
     _require_outdir(cfg)
     out = Path(cfg.outdir)
     try:
@@ -79,7 +84,7 @@ def _prepare_outdir(cfg: RunConfig) -> Path:
     except OSError as e:  # no permission, or a file put there since the check
         raise ConfigError(f"outdir: cannot create {out}: {e.strerror}") from None
     with data.open_output(out / "config.json") as fh:
-        fh.write(cfg.echo())
+        fh.write(cfg.echo(READS[command]))
     return out
 
 
@@ -122,7 +127,7 @@ def cmd_prepare(cfg: RunConfig) -> None:
     else:
         instances = data.load_corpus(cfg.corpus)
     train, dev, test = data.stratified_split(instances, cfg.seed)
-    out = _prepare_outdir(cfg)
+    out = _prepare_outdir(cfg, "prepare")
     if raw:
         data.save_corpus(instances, out / "corpus.jsonl")
     data.save_corpus(train, out / "train.jsonl")
@@ -143,7 +148,7 @@ def _train_svm(cfg: RunConfig, train_i, dev_i) -> None:
     pairs = [(features.assemble(i, cfg.task, lex, cfg.max_context), i.label)
              for i in train_i]
     model = features.svm_train(pairs, cfg)
-    out = _prepare_outdir(cfg)
+    out = _prepare_outdir(cfg, "train")
     features.save_svm_checkpoint(model, cfg.task, cfg.max_context,
                                  out / "checkpoint.json")
     data.write_jsonl(out / "train_log.jsonl",
@@ -165,7 +170,7 @@ def cmd_train(cfg: RunConfig) -> None:
         return
     table = load_embeddings(cfg.embeddings, cfg.resolved_embed_dim)
     result = models.train_model(train_i, dev_i, table, cfg)
-    out = _prepare_outdir(cfg)
+    out = _prepare_outdir(cfg, "train")
     models.save_checkpoint(result.params, out / "checkpoint.json")
     data.write_jsonl(out / "train_log.jsonl", result.log)
     print(f"trained {cfg.variant} for {len(result.log)} epochs; "
@@ -178,21 +183,23 @@ def _scoring_setup(cfg: RunConfig, attention: bool = False) -> tuple:
     checkpoint, and the instances: the test split of a prepared directory,
     or every instance of a single file, of which there must be at least one.
     Nothing is written until validation is complete. Scoring uses the
-    model's context window, so an explicit max_context that differs from it
-    is a ConfigError."""
+    model's context window and embedding dim, so an explicit max_context or
+    embed_dim that differs from the checkpoint's is a ConfigError."""
     cfg.validate(need=("checkpoint", "corpus"))
     doc = checkpoint.read(cfg.checkpoint)
     if attention and doc["kind"] != "lstm":
         raise ConfigError(f"checkpoint: {cfg.checkpoint}: attention needs an lstm checkpoint")
     if doc["kind"] == "svm":
         model = features.load_svm_checkpoint(cfg.checkpoint, doc)
-        stored, extra = model[2], "lexicons"  # the triple's window
+        stored, extra = {"max_context": model[2]}, "lexicons"  # the triple's window
     else:
         model = models.load_checkpoint(cfg.checkpoint, doc)
-        stored, extra = model.max_context, "embeddings"
-    if cfg.max_context is not None and cfg.max_context != stored:
-        raise ConfigError(f"max_context: {cfg.max_context} conflicts with "
-                          f"{stored} stored in checkpoint {cfg.checkpoint}")
+        stored = {"max_context": model.max_context, "embed_dim": model.embed_dim}
+        extra = "embeddings"
+    for key, value in stored.items():
+        if getattr(cfg, key) not in (None, value):
+            raise ConfigError(f"{key}: {getattr(cfg, key)} conflicts with "
+                              f"{value} stored in checkpoint {cfg.checkpoint}")
     if attention and model.variant not in models.ATTENTION_VARIANTS:
         raise ConfigError(
             f"checkpoint: {cfg.checkpoint}: variant {model.variant!r} has no attention weights")
@@ -229,7 +236,7 @@ def _predictions(cfg: RunConfig, model, instances) -> tuple[list[dict], str]:
 def cmd_eval(cfg: RunConfig) -> None:
     """score a checkpoint and write metric reports"""
     rows, name = _predictions(cfg, *_scoring_setup(cfg))
-    out = _prepare_outdir(cfg)
+    out = _prepare_outdir(cfg, "eval")
     metrics = evaluate.prf1([r["gold"] for r in rows], [r["label"] for r in rows])
     data.write_jsonl(out / "metrics.jsonl", [evaluate.metrics_to_dict(name, metrics)])
     table_text = evaluate.format_table([(name, metrics)])
@@ -241,7 +248,7 @@ def cmd_eval(cfg: RunConfig) -> None:
 def cmd_predict(cfg: RunConfig) -> None:
     """write per-instance labels and probabilities"""
     rows, _ = _predictions(cfg, *_scoring_setup(cfg))
-    out = _prepare_outdir(cfg)
+    out = _prepare_outdir(cfg, "predict")
     data.write_jsonl(out / "predictions.jsonl", rows)
     print(f"wrote {len(rows)} predictions to {out / 'predictions.jsonl'}")
 
@@ -250,7 +257,7 @@ def cmd_attention(cfg: RunConfig) -> None:
     """export attention heatmaps and the overlap rate"""
     params, instances = _scoring_setup(cfg, attention=True)
     segs, (_, _, records) = _lstm_scores(cfg, params, instances)
-    out = _prepare_outdir(cfg)
+    out = _prepare_outdir(cfg, "attention")
     sentence_level = params.variant in ("sent_attn", "hier_attn")
     overlap_pairs = []
     for inst, seg, record in zip(instances, segs, records):
@@ -296,10 +303,25 @@ def cmd_gradcheck(cfg: RunConfig) -> None:
         if status == "FAIL":
             failed.append(variant)
     if cfg.outdir is not None:
-        data.write_jsonl(_prepare_outdir(cfg) / "gradcheck.json", [report])
+        data.write_jsonl(_prepare_outdir(cfg, "gradcheck") / "gradcheck.json", [report])
     if failed:
         raise NumericError(f"gradient check failed for: {', '.join(failed)}")
 
+
+# The config keys each command reads: its flags, and the keys its config.json
+# echoes. A config file may hold others, which are validated and not echoed.
+# The scoring commands take platform and seed only because the benchmark's
+# CLI chain passes them to every command.
+_SCORING = ("checkpoint", "corpus", "embeddings", "embed_dim", "max_context",
+            "outdir", "platform", "seed")
+READS = {
+    "prepare": ("corpus", "raw_tweets", "platform", "seed", "outdir"),
+    "train": tuple(k for k in RunConfig.field_types() if k not in ("checkpoint", "raw_tweets")),
+    "eval": _SCORING + ("lexicons",),
+    "predict": _SCORING + ("lexicons",),
+    "attention": _SCORING,
+    "gradcheck": ("seed", "outdir"),
+}
 
 COMMANDS = {
     "prepare": cmd_prepare,

@@ -88,8 +88,8 @@ class RunConfig(TrainSettings):
             values[key] = val
         return RunConfig(**values)
 
-    def echo(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2) + "\n"
+    def echo(self, keys) -> str:
+        return json.dumps({k: getattr(self, k) for k in keys}, sort_keys=True, indent=2) + "\n"
 
     # ---- validation ----
 

@@ -17,7 +17,7 @@ import hypothesis.strategies as st
 import convsarc
 
 from convsarc import checkpoint, cli, embeddings, models
-from convsarc.cli import COMMANDS, _build_parser, _config_from_args, main
+from convsarc.cli import COMMANDS, READS, _build_parser, _config_from_args, main
 from convsarc.config import RunConfig
 from convsarc.data import context_cutoff, load_corpus, save_corpus, segment_instance
 from convsarc.embeddings import load_embeddings
@@ -257,30 +257,63 @@ FLAG_VALUES = ([("variant", "concat", "concat"), ("task", "reply_only", "reply_o
 def test_every_flag_sets_its_key(command):
     parser = _build_parser()
     for key, text, value in FLAG_VALUES:
+        if key not in READS[command]:
+            continue
         cfg = _config_from_args(parser.parse_args([command, "--" + key.replace("_", "-"), text]))
         assert getattr(cfg, key) == value and type(getattr(cfg, key)) is type(value), key
-    for flag, value in (("--conditional-reply-head-only", True),
-                        ("--no-conditional-reply-head-only", False)):
-        cfg = _config_from_args(parser.parse_args([command, flag]))
-        assert cfg.conditional_reply_head_only is value
+    if "conditional_reply_head_only" in READS[command]:
+        for flag, value in (("--conditional-reply-head-only", True),
+                            ("--no-conditional-reply-head-only", False)):
+            cfg = _config_from_args(parser.parse_args([command, flag]))
+            assert cfg.conditional_reply_head_only is value
     assert _config_from_args(parser.parse_args([command])) == RunConfig()
 
 
-def test_each_command_takes_the_same_option_strings():
+def test_each_command_takes_the_option_strings_of_the_keys_it_reads():
     sub = next(a for a in _build_parser()._actions if a.choices)
-    want = ({"-h", "--help", "--config", "--conditional-reply-head-only",
-             "--no-conditional-reply-head-only"}
-            | {"--" + k.replace("_", "-") for k in STRING_KEYS + INT_KEYS + FLOAT_KEYS})
-    assert set(sub.choices) == set(COMMANDS)
+    assert set(sub.choices) == set(COMMANDS) == set(READS)
+    assert set(READS["train"]) | {"checkpoint", "raw_tweets"} == set(RunConfig.field_types())
     for name, parser in sub.choices.items():
+        want = ({"-h", "--help", "--config"}
+                | {"--" + k.replace("_", "-") for k in READS[name]}
+                | ({"--no-conditional-reply-head-only"}
+                   if "conditional_reply_head_only" in READS[name] else set()))
         assert {s for a in parser._actions for s in a.option_strings} == want, name
+
+
+# a key of another command, or a prefix of one of its own flags
+@pytest.mark.parametrize("command, flag, value", [
+    ("eval", "--epochs", 5), ("prepare", "--variant", "concat"), ("train", "--epoch", 2),
+    ("gradcheck", "--hidden-dim", 3), ("prepare", "--outdi", "x")])
+def test_a_flag_the_command_does_not_read_is_a_config_error(tmp_path, capsys, command,
+                                                             flag, value):
+    out = tmp_path / "out"
+    assert run(command, flag, value, "--outdir", out) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and flag in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_config_json_echoes_only_the_keys_the_command_reads(workdir):
+    cfg = workdir / "cfg.json"
+    cfg.write_text(json.dumps({"platform": "twitter", "embed_dim": EMBED_DIM, "epochs": 1,
+                               "patience": 1, "variant": "reply_only", "hidden_dim": 4,
+                               "corpus": str(workdir / "corpus.jsonl"),
+                               "embeddings": str(workdir / "emb.txt")}), encoding="utf-8")
+    assert run("train", "--config", cfg, "--outdir", workdir / "run") == 0
+    assert run("eval", "--config", cfg, "--checkpoint", workdir / "run" / "checkpoint.json",
+               "--outdir", workdir / "eval") == 0
+    echoed = json.loads((workdir / "eval" / "config.json").read_text())
+    assert tuple(echoed) == tuple(sorted(READS["eval"]))
+    assert echoed["embed_dim"] == EMBED_DIM and echoed["platform"] == "twitter"
+    assert set(json.loads((workdir / "run" / "config.json").read_text())) == set(READS["train"])
 
 
 @pytest.mark.parametrize("flag, value", [("--variant", "svm_x"), ("--task", "both"),
                                          ("--platform", "reddit"), ("--epochs", "2.5"),
                                          ("--lr", "fast")])
 def test_flag_value_outside_its_type_or_choices_is_usage_error(capsys, flag, value):
-    assert run("gradcheck", flag, value) == 1
+    assert run("train", flag, value) == 1
     assert flag in capsys.readouterr().err
 
 
@@ -303,7 +336,7 @@ def test_non_finite_rate_in_config_file_is_config_error(workdir, capsys, key, va
 def test_config_file_value_out_of_range_names_the_file(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"dropout": 5}', encoding="utf-8")
-    assert run("gradcheck", "--config", cfg, "--dropout", 0.1) == 1
+    assert run("train", "--config", cfg, "--dropout", 0.1) == 1
     assert capsys.readouterr().err == (
         f"config error: config file {cfg}: dropout: 5 outside [0, 1)\n")
 
@@ -407,7 +440,7 @@ def test_outdir_that_cannot_be_made_is_a_config_error(tmp_path, monkeypatch):
     afile.write_text("", encoding="utf-8")
     monkeypatch.setattr(cli, "_require_outdir", lambda cfg: None)
     with pytest.raises(ConfigError, match=f"outdir: cannot create {re.escape(str(afile))}"):
-        cli._prepare_outdir(RunConfig(outdir=str(afile)))
+        cli._prepare_outdir(RunConfig(outdir=str(afile)), "train")
 
 
 @pytest.mark.parametrize("command, blocked", [("prepare", "train.jsonl"),
@@ -870,6 +903,19 @@ def test_scoring_refuses_a_max_context_that_conflicts_with_the_checkpoint(
         assert run(command, "--checkpoint", runs[1][0], "--corpus", workdir / "corpus.jsonl",
                    "--lexicons", lexicon_dir, "--max-context", 3,
                    "--outdir", workdir / "same") == 0
+
+
+@pytest.mark.parametrize("command", ["eval", "predict", "attention"])
+def test_scoring_refuses_an_embed_dim_that_conflicts_with_the_checkpoint(
+        workdir, capsys, command):
+    emb, ckpt = scoring_inputs(workdir, "sent_attn")
+    common = ("--checkpoint", ckpt, "--corpus", workdir / "corpus.jsonl", "--embeddings", emb)
+    assert run(command, *common, "--embed-dim", 5, "--outdir", workdir / "never") == 1
+    err = capsys.readouterr().err
+    assert err == (f"config error: embed_dim: 5 conflicts with {EMBED_DIM} "
+                   f"stored in checkpoint {ckpt}\n")
+    assert not (workdir / "never").exists()
+    assert run(command, *common, "--embed-dim", EMBED_DIM, "--outdir", workdir / "same") == 0
 
 
 @pytest.mark.parametrize("flag", [(), ("--max-context", 5)])

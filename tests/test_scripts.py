@@ -57,8 +57,10 @@ def test_comparison_on_a_prepared_directory_matches_the_split_source_file(syn, t
 @pytest.mark.parametrize("flags, option", [
     (("--outdir", "out"), "--outdir"), (("--checkpoint", "ck.json"), "--checkpoint"),
     (("--lexicons", "lex"), "--lexicons"), (("--raw-tweets", "raw.jsonl"), "--raw-tweets"),
-    (("--task", "reply_only"), "--task"), ("config", "'variant'")],
-    ids=["outdir", "checkpoint", "lexicons", "raw-tweets", "task", "config-variant"])
+    (("--task", "reply_only"), "--task"), (("--min-ngram-count", 99), "--min-ngram-count"),
+    ("config", "'variant'")],
+    ids=["outdir", "checkpoint", "lexicons", "raw-tweets", "task", "min-ngram-count",
+         "config-variant"])
 def test_comparison_refuses_an_option_it_would_ignore(syn, tmp_path, flags, option):
     if flags == "config":
         (tmp_path / "cfg.json").write_text('{"variant": "concat"}', encoding="utf-8")
