@@ -17,6 +17,7 @@ import hashlib
 import io
 import os
 import sys
+import threading
 from contextlib import suppress
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -108,23 +109,31 @@ class _Unusable(Exception):
 
 
 def _cached_table(path, cache: str) -> EmbeddingTable | None:
-    """The table cache holds for the bytes now at path, or None."""
+    """The table cache holds for the bytes now at path, or None. A second
+    thread hashes the text while this one reads and checks the archive."""
     try:
         with np.load(cache, allow_pickle=False) as npz:
             if npz["version"].tolist() != CACHE_VERSION:
                 raise _Unusable(f"its format version is not {CACHE_VERSION}")
-            if str(npz[CACHE_HASH]) != _file_digest(path):
-                raise _Unusable(f"stale, {path} has changed since it was written")
-            dim = int(npz["dim"])
-            blob = npz["tokens"].tobytes().decode("utf-8")
-            matrix = npz["matrix"]
-        tokens = blob.split("\n") if blob else []
-        if (matrix.dtype != np.float64 or matrix.shape != (len(tokens), dim)
-                or not np.isfinite(matrix).all()):
-            raise _Unusable("its matrix does not hold one finite float64 row per token")
-        vocab = {t: i for i, t in enumerate(tokens)}
-        if len(vocab) != len(tokens) or "" in vocab:
-            raise _Unusable("its tokens repeat or are empty")
+            key = str(npz[CACHE_HASH])
+            digest = _Digest(path)
+            try:
+                dim = int(npz["dim"])
+                blob = npz["tokens"].tobytes().decode("utf-8")
+                matrix = npz["matrix"]
+                tokens = blob.split("\n") if blob else []
+                if (matrix.dtype != np.float64 or matrix.shape != (len(tokens), dim)
+                        or not np.isfinite(matrix).all()):
+                    raise _Unusable("its matrix does not hold one finite float64 row per token")
+                vocab = {t: i for i, t in enumerate(tokens)}
+                if len(vocab) != len(tokens) or "" in vocab:
+                    raise _Unusable("its tokens repeat or are empty")
+            except Exception:  # a fault of the hash, or staleness, is named first
+                digest.check(key)
+                raise
+            finally:  # on every way out, an interrupt's too
+                digest.join()
+            digest.check(key)
     except FileNotFoundError:
         return None
     except ConfigError:  # the text file cannot be read: the parse says so too
@@ -138,12 +147,38 @@ def _cached_table(path, cache: str) -> EmbeddingTable | None:
     return EmbeddingTable(dim, vocab, matrix)
 
 
-def _file_digest(path) -> str:
-    """The CACHE_HASH digest of the file's bytes, read a chunk at a time."""
+class _Digest(threading.Thread):
+    """_file_digest(path) on a thread of its own, started at once. Its chunk
+    buffer is allocated by the caller's thread."""
+
+    def __init__(self, path):
+        super().__init__(name="convsarc-digest")
+        self.path, self.buf, self.value, self.error = path, bytearray(HASH_CHUNK), None, None
+        self.start()
+
+    def run(self) -> None:
+        try:
+            self.value = _file_digest(self.path, self.buf)
+        except BaseException as e:  # noqa: BLE001 - check() raises it in the caller
+            self.error = e
+
+    def check(self, key: str) -> None:
+        """Once the thread has ended, raise what the hash raised, or
+        _Unusable when the digest is not key."""
+        self.join()
+        if self.error is not None:
+            raise self.error
+        if self.value != key:
+            raise _Unusable(f"stale, {self.path} has changed since it was written")
+
+
+def _file_digest(path, buf: bytearray) -> str:
+    """The CACHE_HASH digest of the file's bytes, read into buf a chunk at a time."""
     hasher = hashlib.new(CACHE_HASH, usedforsecurity=False)
-    with open_input(path) as fh:
-        while chunk := fh.read(HASH_CHUNK):
-            hasher.update(chunk)
+    view = memoryview(buf)
+    with open_input(path, buffering=0) as fh:
+        while n := fh.readinto(view):
+            hasher.update(view[:n])
     return hasher.hexdigest()
 
 

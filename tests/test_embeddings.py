@@ -1,12 +1,14 @@
 import errno
+import io
 import os
 import re
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stderr
 from pathlib import Path
 
 import numpy as np
@@ -563,32 +565,153 @@ def _rewrite_cache(cache, **changes):
     np.savez(cache, **fields)
 
 
+def unreadable(read):
+    """The problem read(cache) names: "unreadable (<type>: <message>)". The
+    message is numpy's or zipfile's own, so its words may vary by version."""
+    def problem(path, cache):
+        with pytest.raises(Exception) as e:
+            read(cache)
+        return f"unreadable ({e.type.__name__}: {e.value})"
+    return problem
+
+
+def said(text):
+    """A problem of fixed text; {path} stands for the text file's path."""
+    return lambda path, cache: text.format(path=path)
+
+
+def load_cache(cache):
+    with np.load(cache, allow_pickle=False):
+        pass
+
+
+def load_tokens(cache):
+    with np.load(cache, allow_pickle=False) as npz:
+        npz["tokens"]
+
+
+STALE = "stale, {path} has changed since it was written"
+ROWS = "its matrix does not hold one finite float64 row per token"
+REPEATS = "its tokens repeat or are empty"
+NAN = np.array([[1.0, 2.0], [np.nan, 4.0]])
+PICKLED = np.array(["a", "b"], dtype=object)
+
+# name: (damage done to a good cache, the problem its warning names)
 BAD_CACHES = {
-    "truncated": lambda c: c.write_bytes(c.read_bytes()[:len(c.read_bytes()) // 2]),
-    "not a zip": lambda c: c.write_bytes(b"not a cache"),
-    "foreign version": lambda c: _rewrite_cache(c, version=np.array(99)),
-    "wrong digest": lambda c: _rewrite_cache(c, sha1=np.array("0" * 40)),
-    "wrong shape": lambda c: _rewrite_cache(c, matrix=np.zeros((2, 3))),
-    "float32": lambda c: _rewrite_cache(c, matrix=np.zeros((2, 2), np.float32)),
-    "nan": lambda c: _rewrite_cache(c, matrix=np.array([[1.0, 2.0], [np.nan, 4.0]])),
-    "duplicate token": lambda c: _rewrite_cache(c, tokens=np.frombuffer(b"a\na", np.uint8)),
-    "empty token": lambda c: _rewrite_cache(c, tokens=np.frombuffer(b"a\n", np.uint8)),
-    "pickled tokens": lambda c: _rewrite_cache(c, tokens=np.array(["a", "b"], dtype=object)),
+    "truncated": (lambda c: c.write_bytes(c.read_bytes()[:len(c.read_bytes()) // 2]),
+                  unreadable(load_cache)),
+    "not a zip": (lambda c: c.write_bytes(b"not a cache"), unreadable(load_cache)),
+    "foreign version": (lambda c: _rewrite_cache(c, version=np.array(99)),
+                        said("its format version is not 1")),
+    "wrong digest": (lambda c: _rewrite_cache(c, sha1=np.array("0" * 40)), said(STALE)),
+    "wrong shape": (lambda c: _rewrite_cache(c, matrix=np.zeros((2, 3))), said(ROWS)),
+    "float32": (lambda c: _rewrite_cache(c, matrix=np.zeros((2, 2), np.float32)), said(ROWS)),
+    "nan": (lambda c: _rewrite_cache(c, matrix=NAN), said(ROWS)),
+    "duplicate token": (lambda c: _rewrite_cache(c, tokens=np.frombuffer(b"a\na", np.uint8)),
+                        said(REPEATS)),
+    "empty token": (lambda c: _rewrite_cache(c, tokens=np.frombuffer(b"a\n", np.uint8)),
+                    said(REPEATS)),
+    "pickled tokens": (lambda c: _rewrite_cache(c, tokens=PICKLED), unreadable(load_tokens)),
+    # two faults at once: a foreign version is named first, then staleness,
+    # then the archive's own faults
+    "stale and nan": (lambda c: _rewrite_cache(c, sha1=np.array("0" * 40), matrix=NAN),
+                      said(STALE)),
+    "stale and pickled tokens": (
+        lambda c: _rewrite_cache(c, sha1=np.array("0" * 40), tokens=PICKLED), said(STALE)),
+    "foreign version and stale": (
+        lambda c: _rewrite_cache(c, version=np.array(99), sha1=np.array("0" * 40)),
+        said("its format version is not 1")),
 }
 
 
-@pytest.mark.parametrize("damage", BAD_CACHES.values(), ids=BAD_CACHES.keys())
-def test_a_bad_cache_costs_one_stderr_line_and_a_parse(tmp_path, parses, capsys, damage):
+@pytest.mark.parametrize("damage, problem", BAD_CACHES.values(), ids=BAD_CACHES.keys())
+def test_a_bad_cache_costs_one_stderr_line_and_a_parse(tmp_path, parses, capsys, damage,
+                                                       problem):
     path = write(tmp_path, "2 2\na 1 2\nb 3 4\n")
     want = outcome(load_embeddings(path, 2))
-    damage(cache_of(path))
+    cache = cache_of(path)
+    damage(cache)
+    line = f"warning: embedding cache {cache}: {problem(path, cache)}; parsing the text\n"
     assert outcome(load_embeddings(path, 2)) == want
     assert parses == [path, path]
-    err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith(f"warning: embedding cache {cache_of(path)}: ")
-    assert "Traceback" not in err[0]
+    assert capsys.readouterr().err == line
     assert outcome(load_embeddings(path, 2)) == want  # the parse wrote a good cache
     assert parses == [path, path] and capsys.readouterr().err == ""
+
+
+def test_the_archives_checksum_guards_the_matrix(tmp_path, parses, capsys):
+    path, values = random_vectors_file(tmp_path)
+    want = outcome(load_embeddings(path, 5))
+    cache = cache_of(path)
+    body = bytearray(cache.read_bytes())
+    at = body.index(values.tobytes()) + values.nbytes // 2
+    body[at] ^= 0x10
+    cache.write_bytes(bytes(body))
+    assert outcome(load_embeddings(path, 5)) == want
+    assert parses == [path, path]
+    assert capsys.readouterr().err == (
+        f"warning: embedding cache {cache}: unreadable (BadZipFile: Bad CRC-32 for file "
+        "'matrix.npy'); parsing the text\n")
+
+
+@pytest.mark.parametrize("case", ["hit", "stale", "damaged", "unreadable text"])
+def test_no_thread_outlives_a_load(tmp_path, monkeypatch, case):
+    path, _ = random_vectors_file(tmp_path)
+    want = outcome(load_embeddings(path, 5))
+    digest = embeddings._file_digest
+
+    def slow_digest(*args):  # a hash still running when the archive has been read
+        time.sleep(0.2)
+        if case == "unreadable text":  # chmod 000 cannot stop root reading the file
+            raise ConfigError(f"{path}: cannot read: Permission denied")
+        return digest(*args)
+    monkeypatch.setattr(embeddings, "_file_digest", slow_digest)
+    if case == "stale":
+        _rewrite_cache(cache_of(path), sha1=np.array("0" * 40))
+    elif case == "damaged":
+        _rewrite_cache(cache_of(path), matrix=NAN)
+    before = threading.enumerate()
+    if case == "unreadable text":
+        with pytest.raises(ConfigError) as e:
+            load_embeddings(path, 5)
+        assert str(e.value) == f"{path}: cannot read: Permission denied"
+    else:
+        assert outcome(load_embeddings(path, 5)) == want
+    assert threading.enumerate() == before
+    assert threading.active_count() == len(before)
+
+
+def cache_damage():
+    """What to do to a good cache's bytes: replace them, cut them short or
+    flip one byte. Offsets wrap around the cache's length."""
+    return st.one_of(
+        st.binary(max_size=300).map(lambda junk: lambda good: junk),
+        st.integers(0, 1 << 16).map(lambda n: lambda good: good[:n % len(good)]),
+        st.tuples(st.integers(0, 1 << 16), st.integers(1, 255)).map(
+            lambda f: lambda good: _flip(good, f[0] % len(good), f[1])))
+
+
+def _flip(good: bytes, at: int, mask: int) -> bytes:
+    body = bytearray(good)
+    body[at] ^= mask
+    return bytes(body)
+
+
+@given(damage=cache_damage())
+@settings(max_examples=60, deadline=None)
+def test_any_cache_beside_a_good_text_loads_the_texts_bits(tmp_path_factory, damage):
+    directory = tmp_path_factory.getbasetemp() / "fuzzed_cache"
+    directory.mkdir(exist_ok=True)
+    path, _ = random_vectors_file(directory, count=6, dim=3)
+    want = outcome(load_embeddings(path, 3))
+    cache = cache_of(path)
+    cache.write_bytes(damage(cache.read_bytes()))
+    err = io.StringIO()
+    with redirect_stderr(err):
+        assert outcome(load_embeddings(path, 3)) == want
+    lines = err.getvalue().splitlines()
+    assert len(lines) <= 1 and "Traceback" not in err.getvalue()
+    assert all(line.startswith(f"warning: embedding cache {cache}: ") for line in lines)
 
 
 def test_a_file_that_changes_during_the_load_is_cached_under_the_bytes_parsed(
