@@ -28,7 +28,6 @@ from .data import open_input, open_output
 from .errors import ConfigError, ConvsarcError, DomainError, ParseError
 
 OOV_SCALE = 0.05
-BLOCK_CHARS = 1 << 18  # about 256 KB of lines per bulk parse
 CACHE_SUFFIX = ".convsarc-cache.npz"
 CACHE_VERSION = 1
 # The key has only to notice a changed file, not to resist a forger, who
@@ -110,9 +109,11 @@ class _Unusable(Exception):
 
 def _cached_table(path, cache: str) -> EmbeddingTable | None:
     """The table cache holds for the bytes now at path, or None. A second
-    thread hashes the text while this one reads and checks the archive."""
+    thread hashes the text while this one reads and checks the archive,
+    which is read as a zip whatever its first bytes: np.load would take
+    other bytes for a pickle."""
     try:
-        with np.load(cache, allow_pickle=False) as npz:
+        with open(cache, "rb") as fh, np.lib.npyio.NpzFile(fh, allow_pickle=False) as npz:
             if npz["version"].tolist() != CACHE_VERSION:
                 raise _Unusable(f"its format version is not {CACHE_VERSION}")
             key = str(npz[CACHE_HASH])
@@ -185,7 +186,7 @@ def _file_digest(path, buf: bytearray) -> str:
 def _write_cache(cache: str, digest: str, table: EmbeddingTable) -> None:
     """Write the table's cache through open_output, so that no reader sees
     half a file. The matrix goes to the archive from its own memory, uncopied."""
-    import zipfile  # only a cache write needs it; np.load imports it on a read
+    import zipfile  # only a cache write needs it; NpzFile imports it on a read
 
     tokens = "\n".join(table.vocab).encode("utf-8")
     small = {"version": np.array(CACHE_VERSION), "dim": np.array(table.dim),
@@ -232,12 +233,10 @@ class _Hashed(io.RawIOBase):
 def _parse_text(path, expected_dim: int, hasher=None) -> EmbeddingTable:
     """Parse word2vec text format: header "V D", then V lines "token v1 .. vD".
 
-    Lines are read in blocks of about BLOCK_CHARS characters, and numpy's C
-    parser reads each block's values in one call. A block it does not take
-    whole, or that repeats a token, is parsed again line by line, so every
-    vector equals float() of its text and every error, a repeated token
-    included, names the path and line. A hasher is updated with exactly the
-    bytes parsed. The rows go straight into the table's matrix.
+    Every vector equals float() of its text, and every error, a repeated
+    token included, names the path and the first bad line. A hasher is
+    updated with exactly the bytes parsed. The rows go straight into the
+    table's matrix.
     """
     vocab: dict[str, int] = {}
     raw = open_input(path, buffering=0)
@@ -261,23 +260,11 @@ def _parse_text(path, expected_dim: int, hasher=None) -> EmbeddingTable:
         # a line "t v .. v" takes at least 2 * dim + 1 bytes, so a header
         # promising more rows than the file can hold gets room only for those
         matrix = np.empty((max(0, min(count, size // (2 * dim + 1))), dim))
-        lineno = 2
-        while lines := fh.readlines(BLOCK_CHARS):
-            block = _parse_block(lines, dim)
-            if block is not None and vocab.keys().isdisjoint(block[0]):
-                start = len(vocab)
-                matrix = _room(matrix, start + len(block[0]), count)
-                matrix[start:start + len(block[0])] = block[1]
-                vocab.update(zip(block[0], range(start, start + len(block[0]))))
-            else:
-                # line by line, each token checked against the lines before
-                # it, so that an error names the first bad line
-                for n, line in enumerate(lines, start=lineno):
-                    if parsed := _parse_line(path, n, line, dim, vocab):
-                        matrix = _room(matrix, len(vocab) + 1, count)
-                        matrix[len(vocab)] = parsed[1]
-                        vocab[parsed[0]] = len(vocab)
-            lineno += len(lines)
+        for lineno, line in enumerate(fh, start=2):
+            if parsed := _parse_line(path, lineno, line, dim, vocab):
+                matrix = _room(matrix, len(vocab) + 1, count)
+                matrix[len(vocab)] = parsed[1]
+                vocab[parsed[0]] = len(vocab)
     if len(vocab) != count:
         raise ParseError(
             f"{path}: header promised {count} vectors, file held {len(vocab)}")
@@ -293,32 +280,6 @@ def _room(matrix: np.ndarray, rows: int, count: int) -> np.ndarray:
         matrix.resize((max(rows, min(2 * len(matrix), count)), matrix.shape[1]),
                       refcheck=False)
     return matrix
-
-
-def _parse_block(lines: list[str], dim: int):
-    """(tokens, matrix) of a block whose every line numpy parses as
-    _parse_line would, one matrix row per token; None when any line needs
-    _parse_line, as one whose token repeats does."""
-    rows = [line.partition(" ") for line in lines if not line.isspace()]
-    if not rows:
-        return [], np.empty((0, dim))
-    tokens = [tok for tok, _, _ in rows]
-    rests = [rest for _, _, rest in rows]
-    # an empty token means the line starts with a space; an empty rest is a
-    # line without values, which loadtxt would skip rather than reject
-    if "" in tokens or "" in rests or "\n" in rests:
-        return None
-    try:
-        "".join(tokens).encode("utf-8")
-    except UnicodeEncodeError:  # a lone surrogate stands for a byte that is not UTF-8
-        return None
-    try:
-        mat = np.loadtxt(rests, dtype=np.float64, delimiter=" ", comments=None, ndmin=2)
-    except ValueError:
-        return None
-    if mat.shape != (len(rows), dim) or not np.isfinite(mat).all():
-        return None
-    return (tokens, mat) if len(set(tokens)) == len(tokens) else None
 
 
 def _parse_line(path, lineno: int, line: str, dim: int, vocab: dict[str, int]):

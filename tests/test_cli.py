@@ -1171,6 +1171,30 @@ def test_any_checkpoint_bytes_to_eval_exit_cleanly_naming_the_file(
                     "--embeddings", emb, "--lexicons", lexicon_dir)
 
 
+EMBEDDING_VALUES = [b"0.5"] * 8 + [b"-1e-3", b"1_0", b"1e999", b"x", b"0x1"]
+EMBEDDING_LINES = st.tuples(
+    st.sampled_from([b"great", b"x", b"great", b"\xc3", b""]),
+    st.sampled_from([EMBED_DIM] * 4 + [EMBED_DIM - 1, EMBED_DIM + 1]).flatmap(
+        lambda n: st.lists(st.sampled_from(EMBEDDING_VALUES), min_size=n, max_size=n)),
+    st.sampled_from([b" ", b" ", b"  ", b" \t"])).map(lambda t: t[2].join([t[0], *t[1]]))
+VECTOR = b" 0.5" * EMBED_DIM
+
+
+@given(st.one_of(st.binary(max_size=48),
+                 st.tuples(st.integers(0, 3), st.lists(EMBEDDING_LINES, max_size=3),
+                           st.sampled_from([b"\n", b"\r\n"])).map(
+                     lambda h: f"{h[0]} {EMBED_DIM}".encode() + h[2] + h[2].join(h[1]))))
+@settings(max_examples=40, deadline=None)
+@example(f"0 {EMBED_DIM}\n".encode())  # loads, every word out of vocabulary
+@example(f"2 {EMBED_DIM}\n".encode() + b"great" + VECTOR + b"\nx" + VECTOR + b"\n")
+@example(b"1 3\nx 1 2 3\n")  # another dim than the checkpoint's
+def test_any_embeddings_bytes_to_eval_exit_cleanly_naming_the_file(
+        tmp_path_factory, eval_inputs, content):
+    _, ckpt, corpus = eval_inputs
+    _eval_with_file(tmp_path_factory, "--embeddings", content, "--checkpoint", ckpt,
+                    "--corpus", corpus)
+
+
 @pytest.mark.parametrize("case", ["empty-dev-split", "one-class-svm-split"])
 def test_refused_split_writes_no_outdir(tmp_path, workdir, lexicon_dir, capsys, case):
     corpus = tmp_path / "prepared"

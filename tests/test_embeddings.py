@@ -1,4 +1,5 @@
 import errno
+import gc
 import io
 import os
 import re
@@ -111,9 +112,8 @@ def test_a_cold_load_holds_one_copy_of_the_matrix(tmp_path):
 
 
 @pytest.mark.parametrize("count", [40, 60])
-def test_a_pipe_of_many_blocks_loads_as_its_file_does(tmp_path, monkeypatch, count):
-    # a pipe's size is unknown, so its matrix grows as its blocks arrive
-    monkeypatch.setattr(embeddings, "BLOCK_CHARS", 40)
+def test_a_pipe_whose_matrix_grows_loads_as_its_file_does(tmp_path, count):
+    # a pipe's size is unknown, so its matrix starts empty and grows as lines arrive
     text = f"{count} 2\n" + "".join(f"w{i} {i} {i / 7!r}\n" for i in range(40))
     path = write(tmp_path, text)
     fifo = tmp_path / "vecs.fifo"
@@ -177,9 +177,7 @@ def test_lookup_empty_token():
         lookup(EmbeddingTable(dim=3, vocab={}, seed=0), "")
 
 
-def test_vectors_are_frozen(tmp_path, monkeypatch):
-    # several blocks, one of them parsed line by line (the 1_0)
-    monkeypatch.setattr(embeddings, "BLOCK_CHARS", 12)
+def test_vectors_are_frozen(tmp_path):
     body = "".join(f"t{i} {i} 2\n" for i in range(9)) + "u 1_0 3\n"
     path = write(tmp_path, "10 2\n" + body)
     table = load_embeddings(path, 2)
@@ -196,9 +194,7 @@ def test_vectors_are_frozen(tmp_path, monkeypatch):
         oov[0] = 9.0
 
 
-def test_stored_vectors_cannot_be_made_writeable(tmp_path, monkeypatch):
-    # "u" is in a block that falls back to the per-line parse (the 1_0)
-    monkeypatch.setattr(embeddings, "BLOCK_CHARS", 12)
+def test_stored_vectors_cannot_be_made_writeable(tmp_path):
     body = "".join(f"t{i} {i} 2\n" for i in range(6)) + "u 1_0 3\n"
     path = write(tmp_path, "7 2\n" + body)
     table = load_embeddings(path, 2)
@@ -248,41 +244,21 @@ def test_sentence_avg_commutes_with_uniform_scaling(tmp_path):
 
 
 # --------------------------------------------------------------------------
-# block parsing: lines are parsed in blocks of about BLOCK_CHARS characters,
-# and a block numpy does not parse whole is parsed again line by line
+# the text parse: each line in turn, so that an error names the first bad line
 
 
-def block_sizes(monkeypatch, block_chars):
-    """Set the block size; the returned list collects each block's line count."""
-    monkeypatch.setattr(embeddings, "BLOCK_CHARS", block_chars)
-    sizes = []
-    parse_block = embeddings._parse_block
-
-    def spy(lines, dim):
-        sizes.append(len(lines))
-        return parse_block(lines, dim)
-    monkeypatch.setattr(embeddings, "_parse_block", spy)
-    return sizes
-
-
-def test_error_on_first_line_of_second_block_names_its_line(tmp_path, monkeypatch):
-    # a block ends once it holds more than 13 characters: two 7-character lines
-    sizes = block_sizes(monkeypatch, 13)
+def test_error_on_first_line_of_second_block_names_its_line(tmp_path):
     path = write(tmp_path, "4 2\na0 1 2\na1 3 4\na2 5 x\na3 7 8\n")
     with pytest.raises(ParseError, match=r"vecs\.txt: line 4: non-numeric value$") as err:
         load_embeddings(path, 2)
-    assert sizes == [2, 2]
     reload_matches(path, 2, err.value)
 
 
-def test_blank_lines_at_block_edges_are_skipped(tmp_path, monkeypatch):
-    sizes = block_sizes(monkeypatch, 8)
+def test_blank_lines_at_block_edges_are_skipped(tmp_path, parses):
     path = write(tmp_path, "3 2\na0 1 2\n \n\na1 3 4\n\t\na2 5 6")
     table = load_embeddings(path, 2)
-    # blocks [a0, " "], [blank, a1, "\t"], [a2]: blank lines end and start blocks
-    assert sizes == [2, 3, 1]
     reload_matches(path, 2, table)
-    assert sizes == [2, 3, 1]  # the second load was a cache hit
+    assert parses == [path]  # the second load was a cache hit
     assert list(table.vocab) == ["a0", "a1", "a2"]
     assert np.array_equal(lookup(table, "a2"), [5.0, 6.0])
 
@@ -298,7 +274,7 @@ def test_values_only_float_reads_still_load(tmp_path, line):
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("lines, message", [
-    ([" 1 2"], "line 3: expected token + 2 values, got 2 fields"),  # numpy sees "1 2"
+    ([" 1 2"], "line 3: expected token + 2 values, got 2 fields"),
     (["a"], "line 3: expected token + 2 values, got 1 fields"),
     (["a ", "c\t"], "line 3: expected token + 2 values, got 1 fields"),
     (["a 1 2 3"], "line 3: expected token + 2 values, got 4 fields"),
@@ -314,9 +290,10 @@ REPEAT_AT_4 = r"vecs\.txt: line 4: token 'a' repeats an earlier line$"
 
 @pytest.mark.parametrize("header", ["2 2", "3 2"])
 def test_repeated_token_names_its_line(tmp_path, header):
-    # "2 2" used to load with a = [5, 6]; "3 2" failed on the count, naming no line
-    with pytest.raises(ParseError, match=REPEAT_AT_4):
-        load_embeddings(write(tmp_path, f"{header}\na 1 2\nb 3 4\na 5 6\n"), 2)
+    path = write(tmp_path, f"{header}\na 1 2\nb 3 4\na 5 6\n")
+    with pytest.raises(ParseError, match=REPEAT_AT_4) as err:
+        load_embeddings(path, 2)
+    reload_matches(path, 2, err.value)
 
 
 @pytest.mark.parametrize("lines, message", [
@@ -325,22 +302,10 @@ def test_repeated_token_names_its_line(tmp_path, header):
     (["b 1 2", "b 3 4", "a x 6"], r"vecs\.txt: line 3: token 'b' repeats an earlier line$"),
     (["a 1 2", "b 3 4", "b x 6"], r"vecs\.txt: line 4: non-numeric value$"),
 ], ids=["after a value only float reads", "before a malformed line", "on a malformed line"])
-def test_repeated_token_in_a_line_by_line_block(tmp_path, monkeypatch, lines, message):
-    sizes = block_sizes(monkeypatch, 1 << 18)
+def test_repeated_token_in_a_line_by_line_block(tmp_path, lines, message):
     path = write(tmp_path, "3 2\n" + "\n".join(lines) + "\n")
     with pytest.raises(ParseError, match=message) as err:
         load_embeddings(path, 2)
-    assert sizes == [3]
-    reload_matches(path, 2, err.value)
-
-
-def test_repeated_token_across_blocks(tmp_path, monkeypatch):
-    # a block ends once it holds more than 11 characters: two 6-character lines
-    sizes = block_sizes(monkeypatch, 11)
-    path = write(tmp_path, "3 2\na 1 2\nb 3 4\na 5 6\n")
-    with pytest.raises(ParseError, match=REPEAT_AT_4) as err:
-        load_embeddings(path, 2)
-    assert sizes == [2, 1]
     reload_matches(path, 2, err.value)
 
 
@@ -352,12 +317,11 @@ def test_non_utf8_bytes_name_their_line(tmp_path):
         load_embeddings(path, 2)
 
 
-def test_bulk_parse_is_bit_identical_to_float(tmp_path, monkeypatch):
+def test_parse_is_bit_identical_to_float(tmp_path):
     rng = np.random.default_rng(0)
     values = np.concatenate([rng.uniform(-0.5, 0.5, 294).round(6),
                              rng.standard_normal(294) * 10.0 ** rng.integers(-300, 300, 294)])
     texts = [repr(float(v)) for v in values] + ["-0", "0.1", "1e-320", "2.5e+3", "+7", ".5", "5."]
-    monkeypatch.setattr(embeddings, "BLOCK_CHARS", 256)
     body = "".join(f"w{i} {' '.join(texts[i:i + 7])}\n" for i in range(0, len(texts), 7))
     path = write(tmp_path, f"{len(texts) // 7} 7\n{body}")
     table = load_embeddings(path, 7)
@@ -367,7 +331,7 @@ def test_bulk_parse_is_bit_identical_to_float(tmp_path, monkeypatch):
 
 
 def per_line_load_embeddings(path, expected_dim):
-    """The per-line parser the block parse replaced, reading lines as text
+    """A reference parser of the whole file's bytes, reading lines as text
     mode does (universal newlines) and decoding each line on its own, so that
     a byte that is not UTF-8 is a ParseError naming its line."""
     raw = path.read_bytes().replace(b"\r\n", b"\n").replace(b"\r", b"\n")
@@ -482,17 +446,15 @@ def load_outcome(load, path, dim):
         return outcome(e)
 
 
-@given(embedding_files(), st.sampled_from([1, 24, 80, 1 << 18]))
+@given(embedding_files())
 @settings(max_examples=300, deadline=None)
-def test_block_parse_matches_per_line_parse(tmp_path_factory, case, block_chars):
+def test_block_parse_matches_per_line_parse(tmp_path_factory, case):
     body, dim = case
     path = tmp_path_factory.getbasetemp() / "differential_vecs.txt"
     path.write_bytes(body)
     # an earlier example may have cached this same body; the parse must run
     cache_of(path).unlink(missing_ok=True)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(embeddings, "BLOCK_CHARS", block_chars)
-        got = load_outcome(load_embeddings, path, dim)
+    got = load_outcome(load_embeddings, path, dim)
     assert got == load_outcome(per_line_load_embeddings, path, dim)
     assert load_outcome(load_embeddings, path, dim) == got
 
@@ -581,12 +543,12 @@ def said(text):
 
 
 def load_cache(cache):
-    with np.load(cache, allow_pickle=False):
+    with open(cache, "rb") as fh, np.load(fh, allow_pickle=False):
         pass
 
 
 def load_tokens(cache):
-    with np.load(cache, allow_pickle=False) as npz:
+    with open(cache, "rb") as fh, np.load(fh, allow_pickle=False) as npz:
         npz["tokens"]
 
 
@@ -600,7 +562,8 @@ PICKLED = np.array(["a", "b"], dtype=object)
 BAD_CACHES = {
     "truncated": (lambda c: c.write_bytes(c.read_bytes()[:len(c.read_bytes()) // 2]),
                   unreadable(load_cache)),
-    "not a zip": (lambda c: c.write_bytes(b"not a cache"), unreadable(load_cache)),
+    "not a zip": (lambda c: c.write_bytes(b"not a cache"),
+                  said("unreadable (BadZipFile: File is not a zip file)")),
     "foreign version": (lambda c: _rewrite_cache(c, version=np.array(99)),
                         said("its format version is not 1")),
     "wrong digest": (lambda c: _rewrite_cache(c, sha1=np.array("0" * 40)), said(STALE)),
@@ -637,6 +600,22 @@ def test_a_bad_cache_costs_one_stderr_line_and_a_parse(tmp_path, parses, capsys,
     assert capsys.readouterr().err == line
     assert outcome(load_embeddings(path, 2)) == want  # the parse wrote a good cache
     assert parses == [path, path] and capsys.readouterr().err == ""
+
+
+def test_no_bad_cache_leaves_a_file_open(tmp_path):
+    path = write(tmp_path, "2 2\na 1 2\nb 3 4\n")
+    want = outcome(load_embeddings(path, 2))
+    good = cache_of(path).read_bytes()
+    fds = sorted(os.listdir("/proc/self/fd"))
+    for damage, _ in BAD_CACHES.values():
+        cache_of(path).write_bytes(good)
+        damage(cache_of(path))
+        with warnings.catch_warnings(record=True) as caught, redirect_stderr(io.StringIO()):
+            warnings.simplefilter("always")
+            assert outcome(load_embeddings(path, 2)) == want
+            gc.collect()  # a file held in a reference cycle is closed here, with a warning
+        assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+        assert sorted(os.listdir("/proc/self/fd")) == fds
 
 
 def test_the_archives_checksum_guards_the_matrix(tmp_path, parses, capsys):
