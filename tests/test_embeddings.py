@@ -296,6 +296,18 @@ def test_repeated_token_names_its_line(tmp_path, header):
     reload_matches(path, 2, err.value)
 
 
+def test_repeated_token_across_blocks(tmp_path):
+    # the repeat is read many buffers of the file after its first line
+    filler = [f"w{i} 1 2" for i in range(4 * io.DEFAULT_BUFFER_SIZE // 6)]
+    lines = ["a 1 2", *filler, "a 5 6"]
+    path = write(tmp_path, f"{len(lines)} 2\n" + "\n".join(lines) + "\n")
+    assert path.stat().st_size > 4 * io.DEFAULT_BUFFER_SIZE
+    with pytest.raises(ParseError, match=rf"vecs\.txt: line {len(lines) + 1}: "
+                                         r"token 'a' repeats an earlier line$") as err:
+        load_embeddings(path, 2)
+    reload_matches(path, 2, err.value)
+
+
 @pytest.mark.parametrize("lines, message", [
     (["a 1 2", "b 1_0 4", "a 5 6"], REPEAT_AT_4),
     # the repeat comes before the malformed line, so it is the error
